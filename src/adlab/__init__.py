@@ -51,7 +51,6 @@ from .groundset import (
     combination,
     dilate,
     format_set,
-    growth_iterates,
     integers,
     iterated_sumset,
     load_set,

@@ -24,11 +24,17 @@ from typing import Optional, Sequence
 from .budget import WorkMeter, as_meter
 from .dissociation import DimensionBounds, dim_bounds, is_k_dissociated, max_dissociated_greedy
 from .energy import additive_energy, t_k
-from .errors import BudgetExceededError, PreconditionError, SizeCapExceededError
+from .errors import (
+    BudgetExceededError,
+    PreconditionError,
+    SizeCapExceededError,
+    VerificationFailedError,
+)
 from .groundset import (
     GroundSet,
     IntegerLattice,
     RepFn,
+    by_magnitude,
     mult_embed,
     rep_fn,
     sumset,
@@ -114,10 +120,7 @@ def dissociated_peeling(
                 break
             remainder_dim = db
             if db.lower >= l and db.lower_witness is not None:
-                ordered = sorted(
-                    db.lower_witness.elements,
-                    key=lambda e: (-current.ambient.magnitude(e), e if isinstance(e, tuple) else (e,)),
-                )
+                ordered = by_magnitude(current.ambient, db.lower_witness.elements, descending=True)
                 blocks.append(GroundSet.of(current.ambient, ordered[:l]))
                 current = current.without(blocks[-1])
                 continue
@@ -125,12 +128,10 @@ def dissociated_peeling(
             if not certified:
                 note = "remainder dimension not certified below l (budget truncation)"
             break
-        ordered = witness.elements  # already a set; use magnitude-descending order
-        ordered = sorted(
-            ordered, key=lambda e: (-current.ambient.magnitude(e), e if isinstance(e, tuple) else (e,))
-        )
+        ordered = by_magnitude(current.ambient, witness.elements, descending=True)
         block = GroundSet.of(current.ambient, ordered[:l])
-        assert is_k_dissociated(block, k).verdict == "dissociated"
+        if not is_k_dissociated(block, k).is_dissociated:
+            raise VerificationFailedError(f"peeled block {block.elements} is not {k}-dissociated")
         blocks.append(block)
         current = current.without(block)
     return PeelingResult(
@@ -266,7 +267,7 @@ def _bsg_core(
     r_pp = rep_fn([(p, "+"), (p, "-")])
     energy_p = r_pp.square_sum()
     theta = Fraction(energy_p, 2 * len(p) ** 2)
-    elems = sorted(p.elements, key=lambda e: (p.ambient.magnitude(e), e if isinstance(e, tuple) else (e,)))
+    elems = by_magnitude(p.ambient, p.elements)
     amb = p.ambient
     edges = 0
     best_v = None
@@ -291,7 +292,7 @@ def _bsg_core(
     r_bh = rep_fn([(b, "+"), (h, "-")])
     x_star = None
     x_count = -1
-    for x in sorted(r_bh.entries, key=lambda e: (amb.magnitude(e), e if isinstance(e, tuple) else (e,))):
+    for x in by_magnitude(amb, r_bh.entries):
         c = r_bh.entries[x]
         if c > x_count:
             x_count, x_star = c, x
@@ -485,8 +486,10 @@ class DecompositionResult:
     flags: list = field(default_factory=list)
 
     def __post_init__(self):
-        assert not (set(self.b.elements) & set(self.c.elements)), "B and C overlap"
-        assert set(self.b.elements) | set(self.c.elements) == set(self.a.elements), "B and C do not cover A"
+        if set(self.b.elements) & set(self.c.elements):
+            raise VerificationFailedError("B and C overlap")
+        if set(self.b.elements) | set(self.c.elements) != set(self.a.elements):
+            raise VerificationFailedError("B and C do not cover A")
 
     def to_json(self) -> dict:
         return {
@@ -668,7 +671,7 @@ def sidon_extract(
 
     amb = a.ambient
     meter = as_meter(budget)
-    elems = sorted(a.elements, key=lambda e: (amb.magnitude(e), e if isinstance(e, tuple) else (e,)))
+    elems = by_magnitude(amb, a.elements)
 
     if mode == "greedy":
         kept: list = []

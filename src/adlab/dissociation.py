@@ -28,6 +28,7 @@ from .groundset import (
     GroundSet,
     IntegerLattice,
     Residues,
+    by_magnitude,
     combination,
 )
 
@@ -91,7 +92,7 @@ class DimensionBounds:
 
     def __post_init__(self):
         if self.lower > self.upper:
-            raise AssertionError(f"bounds inverted: {self.lower} > {self.upper}")
+            raise VerificationFailedError(f"bounds inverted: {self.lower} > {self.upper}")
 
     @property
     def value(self) -> int:
@@ -263,7 +264,8 @@ def _subset_sum_certificate(lam: GroundSet, meter: WorkMeter) -> DissociationCer
                 cert = DissociationCertificate(
                     "relation", 1, eps, "subset-sum-distinctness", meter.states
                 )
-                assert cert.verify(lam)
+                if not cert.verify(lam):
+                    raise VerificationFailedError(f"subset-sum relation {eps} does not vanish")
                 return cert
             new[t] = mask | (1 << i)
         sums.update(new)
@@ -311,7 +313,8 @@ def _mitm_certificate(lam: GroundSet, k: int, meter: WorkMeter) -> DissociationC
             eps_r = zero_sum_nonzero
         eps = tuple(eps_l) + tuple(eps_r)
         cert = DissociationCertificate("relation", k, eps, "meet-in-the-middle", meter.states)
-        assert cert.verify(lam)
+        if not cert.verify(lam):
+            raise VerificationFailedError(f"meet-in-the-middle relation {eps} does not vanish")
         return cert
     return DissociationCertificate("dissociated", k, None, "meet-in-the-middle", meter.states)
 
@@ -326,9 +329,9 @@ def _ordered_elements(lam: GroundSet, order: str):
     if order == "given":
         return elems
     if order == "desc_abs":
-        return sorted(elems, key=lambda x: (-amb.magnitude(x), x))
+        return by_magnitude(amb, elems, descending=True)
     if order == "asc_abs":
-        return sorted(elems, key=lambda x: (amb.magnitude(x), x))
+        return by_magnitude(amb, elems)
     raise ValueError(f"unknown order {order!r}")
 
 
@@ -448,7 +451,7 @@ def dim_k_exact(lam: GroundSet, k: int = 1, budget: int | None = None) -> Dimens
     if truncated:
         upper = max(lower, min(n, root_cap))
         return DimensionBounds(
-            "dim_k", k, lower, upper, False, low_set, None, meter.states,
+            "dim_k", k, lower, upper, lower == upper, low_set, None, meter.states,
             note="search truncated by budget",
         )
     return DimensionBounds("dim_k", k, lower, lower, True, low_set, None, meter.states)
@@ -462,7 +465,7 @@ def dim_bounds(lam: GroundSet, k: int = 1, budget: int | None = None) -> Dimensi
         greedy = max_dissociated_greedy(lam, k, "desc_abs")
         n = len([x for x in lam.elements if x != lam.ambient.zero])
         return DimensionBounds(
-            "dim_k", k, len(greedy), n, False, greedy, None, 0, note="budget"
+            "dim_k", k, len(greedy), n, len(greedy) == n, greedy, None, 0, note="budget"
         )
 
 

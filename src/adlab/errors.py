@@ -36,7 +36,8 @@ class PreconditionError(AdlabError):
 
 
 class VerificationFailedError(AdlabError):
-    """A randomized construction failed its deterministic re-verification."""
+    """A certificate, witness, partition or randomized construction failed
+    its deterministic re-verification."""
 
 
 class TrialsExhaustedError(AdlabError):

@@ -11,7 +11,6 @@ corrupt dissociativity verdicts downstream.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence, Union
@@ -231,6 +230,12 @@ def combination(ambient: Ambient, elems: Sequence[Element], coeffs: Sequence[int
     return acc
 
 
+def by_magnitude(ambient: Ambient, elems: Iterable[Element], descending: bool = False) -> list:
+    """Elements ordered by ambient magnitude, ties broken by value."""
+    sign = -1 if descending else 1
+    return sorted(elems, key=lambda e: (sign * ambient.magnitude(e), e))
+
+
 # ---------------------------------------------------------------------------
 # Set algebra
 
@@ -278,14 +283,6 @@ def iterated_sumset(
     for _ in range(m):
         acc = sumset(acc, a, "-", size_cap=size_cap)
     return acc
-
-
-def growth_iterates(a: GroundSet, n_max: int, size_cap: int | None = None) -> list[GroundSet]:
-    """[1A, 2A, ..., n_max*A]; raises SizeCapExceededError when capped."""
-    out = [a]
-    for _ in range(n_max - 1):
-        out.append(sumset(out[-1], a, "+", size_cap=size_cap))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +389,6 @@ def rep_fn(parts: Sequence[tuple[GroundSet, str]], size_cap: int | None = None) 
     for gs, sign in parts:
         entries = _convolve(entries, gs, sign, size_cap)
     return RepFn(amb, entries)
-
-
-def rep_value(parts: Sequence[tuple[GroundSet, str]], x: Element) -> int:
-    return rep_fn(parts)[x]
 
 
 # ---------------------------------------------------------------------------
@@ -578,19 +571,3 @@ def load_set(path: str) -> GroundSet:
 def save_set(gs: GroundSet, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_set(gs))
-
-
-def from_any(items: Iterable, modulus: int | None = None) -> GroundSet:
-    """Convenience constructor used by the CLI and the harness."""
-    items = list(items)
-    if modulus is not None:
-        return residues(items, modulus)
-    if items and isinstance(items[0], tuple):
-        return vectors(items, len(items[0]))
-    return integers(items)
-
-
-def powerset(seq: Sequence, min_size: int = 0):
-    """All sub-tuples of seq by increasing size; small inputs only."""
-    for r in range(min_size, len(seq) + 1):
-        yield from itertools.combinations(seq, r)

@@ -16,12 +16,18 @@ from typing import Optional, Sequence
 
 from .budget import as_meter
 from .dissociation import dim_bounds, is_k_dissociated
-from .errors import PreconditionError, SizeCapExceededError, TrialsExhaustedError
+from .errors import (
+    PreconditionError,
+    SizeCapExceededError,
+    TrialsExhaustedError,
+    VerificationFailedError,
+)
 from .groundset import (
     Element,
     GroundSet,
     IntegerLattice,
     Residues,
+    by_magnitude,
     iterated_sumset,
     sumset,
     translate,
@@ -112,7 +118,7 @@ def verify_growth_bounds(
       stage3: with K = d*ceil(log2 d) and e = dim_K(A),
               |(e^2 * ceil(log2 e)) A| >= exp(e * log e / C3)
 
-    One inequality has an exact constant and is asserted outright: if
+    One inequality has an exact constant and is checked outright: if
     Lambda is a k-dissociated witness of size d, split into m blocks
     Lambda_1..Lambda_m, and S = [k]Lambda_1 + ... + [k]Lambda_m, then for
     n*m <= d/4,
@@ -203,9 +209,10 @@ def verify_growth_bounds(
     # Exact-constant split-block bound, checked on the certified witness.
     if db.lower_witness is not None and d >= 4:
         lam = db.lower_witness
-        assert is_k_dissociated(lam, k).verdict == "dissociated"
+        if not is_k_dissociated(lam, k).is_dissociated:
+            raise VerificationFailedError(f"dimension witness {lam.elements} is not {k}-dissociated")
         amb = lam.ambient
-        witness = sorted(lam.elements, key=lambda e: (amb.magnitude(e), e if isinstance(e, tuple) else (e,)))
+        witness = by_magnitude(amb, lam.elements)
         configs = [(n, m) for n in range(1, d + 1) for m in range(1, d + 1) if n * m * 4 <= d]
         for n, m in configs:
             chunks = _split_chunks(witness, m)
@@ -231,7 +238,6 @@ def verify_growth_bounds(
                     violated=not ok,
                 )
             )
-            assert ok, f"split-block growth bound failed at n={n}, m={m}: {lhs} < {rhs}"
 
     return ExperimentReport(
         name="growth_bounds",
@@ -544,14 +550,16 @@ def dim_shift_ratio(
 
     Shifting can change the dimension (the statistic is not
     translation-invariant), but only within a bounded factor; the worst
-    observed ratio in either direction is recorded as a fitted constant.
-    A zero shift must leave the set, and hence the dimension, unchanged;
-    that case is asserted.
+    observed ratio in either direction, over the shifts whose dimension and
+    the base one are both exact, is recorded as a fitted constant (None when
+    no such shift exists).
+    A zero shift must leave the set unchanged and its certified dimension
+    interval consistent with the base one; that case is a hard record.
     """
     meter = as_meter(budget)
     base = dim_bounds(a, k, budget=meter)
     rows = []
-    worst = 1.0
+    worst = None
     records: list[ClaimRecord] = []
     for x in shifts:
         shifted = translate(a, x)
@@ -565,19 +573,29 @@ def dim_shift_ratio(
             }
         )
         if x == a.ambient.zero:
-            ok = shifted.elements == a.elements and db.lower == base.lower and db.upper == base.upper
+            # The two searches spend one meter, so the shifted one may stop
+            # earlier; both intervals are certified, so they must intersect.
+            if shifted.elements != a.elements:
+                fault = "zero shift changed the set"
+            elif db.lower > base.upper or base.lower > db.upper:
+                fault = (
+                    f"disjoint intervals: base [{base.lower}, {base.upper}],"
+                    f" zero shift [{db.lower}, {db.upper}]"
+                )
+            else:
+                fault = ""
             records.append(
                 ClaimRecord(
                     claim="shift_zero_fixed",
                     klass="hard",
                     instance=a.describe(),
                     measured={"dim_lower": db.lower},
-                    violated=not ok,
+                    violated=bool(fault),
+                    note=fault,
                 )
             )
-            assert ok, "zero shift changed the set or its dimension bounds"
         if base.exact and db.exact and base.lower > 0 and db.lower > 0:
-            worst = max(worst, db.lower / base.lower, base.lower / db.lower)
+            worst = max(worst or 1.0, db.lower / base.lower, base.lower / db.lower)
     records.append(
         ClaimRecord(
             claim="shift_dim_ratio",

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional
 
 from ..decompose import dec_tk, ratio_box, sidon_extract
@@ -39,12 +38,13 @@ from ..errors import (
     PreconditionError,
     SizeCapExceededError,
     TrialsExhaustedError,
+    VerificationFailedError,
 )
 from ..groundset import (
     GroundSet,
     IntegerLattice,
     Residues,
-    integers,
+    by_magnitude,
     mult_embed,
     product_set,
     sigma_k,
@@ -137,29 +137,37 @@ def _compact_for_amplified_k(a: GroundSet) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Shared, memoized measurements (GroundSet is hashable and immutable).
+# Facts: measurements shared by the claims evaluated on one (set, budget).
+#
+# evaluate_claim drops the store whenever it moves to another (set, budget),
+# so each fact is computed once per instance and never reused for another.
+# A fact whose computation hit a size cap keeps the error and raises it on
+# each hit.
+
+_MISSING = object()
+_facts: dict = {}
+_facts_scope: tuple = ()
 
 
-@lru_cache(maxsize=8192)
+def _fact(fn, *args, **kw):
+    """fn(*args, **kw), computed at most once while the scope stands."""
+    key = (fn, args, tuple(kw.items()))
+    value = _facts.get(key, _MISSING)
+    if value is _MISSING:
+        try:
+            value = fn(*args, **kw)
+        except SizeCapExceededError as exc:
+            value = exc.with_traceback(None)
+        _facts[key] = value
+    if isinstance(value, SizeCapExceededError):
+        raise value.with_traceback(None)
+    return value
+
+
 def _nA(a: GroundSet, n: int) -> GroundSet:
     if n <= 1:
         return a
-    return sumset(_nA(a, n - 1), a, size_cap=SUMSET_CAP)
-
-
-@lru_cache(maxsize=8192)
-def _tk_val(a: GroundSet, k: int, op: str) -> int:
-    return t_k(a, k, op=op).value
-
-
-@lru_cache(maxsize=8192)
-def _greedy(a: GroundSet, k: int) -> GroundSet:
-    return max_dissociated_greedy(a, k, "desc_abs")
-
-
-@lru_cache(maxsize=4096)
-def _dimb(a: GroundSet, k: int, budget) -> DimensionBounds:
-    return dim_bounds(a, k, budget=budget)
+    return sumset(_fact(_nA, a, n - 1), a, size_cap=SUMSET_CAP)
 
 
 def _dim_used(db: DimensionBounds) -> int:
@@ -172,56 +180,16 @@ def _dim_used(db: DimensionBounds) -> int:
     return db.lower if db.exact else db.upper
 
 
-@lru_cache(maxsize=2048)
-def _growth_report(a: GroundSet, budget):
-    try:
-        return verify_growth_bounds(a, n_max=4, k=1, budget=budget)
-    except AssertionError as exc:
-        return ("violated", str(exc))
-    except SizeCapExceededError as exc:
-        return ("cap", str(exc))
-
-
-@lru_cache(maxsize=2048)
-def _poly_report(a: GroundSet, budget):
-    return polynomial_growth_fit(a, n_max=5, budget=budget)
-
-
-@lru_cache(maxsize=2048)
-def _shift_report(a: GroundSet, shifts: tuple, budget):
-    try:
-        return dim_shift_ratio(a, shifts, k=1, budget=budget)
-    except AssertionError as exc:
-        return ("violated", str(exc))
-
-
-@lru_cache(maxsize=2048)
-def _dirichlet_report(a: GroundSet, s: int, modulus, budget):
-    try:
-        return verify_dirichlet_dim(a, s=s, modulus=modulus, budget=budget)
-    except AssertionError as exc:
-        return ("violated", str(exc))
-
-
-@lru_cache(maxsize=256)
-def _subgroup_report(p: int, t: int, budget):
-    return subgroup_growth_experiment(p, t, n_max=4, k_max=3, budget=budget)
+def _largest(a: GroundSet, m: int) -> GroundSet:
+    """The m elements of largest magnitude."""
+    return GroundSet.of(a.ambient, by_magnitude(a.ambient, a.elements, descending=True)[:m])
 
 
 def clear_caches() -> None:
-    """Drop memoized measurements (tests use this to re-time cold runs)."""
-    for fn in (
-        _nA,
-        _tk_val,
-        _greedy,
-        _dimb,
-        _growth_report,
-        _poly_report,
-        _shift_report,
-        _dirichlet_report,
-        _subgroup_report,
-    ):
-        fn.cache_clear()
+    """Drop stored facts (tests use this to re-time cold runs)."""
+    global _facts_scope
+    _facts.clear()
+    _facts_scope = ()
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +200,7 @@ def _ev_growth_monotone(claim, a, inst, budget):
     if not a:
         return _skip(claim, inst, "empty set")
     try:
-        sizes = [len(_nA(a, n)) for n in range(1, 5)]
+        sizes = [len(_fact(_nA, a, n)) for n in range(1, 5)]
     except SizeCapExceededError:
         return _skip(claim, inst, "iterated sumset exceeds the size cap")
     ok = all(sizes[i] <= sizes[i + 1] for i in range(len(sizes) - 1))
@@ -250,8 +218,8 @@ def _ev_pluennecke(claim, a, inst, budget):
     if not a:
         return _skip(claim, inst, "empty set")
     try:
-        two = _nA(a, 2)
-        three = _nA(a, 3)
+        two = _fact(_nA, a, 2)
+        three = _fact(_nA, a, 3)
         diff = sumset(a, a, "-", size_cap=SUMSET_CAP)
         two_minus_one = sumset(two, a, "-", size_cap=SUMSET_CAP)
     except SizeCapExceededError:
@@ -280,8 +248,8 @@ def _ev_sigma_cover(claim, a, inst, budget):
     try:
         sig = sigma_k(a, k, size_cap=SUMSET_CAP)
         a0 = a.union(GroundSet.of(a.ambient, [a.ambient.zero]))
-        cover = _nA(a0, k)
-        ka = _nA(a, k)
+        cover = _fact(_nA, a0, k)
+        ka = _fact(_nA, a, k)
     except SizeCapExceededError:
         return _skip(claim, inst, "sumsets exceed the size cap")
     checks = {
@@ -298,10 +266,10 @@ def _ev_hoelder(claim, a, inst, budget):
         return _skip(claim, inst, "empty set")
     if len(a) > MAX_ENERGY_SIZE:
         return _skip(claim, inst, f"energies are capped at |A| = {MAX_ENERGY_SIZE}")
-    t1, t2, t3 = len(a), _tk_val(a, 2, "+"), _tk_val(a, 3, "+")
+    t1, t2, t3 = len(a), _fact(t_k, a, 2, "+").value, _fact(t_k, a, 3, "+").value
     try:
-        two = _nA(a, 2)
-        three = _nA(a, 3)
+        two = _fact(_nA, a, 2)
+        three = _fact(_nA, a, 3)
     except SizeCapExceededError:
         return _skip(claim, inst, "sumsets exceed the size cap")
     checks = {
@@ -312,7 +280,7 @@ def _ev_hoelder(claim, a, inst, budget):
     measured = {"t1": t1, "t2": t2, "t3": t3}
     if len(two) <= 1500:
         e_ab = additive_energy(a, two).value
-        checks["bilinear_norm"] = e_ab**2 <= t2 * _tk_val(two, 2, "+")
+        checks["bilinear_norm"] = e_ab**2 <= t2 * _fact(t_k, two, 2, "+").value
         measured["energy_a_2a"] = e_ab
     return [
         _rec(claim, inst, dict(measured, checks=checks), violated=not all(checks.values()))
@@ -324,7 +292,7 @@ def _ev_dim_chain(claim, a, inst, budget):
         return _skip(claim, inst, "empty set")
     if len(a) <= 10:
         local = budget if budget is not None else 2_000_000
-        de = dim_k_exact(a, 1, budget=local)
+        de = _fact(dim_k_exact, a, 1, budget=local)
         dk = d_k_exact(a, 1, budget=local)
         ds = d_star_bounds(a, 1, budget=local)
         if de.exact and dk.exact:
@@ -341,9 +309,9 @@ def _ev_dim_chain(claim, a, inst, budget):
     # both bounds dim from below and spans A with coefficients in [-1,1]
     # (every rejected element closed a relation), so |W| also bounds d from
     # above; the d* lower bound is pure counting.
-    w = _greedy(a, 1)
+    w = _fact(max_dissociated_greedy, a, 1)
     d_up = max(1, len(w))
-    db = _dimb(a, 1, budget)
+    db = _fact(dim_bounds, a, 1, budget=budget)
     n_nonzero = len([x for x in a.elements if x != a.ambient.zero])
     log3 = 0
     while 3**log3 < len(a):
@@ -370,13 +338,13 @@ def _ev_dim_chain(claim, a, inst, budget):
 def _ev_dim_counting(claim, a, inst, budget):
     if not a:
         return _skip(claim, inst, "empty set")
-    db1 = _dimb(a, 1, budget)
+    db1 = _fact(dim_bounds, a, 1, budget=budget)
     d1 = _dim_used(db1)
     checks = {"box_k1": 3**d1 >= len(a)}
     measured = {"dim1_used": d1, "dim1_exact": db1.exact, "size": len(a)}
     try:
         for k in (2, 3):
-            ka = _nA(a, k)
+            ka = _fact(_nA, a, k)
             checks[f"sumset_box_k{k}"] = (2 * k + 1) ** d1 >= len(ka)
             measured[f"size_{k}A"] = len(ka)
     except SizeCapExceededError:
@@ -388,7 +356,7 @@ def _ev_dim_counting(claim, a, inst, budget):
     # log_{2k+1}|A| form without that factor fails already for the residues
     # of a small multiplicative subgroup, so only the corrected form is hard.
     if _compact_for_amplified_k(a):
-        db2 = _dimb(a, 2, budget)
+        db2 = _fact(dim_bounds, a, 2, budget=budget)
         d2 = _dim_used(db2)
         if isinstance(a.ambient, Residues):
             factor = sum(math.gcd(e, a.ambient.modulus) for e in (1, 2))
@@ -408,12 +376,12 @@ def _ev_energy_dim_lower(claim, a, inst, budget):
         return _skip(claim, inst, "empty set")
     if len(a) > MAX_ENERGY_SIZE:
         return _skip(claim, inst, f"energies are capped at |A| = {MAX_ENERGY_SIZE}")
-    db = _dimb(a, 1, budget)
+    db = _fact(dim_bounds, a, 1, budget=budget)
     d = _dim_used(db)
     checks = {}
     measured = {"dim_used": d, "dim_exact": db.exact}
     for k in (2, 3):
-        tk = _tk_val(a, k, "+")
+        tk = _fact(t_k, a, k, "+").value
         checks[f"k{k}"] = tk * (2 * k + 1) ** d >= len(a) ** (2 * k)
         measured[f"t{k}"] = tk
     return [_rec(claim, inst, dict(measured, checks=checks), violated=not all(checks.values()))]
@@ -428,9 +396,7 @@ def _ev_dirichlet(claim, a, inst, budget):
         return _skip(claim, inst, "needs residues or rank-1 integers")
     if not a:
         return _skip(claim, inst, "empty set")
-    rep = _dirichlet_report(a, 2, modulus, budget)
-    if isinstance(rep, tuple):
-        return [_rec(claim, inst, {}, violated=True, note=rep[1])]
+    rep = _fact(verify_dirichlet_dim, a, s=2, modulus=modulus, budget=budget)
     return _retag(claim, inst, rep.records, "dirichlet_dim_lower", exact=True) or _skip(
         claim, inst, "bound degenerate on this instance"
     )
@@ -441,11 +407,10 @@ def _ev_split_block(claim, a, inst, budget):
         return _skip(claim, inst, "empty set")
     if not _compact_for_amplified_k(a):
         return _skip(claim, inst, "set too wide for amplified-order dimension work")
-    rep = _growth_report(a, budget)
-    if isinstance(rep, tuple):
-        if rep[0] == "cap":
-            return _skip(claim, inst, f"size cap: {rep[1]}")
-        return [_rec(claim, inst, {}, violated=True, note=rep[1])]
+    try:
+        rep = _fact(verify_growth_bounds, a, n_max=4, k=1, budget=budget)
+    except SizeCapExceededError as exc:
+        return _skip(claim, inst, f"size cap: {exc}")
     recs = _retag(claim, inst, rep.records, "split_block_growth")
     if not recs:
         return _skip(claim, inst, "certified dimension below 4; no eligible (n, m)")
@@ -459,9 +424,7 @@ def _ev_shift_zero(claim, a, inst, budget):
     one = 1 if not isinstance(zero, tuple) else tuple(
         1 if i == 0 else 0 for i in range(len(zero))
     )
-    rep = _shift_report(a, (zero, one), budget)
-    if isinstance(rep, tuple):
-        return [_rec(claim, inst, {}, violated=True, note=rep[1])]
+    rep = _fact(dim_shift_ratio, a, (zero, one), k=1, budget=budget)
     return _retag(claim, inst, rep.records, "shift_zero_fixed")
 
 
@@ -470,10 +433,10 @@ def _ev_witness_reverify(claim, a, inst, budget):
         return _skip(claim, inst, "empty set")
     checks = {}
     measured = {}
-    w = _greedy(a, 1)
+    w = _fact(max_dissociated_greedy, a, 1)
     cert_w = is_k_dissociated(w, 1) if w else None
     checks["greedy_witness_dissociated"] = cert_w is None or cert_w.is_dissociated
-    db = _dimb(a, 1, budget)
+    db = _fact(dim_bounds, a, 1, budget=budget)
     if db.lower_witness is not None and db.lower_witness.elements:
         cert_l = is_k_dissociated(db.lower_witness, 1)
         checks["dim_witness_dissociated"] = cert_l.is_dissociated
@@ -569,17 +532,14 @@ def _ev_decomposition(claim, a, inst, budget):
         return _skip(claim, inst, "needs rank-1 positive integers")
     if len(a) > 32 or max(a.elements) > 10**6:
         return _skip(claim, inst, "decomposition sweep is kept to |A| <= 32, values <= 10^6")
-    try:
-        dec = dec_tk(a, s=2, budget=budget)
-    except AssertionError as exc:
-        return [_rec(claim, inst, {}, violated=True, note=f"partition violated: {exc}")]
+    dec = dec_tk(a, s=2, budget=budget)
     checks = {
         "partition": set(dec.b.elements) | set(dec.c.elements) == set(a.elements)
         and not (set(dec.b.elements) & set(dec.c.elements)),
         "energies_match": (
-            dec.energies["t_s_add_b"] == (_tk_val(dec.b, dec.s, "+") if dec.b else 0)
-            and dec.energies["t_q_add_b"] == (_tk_val(dec.b, dec.q, "+") if dec.b else 0)
-            and dec.energies["t_s_mult_c"] == (_tk_val(dec.c, dec.s, "*") if dec.c else 0)
+            dec.energies["t_s_add_b"] == (_fact(t_k, dec.b, dec.s, "+").value if dec.b else 0)
+            and dec.energies["t_q_add_b"] == (_fact(t_k, dec.b, dec.q, "+").value if dec.b else 0)
+            and dec.energies["t_s_mult_c"] == (_fact(t_k, dec.c, dec.s, "*").value if dec.c else 0)
         ),
     }
     peels = dec.energies["peels"]
@@ -615,11 +575,10 @@ def _ev_growth_stage(prefix: str):
             return _skip(claim, inst, "empty set")
         if not _compact_for_amplified_k(a):
             return _skip(claim, inst, "set too wide for amplified-order dimension work")
-        rep = _growth_report(a, budget)
-        if isinstance(rep, tuple):
-            if rep[0] == "cap":
-                return _skip(claim, inst, f"size cap: {rep[1]}")
-            return [_rec(claim, inst, {}, violated=True, note=rep[1])]
+        try:
+            rep = _fact(verify_growth_bounds, a, n_max=4, k=1, budget=budget)
+        except SizeCapExceededError as exc:
+            return _skip(claim, inst, f"size cap: {exc}")
         recs = _retag(claim, inst, rep.records, prefix)
         return recs or _skip(claim, inst, "window degenerate at this size")
 
@@ -632,7 +591,7 @@ def _ev_poly_growth(claim, a, inst, budget):
     if not _compact_for_amplified_k(a):
         return _skip(claim, inst, "set too wide for the growth sweep")
     try:
-        rep = _poly_report(a, budget)
+        rep = _fact(polynomial_growth_fit, a, n_max=5, budget=budget)
     except SizeCapExceededError:
         return _skip(claim, inst, "iterated sumset exceeds the size cap")
     return _retag(claim, inst, rep.records, "poly_growth") or _skip(
@@ -644,7 +603,7 @@ def _ev_dim_compare(claim, a, inst, budget):
     if not a or len(a) > 16:
         return _skip(claim, inst, "exact two-parameter dimensions are kept to |A| <= 16")
     local = budget if budget is not None else 2_000_000
-    d1 = dim_k_exact(a, 1, budget=local)
+    d1 = _fact(dim_k_exact, a, 1, budget=local)
     d2 = dim_k_exact(a, 2, budget=local)
     if not (d1.exact and d2.exact) or d1.value == 0 or d2.value == 0:
         return _skip(claim, inst, "dimension search truncated or degenerate")
@@ -668,16 +627,16 @@ def _ev_small_doubling_dim(claim, a, inst, budget):
     if not _compact_for_amplified_k(a):
         return _skip(claim, inst, "set too wide for amplified-order dimension work")
     try:
-        two = _nA(a, 2)
+        two = _fact(_nA, a, 2)
     except SizeCapExceededError:
         return _skip(claim, inst, "sumset exceeds the size cap")
     kk = len(two) / len(a)
-    db = _dimb(a, 1, budget)
+    db = _fact(dim_bounds, a, 1, budget=budget)
     d = db.lower
     if d < 2:
         return _skip(claim, inst, "dimension too small for the amplified order")
     k_star = max(1, round(d * math.log(d)))
-    dks = _dimb(a, min(k_star, 64), budget)
+    dks = _fact(dim_bounds, a, min(k_star, 64), budget=budget)
     lnln_a = math.log(max(math.log(len(a)), 1.0001))
     rhs = math.log(len(a)) / lnln_a + kk * math.log(2 * kk) ** 6 * math.log(
         math.log(4 * kk)
@@ -697,7 +656,7 @@ def _ev_bounded_growth_dim(claim, a, inst, budget):
     if not _compact_for_amplified_k(a):
         return _skip(claim, inst, "set too wide for amplified-order dimension work")
     try:
-        sizes = [len(_nA(a, n)) for n in range(1, 5)]
+        sizes = [len(_fact(_nA, a, n)) for n in range(1, 5)]
     except SizeCapExceededError:
         return _skip(claim, inst, "iterated sumset exceeds the size cap")
     log_a = math.log(len(a))
@@ -705,12 +664,12 @@ def _ev_bounded_growth_dim(claim, a, inst, budget):
     inner = kk * log_a
     if inner <= 1:
         return _skip(claim, inst, "growth exponent degenerate")
-    db = _dimb(a, 1, budget)
+    db = _fact(dim_bounds, a, 1, budget=budget)
     d = db.lower
     if d < 2:
         return _skip(claim, inst, "dimension too small for the amplified order")
     k_star = max(1, round(d * math.log(d)))
-    dks = _dimb(a, min(k_star, 64), budget)
+    dks = _fact(dim_bounds, a, min(k_star, 64), budget=budget)
     rhs = kk * log_a / math.log(inner)
     measured = {"growth_exponent": kk, "k_star": k_star, "dim_at_k_star": dks.lower}
     return [_rec(claim, inst, measured, fitted=dks.lower / rhs)]
@@ -721,19 +680,12 @@ def _ev_sigma_dim(claim, a, inst, budget):
         return _skip(claim, inst, "empty set")
     if not _compact_for_amplified_k(a):
         return _skip(claim, inst, "set too wide for order-2 dissociation states")
-    lam_full = _greedy(a, 2)
-    lam = GroundSet.of(
-        a.ambient,
-        sorted(
-            lam_full.elements,
-            key=lambda e: (-a.ambient.magnitude(e), e if isinstance(e, tuple) else (e,)),
-        )[:8],
-    )
+    lam = _largest(_fact(max_dissociated_greedy, a, 2), 8)
     n = len(lam)
     if n < 2:
         return _skip(claim, inst, "no 2-dissociated pair to build the subset-sum set")
     q, _proper = cube(lam)
-    dq = _dimb(q, 1, 400_000)
+    dq = _fact(dim_bounds, q, 1, budget=400_000)
     upper_ratio = dq.upper / (n * math.log(n))
     lower_ratio = dq.lower / min(n * math.log(n), 2.0)
     measured = {
@@ -751,23 +703,16 @@ def _ev_cube_dim_ratio(claim, a, inst, budget):
         return _skip(claim, inst, "empty set")
     if not _compact_for_amplified_k(a):
         return _skip(claim, inst, "set too wide for amplified-order dimension work")
-    db = _dimb(a, 1, budget)
+    db = _fact(dim_bounds, a, 1, budget=budget)
     d = db.lower
     if d < 2:
         return _skip(claim, inst, "needs dimension at least 2")
     k_star = min(64, max(1, round(d * math.log(d))))
-    lam_k = _greedy(a, k_star)
-    lam = GroundSet.of(
-        a.ambient,
-        sorted(
-            lam_k.elements,
-            key=lambda e: (-a.ambient.magnitude(e), e if isinstance(e, tuple) else (e,)),
-        )[:8],
-    )
+    lam = _largest(_fact(max_dissociated_greedy, a, k_star), 8)
     if len(lam) < 1:
         return _skip(claim, inst, "no high-order dissociated subset")
     q, _proper = cube(lam)
-    dq = _dimb(q, 1, 400_000)
+    dq = _fact(dim_bounds, q, 1, budget=400_000)
     if dq.lower == 0:
         return _skip(claim, inst, "degenerate subset-sum set")
     big_k = dq.upper / d
@@ -794,9 +739,7 @@ def _ev_shift_ratio(claim, a, inst, budget):
         zero = amb.zero
         one = tuple(1 if i == 0 else 0 for i in range(amb.rank))
         shifts = (zero, one)
-    rep = _shift_report(a, shifts, budget)
-    if isinstance(rep, tuple):
-        return [_rec(claim, inst, {}, violated=True, note=rep[1])]
+    rep = _fact(dim_shift_ratio, a, shifts, k=1, budget=budget)
     return _retag(claim, inst, rep.records, "shift_dim_ratio")
 
 
@@ -808,7 +751,7 @@ def _ev_dim_alpha(claim, a, inst, budget):
     da = dim_alpha_k(a, alpha, k=k, budget=budget)
     if not da.exact or da.value == 0:
         return _skip(claim, inst, "relative dimension degenerate")
-    tk = _tk_val(a, k, "+")
+    tk = _fact(t_k, a, k, "+").value
     kappa = (tk / len(a) ** (2 * k)) ** (1.0 / k)
     margin = (1.0 - float(alpha) ** (1.0 / (2 * k))) ** 2
     measured = {"dim_alpha_k": da.value, "kappa": kappa, "t_k": tk}
@@ -818,14 +761,7 @@ def _ev_dim_alpha(claim, a, inst, budget):
 def _ev_rudin(claim, a, inst, budget):
     if not a:
         return _skip(claim, inst, "empty set")
-    lam_full = _greedy(a, 1)
-    lam = GroundSet.of(
-        a.ambient,
-        sorted(
-            lam_full.elements,
-            key=lambda e: (-a.ambient.magnitude(e), e if isinstance(e, tuple) else (e,)),
-        )[:12],
-    )
+    lam = _largest(_fact(max_dissociated_greedy, a, 1), 12)
     if len(lam) < 2:
         return _skip(claim, inst, "no dissociated pair")
     out = []
@@ -864,7 +800,7 @@ def _ev_fourier_dim(claim, a, inst, budget):
         return [
             _rec(claim, inst, measured, note="largest coefficient above |A|/4; hypothesis not met")
         ]
-    db = _dimb(a, 1, budget)
+    db = _fact(dim_bounds, a, 1, budget=budget)
     return [_rec(claim, inst, measured, fitted=db.lower / math.log(amb.modulus))]
 
 
@@ -875,12 +811,12 @@ def _ev_product_set_energy(claim, a, inst, budget):
         return _skip(claim, inst, "product set sweep is kept to |A| <= 48, values <= 10^6")
     aa = product_set(a, a, size_cap=SUMSET_CAP)
     bigd = len(aa) / len(a)
-    db = _dimb(a, 1, budget)
+    db = _fact(dim_bounds, a, 1, budget=budget)
     d = db.lower
     if d < 2:
         return _skip(claim, inst, "needs dimension at least 2")
     k = 2
-    tk = _tk_val(a, k, "+")
+    tk = _fact(t_k, a, k, "+").value
     c = (tk / len(a) ** (2 * k)) ** (1.0 / k) * d / (k * bigd**6 * math.log(d) ** 2)
     measured = {"product_ratio": Fraction(len(aa), len(a)), "dim": d, "t_k": tk}
     return [_rec(claim, inst, measured, fitted=c)]
@@ -891,9 +827,8 @@ def _ev_product_doubling_dim(claim, a, inst, budget):
         return _skip(claim, inst, "needs a residue ambient")
     if not a or 0 in a:
         return _skip(claim, inst, "needs 0 outside A")
-    rep = _dirichlet_report(a, 2, None, budget)
-    if isinstance(rep, tuple):
-        return [_rec(claim, inst, {}, violated=True, note=rep[1])]
+    # The same fact as _ev_dirichlet's on residues.
+    rep = _fact(verify_dirichlet_dim, a, s=2, modulus=None, budget=budget)
     return _retag(claim, inst, rep.records, "dirichlet_dim_lower_product") or _skip(
         claim, inst, "bound degenerate on this instance"
     )
@@ -906,17 +841,7 @@ def _mult_dim_lower(a: GroundSet) -> tuple[int, int]:
     state (a set of exponent vectors) stays small.
     """
     emb = mult_embed(a)
-    img = emb.image
-    if len(img) > 14:
-        amb = img.ambient
-        img = GroundSet.of(
-            amb,
-            sorted(
-                img.elements,
-                key=lambda e: (-amb.magnitude(e), e if isinstance(e, tuple) else (e,)),
-            )[:14],
-        )
-    return len(_greedy(img, 1)), len(emb.primes)
+    return len(_fact(max_dissociated_greedy, _largest(emb.image, 14), 1)), len(emb.primes)
 
 
 def _ev_sum_product_doubling(claim, a, inst, budget):
@@ -926,13 +851,13 @@ def _ev_sum_product_doubling(claim, a, inst, budget):
         return _skip(claim, inst, "kept to |A| <= 48, values <= 10^6")
     log_a = math.log(len(a))
     try:
-        two = _nA(a, 2)
+        two = _fact(_nA, a, 2)
         aa = product_set(a, a, size_cap=SUMSET_CAP)
     except SizeCapExceededError:
         return _skip(claim, inst, "sumset or product set exceeds the size cap")
     k_add = len(two) / len(a)
     k_mul = len(aa) / len(a)
-    dim_plus = _dimb(a, 1, budget).lower
+    dim_plus = _fact(dim_bounds, a, 1, budget=budget).lower
     dim_times, _rank = _mult_dim_lower(a)
     out = []
     if 0 < math.log(k_mul) and math.log(k_mul) < log_a:
@@ -981,7 +906,7 @@ def _ev_sum_product_dim(claim, a, inst, budget):
     logloglog = math.log(loglog)
     if logloglog <= 0:
         return _skip(claim, inst, "triple logarithm nonpositive")
-    dim_plus = _dimb(a, 1, budget).lower
+    dim_plus = _fact(dim_bounds, a, 1, budget=budget).lower
     dim_times, _rank = _mult_dim_lower(a)
     denom = log_a * math.sqrt(loglog / logloglog)
     measured = {"dim_plus": dim_plus, "dim_times": dim_times}
@@ -1006,7 +931,7 @@ def _ev_sidon_extremal(claim, a, inst, budget):
     best = max(len(b), len(c))
     measured = {"additive": len(b), "multiplicative": len(c), "size": len(a)}
     try:
-        two = _nA(a, 2)
+        two = _fact(_nA, a, 2)
         sq = product_set(a, a, size_cap=SUMSET_CAP)
         measured["sum_plus_product"] = len(two) + len(sq)
     except SizeCapExceededError:
@@ -1021,7 +946,7 @@ def _ev_ratio_box_growth(claim, a, inst, budget):
         return _skip(claim, inst, "pair scan is kept to |A| <= 24")
     rb = ratio_box(a)
     try:
-        two = _nA(a, 2)
+        two = _fact(_nA, a, 2)
     except SizeCapExceededError:
         return _skip(claim, inst, "sumset exceeds the size cap")
     kk = len(two) / len(a)
@@ -1053,7 +978,7 @@ def _ev_subgroup(prefix: str):
         p, t = pt
         if p is None or p > MAX_SUBGROUP_P:
             return _skip(claim, inst, f"subgroup sweeps are capped at p <= {MAX_SUBGROUP_P}")
-        rep = _subgroup_report(p, t, budget)
+        rep = _fact(subgroup_growth_experiment, p, t, n_max=4, k_max=3, budget=budget)
         return _retag(claim, inst, rep.records, prefix) or _skip(
             claim, inst, "degenerate at this size"
         )
@@ -1068,7 +993,7 @@ def _ev_subgroup_coverage(claim, a, inst, budget):
     p, t = pt
     if p is None or p > MAX_SUBGROUP_P:
         return _skip(claim, inst, f"subgroup sweeps are capped at p <= {MAX_SUBGROUP_P}")
-    rep = _subgroup_report(p, t, budget)
+    rep = _fact(subgroup_growth_experiment, p, t, n_max=4, k_max=3, budget=budget)
     import sympy
 
     half_cover = rep.measured["half_cover_n"]
@@ -1203,12 +1128,33 @@ def get_claim(claim_id: str) -> Claim:
 
 
 def evaluate_claim(claim_id: str, a: GroundSet, instance, budget=None) -> list[ClaimRecord]:
-    """Evaluate one claim on one realized instance."""
+    """Evaluate one claim on one realized instance.
+
+    Calls on the same (set, budget) share stored facts; a call on another
+    one drops them first.  A certificate, witness or partition that fails
+    its re-verification comes back as one violated hard record, whatever
+    the claim's class: a broken certificate fails the run.
+    """
+    global _facts_scope
     claim = get_claim(claim_id)
+    if _facts_scope != (a, budget):
+        _facts.clear()
+        _facts_scope = (a, budget)
     try:
         return claim.evaluate(claim, a, instance, budget)
     except BudgetExceededError as exc:
         return [_rec(claim, instance, {}, note=f"skipped: budget exhausted ({exc})")]
+    except VerificationFailedError as exc:
+        return [
+            ClaimRecord(
+                claim=claim.id,
+                klass="hard",
+                instance=instance,
+                measured={},
+                violated=True,
+                note=f"verification failed: {exc}",
+            )
+        ]
 
 
 def fit_constant(claim_id: str, records) -> dict:

@@ -15,13 +15,11 @@ from typing import Iterable, Optional, Sequence, Union
 
 from ..errors import PreconditionError
 from ..groundset import GroundSet
-from ..records import ClaimRecord, canonical, stable_dumps
+from ..records import SCHEMA_VERSION, ClaimRecord, canonical, stable_dumps
 from .claims import REGISTRY, evaluate_claim, fit_constant, get_claim
 from .generators import InstanceSpec, spec
 
 Instance = Union[InstanceSpec, GroundSet, tuple]
-
-SCHEMA_VERSION = 1
 
 # The curated default suite: small enough to finish in seconds, broad
 # enough to touch every ambient kind and every claim family.

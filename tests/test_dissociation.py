@@ -18,6 +18,7 @@ from adlab import (
     residues,
     span_k,
 )
+from adlab.dissociation import coin_weighing_dissociated
 
 from oracles import naive_dim_k, naive_dim_k1, naive_relation, naive_span, subsets
 
@@ -202,6 +203,21 @@ def test_budget_raises_and_bounds_degrade():
     db = dim_bounds(a, 1, budget=3)
     assert not db.exact or db.lower == db.upper
     assert db.lower <= dim_k_exact(a, 1).value <= db.upper
+
+
+def test_degraded_bounds_that_meet_are_exact():
+    a = integers([1, 2, 4, 8, 16, 32])
+    db = dim_bounds(a, 1, budget=3)
+    assert db.note == "budget"
+    assert (db.lower, db.upper, db.exact, db.value) == (6, 6, True, 6)
+
+
+def test_coin_weighing_result_reverifies():
+    lam = integers([1, 10, 100, 1000, 10000])
+    out = coin_weighing_dissociated(lam, 3, seed=1)
+    assert len(out) == 3
+    assert set(out.elements) <= set(cube(lam)[0].elements)
+    assert is_k_dissociated(out, 1).is_dissociated
 
 
 def test_cube_proper_and_improper():

@@ -15,11 +15,13 @@ from adlab import (
     format_set,
     integers,
     iterated_sumset,
+    load_set,
     mult_embed,
     parse_set_text,
     product_set,
     rep_fn,
     residues,
+    save_set,
     sigma_k,
     sumset,
     translate,
@@ -155,7 +157,7 @@ def test_vectors_ambient():
     assert set(s.elements) == {(2, 0), (1, 1), (0, 2)}
 
 
-def test_set_file_roundtrip():
+def test_set_file_roundtrip(tmp_path):
     for a in (
         integers([-3, 1, 8]),
         residues([1, 5, 8, 12], 13),
@@ -163,6 +165,9 @@ def test_set_file_roundtrip():
     ):
         assert parse_set_text(format_set(a)).elements == a.elements
         assert parse_set_text(format_set(a)).ambient == a.ambient
+        path = tmp_path / "set.txt"
+        save_set(a, str(path))
+        assert load_set(str(path)) == a
 
 
 def test_parse_rejects_garbage():

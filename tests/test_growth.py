@@ -1,8 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+import adlab.growth
 from adlab import (
     PreconditionError,
     additive_energy,
@@ -150,10 +152,37 @@ def test_poly_fit_reports_both_orders():
 
 
 def test_shift_zero_keeps_dim():
+    rng = random.Random(1006)
+    # The zero-shift search runs on the meter the base search spent, so its
+    # bounds can be looser than the base ones; they must still intersect.
+    wide = integers(rng.sample(range(1, 10**6), rng.randint(4, 24)))
+    for a, budget in ((integers([1, 2, 4, 8, 9]), None), (wide, 20_000)):
+        rep = dim_shift_ratio(a, [0, 1], k=1, budget=budget)
+        rec = next(r for r in rep.records if r.claim == "shift_zero_fixed")
+        assert not rec.violated and rec.note == ""
+
+
+def test_shift_zero_violation_names_its_cause(monkeypatch):
     a = integers([1, 2, 4, 8, 9])
+    monkeypatch.setattr(adlab.growth, "translate", lambda s, x: integers([e + 1 for e in s]))
     rep = dim_shift_ratio(a, [0], k=1)
     rec = next(r for r in rep.records if r.claim == "shift_zero_fixed")
-    assert not rec.violated
+    assert rec.violated and rec.note == "zero shift changed the set"
+
+
+def test_shift_ratio_fits_only_exact_pairs():
+    rng = random.Random(1006)
+    a = integers(rng.sample(range(1, 10**6), rng.randint(4, 24)))
+    base = dim_bounds(a, 1, budget=20_000)
+    assert (base.lower, base.upper, base.exact) == (14, 14, True)
+    # At this budget the shifts by 0 and 1 stay inexact; the shift by 7
+    # comes back [15, 15], all 15 elements dissociated.
+    for shifts, constant in (([0, 1], None), ([0, 1, -1, 7], 15 / 14)):
+        rep = dim_shift_ratio(a, shifts, k=1, budget=20_000)
+        fit = next(r for r in rep.records if r.claim == "shift_dim_ratio")
+        assert not fit.violated
+        assert fit.fitted_constant == constant
+        assert [row["exact"] for row in fit.measured["shifts"]] == [s == 7 for s in shifts]
 
 
 def test_shift_ratio_records_each_shift():

@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
-from adlab import PreconditionError, integers
+import adlab.harness.claims as claims
+from adlab import PreconditionError, SizeCapExceededError, VerificationFailedError, integers
 from adlab.harness import (
     CORE_INSTANCES,
     FITTED_CLAIMS,
     HARD_CLAIMS,
     REGISTRY,
+    clear_caches,
     evaluate_claim,
     fit_constant,
     generate,
@@ -175,6 +179,55 @@ def test_run_suite_report_is_deterministic():
     j1 = report_to_json(run_suite(**kwargs), drop_timing=True)
     j2 = report_to_json(run_suite(**kwargs), drop_timing=True)
     assert j1 == j2
+
+
+@pytest.mark.parametrize(
+    "target, claim", [("dec_tk", "decomposition_energy"), ("dim_bounds", "cube_dim_ratio")]
+)
+def test_verification_failure_is_one_violated_record(monkeypatch, target, claim):
+    # A broken certificate fails the run even inside a fitted claim.
+    def broken(*args, **kw):
+        raise VerificationFailedError("certificate does not re-verify")
+
+    monkeypatch.setattr(claims, target, broken)
+    rep = run_suite([claim, "growth_monotone"], [integers(range(1, 9))])
+    recs = [r for r in rep["records"] if r["claim"] == claim]
+    assert len(recs) == 1 and recs[0]["violated"] and recs[0]["class"] == "hard"
+    assert "certificate does not re-verify" in recs[0]["note"]
+    assert rep["violations"] == [{"claim": claim, "instance": "{8 elements, z d=1}"}]
+    assert rep["summary"]["hard_violations"] == 1
+
+
+def test_stored_size_cap_error_reraises_without_recompute():
+    calls = []
+
+    def capped(x):
+        calls.append(x)
+        raise SizeCapExceededError("too large", cap=1, stage="test")
+
+    clear_caches()
+    for _ in range(2):
+        with pytest.raises(SizeCapExceededError, match="too large"):
+            claims._fact(capped, 1)
+    assert calls == [1]
+    clear_caches()
+
+
+def test_stored_facts_match_cold_runs():
+    a = integers([1, 2, 4, 8, 9, 20, 33])
+    # 4B passes the sumset cap, so growth_monotone meets a size-cap error
+    b = integers(random.Random(5).sample(range(1, 10**6), 50))
+
+    def run(x):
+        inst = {"generator": "literal"}
+        return [r.to_json() for cid in HARD_CLAIMS for r in evaluate_claim(cid, x, inst, budget=50_000)]
+
+    warm = [run(a), run(b), run(a)]
+    cold = []
+    for x in (a, b, a):
+        clear_caches()
+        cold.append(run(x))
+    assert warm == cold
 
 
 def test_core_suite_clean():
