@@ -26,6 +26,7 @@ from .dissociation import (
     cube,
     d_k_exact,
     d_star_bounds,
+    d_star_lower,
     dim_bounds,
     dim_k_exact,
     is_k_dissociated,

@@ -229,12 +229,14 @@ def _bsg_core(
     a: GroundSet,
     b: GroundSet,
     k_target: Fraction,
+    energy_ab: int,
     l: int,
     meter: WorkMeter,
     seed: int,
 ) -> BsgResult:
+    """The BSG pipeline behind bsg_asymmetric; energy_ab is E(A,B), which
+    both callers have already computed."""
     size_a, size_b = len(a), len(b)
-    energy_ab = additive_energy(a, b).value
 
     # Hoelder amplification: walk the energy chain T_1, T_2, T_4, ... of B
     # and take the level that loses the least against the trivial bound.
@@ -296,8 +298,9 @@ def _bsg_core(
         c = r_bh.entries[x]
         if c > x_count:
             x_count, x_star = c, x
-    assert x_star is not None and x_count >= 1
-    assert len(h) >= 1
+    assert x_star is not None
+    if x_count < 1 or not h:
+        raise VerificationFailedError(f"empty core or shift: |H| = {len(h)}, r(x) = {x_count}")
 
     stats = {
         "j": j,
@@ -357,7 +360,7 @@ def bsg_asymmetric(
             f"energy precondition failed: E(A,B) = {energy_ab} < |A||B|^2/K"
         )
     meter = as_meter(budget)
-    return _bsg_core(a, b, k_target, l, meter, seed)
+    return _bsg_core(a, b, k_target, energy_ab, l, meter, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +448,7 @@ def beta_decomposition(
 
     e_pa = additive_energy(p, a).value
     k_prime = Fraction(len(p) * size**2, e_pa)
-    core = _bsg_core(p, a, k_prime, l=2, meter=meter, seed=0)
+    core = _bsg_core(p, a, k_prime, e_pa, l=2, meter=meter, seed=0)
     shifted = translate(core.h, core.x)
     a_star = a.restrict(shifted.elements)
     if not a_star.elements:

@@ -546,30 +546,34 @@ def d_k_exact(a: GroundSet, k: int = 1, budget: int | None = None) -> DimensionB
     return DimensionBounds("d_k", k, len(elems), len(elems), True, None, a, meter.states)
 
 
+def d_star_lower(a: GroundSet, lam: GroundSet, k: int = 1) -> int:
+    """Counting lower bound for the unrestricted covering number d*_k(A).
+
+    Any S with A inside Span_k(S) has (2k+1)^|S| >= |A|.  If ``lam`` is a
+    k-dissociated subset of A of size d, its (k+1)^d sums with coefficients
+    in [0, k] are distinct and lie in Span_{k^2 d}(S), so also
+    (k+1)^d <= (2k^2 d + 1)^|S|.  Returns the larger of the two smallest
+    such |S| (0 for A = {0}).
+    """
+    d = len(lam)
+    return max(_min_size_for_span(len(a), k), _min_size_for_span((k + 1) ** d, k * k * d))
+
+
 def d_star_bounds(a: GroundSet, k: int = 1, budget: int | None = None) -> DimensionBounds:
     """Bounds for the unrestricted covering number (exact search is infeasible:
     the covering set ranges over the whole ambient group).
 
-    Upper: the restricted covering number.  Lower: span counting plus the
-    pigeonhole bound (k+1)^d <= (2k^2 d + 1)^|S| applied to a certified
-    k-dissociated subset of size d.
+    Upper: the restricted covering number d_k(A) from ``d_k_exact``.  Lower:
+    ``d_star_lower`` on the greedy maximal k-dissociated subset, capped at
+    the upper bound.  The result is never exact; its lower witness is that
+    greedy subset and its upper witness the restricted cover.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     dk = d_k_exact(a, k, budget)
     lam = max_dissociated_greedy(a, k, "desc_abs", budget=budget)
-    d0 = len(lam)
-    s_lo = 0
-    if d0 > 0:
-        lhs = (k + 1) ** d0
-        base = 2 * k * k * d0 + 1
-        cap = 1
-        while cap < lhs:
-            cap *= base
-            s_lo += 1
-    lower = max(_min_size_for_span(len(set(a.elements)), k), s_lo)
     upper = dk.upper
-    lower = min(lower, upper)
+    lower = min(d_star_lower(a, lam, k), upper)
     return DimensionBounds(
         "d_star_k", k, lower, upper, False, lam, dk.upper_witness, dk.states,
         note="upper from restricted cover; exact unrestricted search unsupported",

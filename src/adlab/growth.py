@@ -521,7 +521,8 @@ def freiman_model(
                 buckets.setdefault(j, []).append(x)
             j_star = min(buckets, key=lambda j: (-len(buckets[j]), j))
             kept = buckets[j_star]
-            assert len(kept) >= min_keep, "pigeonhole on interval classes failed"
+            if len(kept) < min_keep:
+                raise VerificationFailedError("pigeonhole on interval classes failed")
             base = j_star * width
             mapping = {x: (lam * x % p - base) % m for x in kept}
             subset = GroundSet.of(amb, kept)

@@ -25,9 +25,8 @@ from ..dissociation import (
     DimensionBounds,
     cube,
     d_k_exact,
-    d_star_bounds,
+    d_star_lower,
     dim_bounds,
-    dim_k_exact,
     is_k_dissociated,
     max_dissociated_greedy,
     span_k,
@@ -35,6 +34,7 @@ from ..dissociation import (
 from ..energy import additive_energy, dim_alpha_k, rudin_ratio, t_k
 from ..errors import (
     BudgetExceededError,
+    CoordinateOverflowError,
     PreconditionError,
     SizeCapExceededError,
     TrialsExhaustedError,
@@ -290,41 +290,32 @@ def _ev_hoelder(claim, a, inst, budget):
 def _ev_dim_chain(claim, a, inst, budget):
     if not a:
         return _skip(claim, inst, "empty set")
+    # The greedy maximal witness W is 1-dissociated, so it bounds dim from
+    # below and feeds the d* counting bound; it also spans A with
+    # coefficients in [-1,1] (every rejected element closed a relation), so
+    # |W| bounds d from above.
+    w = _fact(max_dissociated_greedy, a, 1)
+    dstar_lo = d_star_lower(a, w, 1)
     if len(a) <= 10:
         local = budget if budget is not None else 2_000_000
-        de = _fact(dim_k_exact, a, 1, budget=local)
-        dk = d_k_exact(a, 1, budget=local)
-        ds = d_star_bounds(a, 1, budget=local)
+        de = _fact(dim_bounds, a, 1, budget=local)
+        dk = _fact(d_k_exact, a, 1, budget=local)
         if de.exact and dk.exact:
-            checks = {"dstar_le_d": ds.lower <= dk.value, "d_le_dim": dk.value <= de.value}
+            dstar_lo = min(dstar_lo, dk.value)
+            checks = {"dstar_le_d": dstar_lo <= dk.value, "d_le_dim": dk.value <= de.value}
             measured = {
                 "dim": de.value,
                 "d": dk.value,
-                "dstar_lower": ds.lower,
-                "dstar_upper": ds.upper,
+                "dstar_lower": dstar_lo,
+                "dstar_upper": dk.value,
                 "mode": "exact",
             }
             return [_rec(claim, inst, dict(measured, checks=checks), violated=not all(checks.values()))]
-    # Large instances: certified-bounds form.  The greedy maximal witness W
-    # both bounds dim from below and spans A with coefficients in [-1,1]
-    # (every rejected element closed a relation), so |W| also bounds d from
-    # above; the d* lower bound is pure counting.
-    w = _fact(max_dissociated_greedy, a, 1)
+    # Large instances: certified-bounds form; d* <= d, so dstar_lo also
+    # bounds d from below.
     d_up = max(1, len(w))
     db = _fact(dim_bounds, a, 1, budget=budget)
-    n_nonzero = len([x for x in a.elements if x != a.ambient.zero])
-    log3 = 0
-    while 3**log3 < len(a):
-        log3 += 1
-    d0 = len(w)
-    s_lo = 0
-    if d0 > 0:
-        cap = 1
-        while cap < 2**d0:
-            cap *= 2 * d0 + 1
-            s_lo += 1
-    dstar_lo = max(log3, s_lo) if n_nonzero else 0
-    checks = {"dstar_le_d": dstar_lo <= d_up, "d_le_dim": log3 <= db.upper}
+    checks = {"dstar_le_d": dstar_lo <= d_up, "d_le_dim": dstar_lo <= db.upper}
     measured = {
         "dim_lower": db.lower,
         "dim_upper": db.upper,
@@ -417,15 +408,22 @@ def _ev_split_block(claim, a, inst, budget):
     return recs
 
 
+def _shift_experiment(a: GroundSet, budget):
+    """The one shift experiment per instance; zero is always its first shift."""
+    amb = a.ambient
+    if isinstance(amb, Residues):
+        shifts = tuple(dict.fromkeys(x % amb.modulus for x in (0, 1, 2, amb.modulus - 1)))
+    elif amb.rank == 1:
+        shifts = (0, 1, -1, 7)
+    else:
+        shifts = (amb.zero, tuple(1 if i == 0 else 0 for i in range(amb.rank)))
+    return _fact(dim_shift_ratio, a, shifts, k=1, budget=budget)
+
+
 def _ev_shift_zero(claim, a, inst, budget):
     if not a:
         return _skip(claim, inst, "empty set")
-    zero = a.ambient.zero
-    one = 1 if not isinstance(zero, tuple) else tuple(
-        1 if i == 0 else 0 for i in range(len(zero))
-    )
-    rep = _fact(dim_shift_ratio, a, (zero, one), k=1, budget=budget)
-    return _retag(claim, inst, rep.records, "shift_zero_fixed")
+    return _retag(claim, inst, _shift_experiment(a, budget).records, "shift_zero_fixed")
 
 
 def _ev_witness_reverify(claim, a, inst, budget):
@@ -491,7 +489,7 @@ def _ev_ratio_box_inclusion(claim, a, inst, budget):
         return _skip(claim, inst, "needs rank-1 integers")
     if not a or len(a) > 24:
         return _skip(claim, inst, "pair scan is kept to |A| <= 24")
-    rb = ratio_box(a)
+    rb = _fact(ratio_box, a)
     mags = sorted({abs(x - y) for x in a.elements for y in a.elements if x != y})
     ratios = {Fraction(d1, d2) for d1 in mags for d2 in mags}
     ok = True
@@ -510,7 +508,7 @@ def _ev_sidon_property(claim, a, inst, budget):
         return _skip(claim, inst, "empty set")
     if isinstance(a.ambient, IntegerLattice) and a.ambient.rank > 1:
         return _skip(claim, inst, "kept to rank-1 and residue sets")
-    b = sidon_extract(a, h=2, budget=budget)
+    b = _fact(sidon_extract, a, h=2, budget=budget)
     amb = a.ambient
     sums = {}
     ok = bool(b) and set(b.elements) <= set(a.elements)
@@ -603,8 +601,8 @@ def _ev_dim_compare(claim, a, inst, budget):
     if not a or len(a) > 16:
         return _skip(claim, inst, "exact two-parameter dimensions are kept to |A| <= 16")
     local = budget if budget is not None else 2_000_000
-    d1 = _fact(dim_k_exact, a, 1, budget=local)
-    d2 = dim_k_exact(a, 2, budget=local)
+    d1 = _fact(dim_bounds, a, 1, budget=local)
+    d2 = _fact(dim_bounds, a, 2, budget=local)
     if not (d1.exact and d2.exact) or d1.value == 0 or d2.value == 0:
         return _skip(claim, inst, "dimension search truncated or degenerate")
     out = []
@@ -730,17 +728,7 @@ def _ev_cube_dim_ratio(claim, a, inst, budget):
 def _ev_shift_ratio(claim, a, inst, budget):
     if not a:
         return _skip(claim, inst, "empty set")
-    amb = a.ambient
-    if isinstance(amb, Residues):
-        shifts = tuple(x % amb.modulus for x in (0, 1, 2, amb.modulus - 1))
-    elif amb.rank == 1:
-        shifts = (0, 1, -1, 7)
-    else:
-        zero = amb.zero
-        one = tuple(1 if i == 0 else 0 for i in range(amb.rank))
-        shifts = (zero, one)
-    rep = _fact(dim_shift_ratio, a, shifts, k=1, budget=budget)
-    return _retag(claim, inst, rep.records, "shift_dim_ratio")
+    return _retag(claim, inst, _shift_experiment(a, budget).records, "shift_dim_ratio")
 
 
 def _ev_dim_alpha(claim, a, inst, budget):
@@ -809,7 +797,7 @@ def _ev_product_set_energy(claim, a, inst, budget):
         return _skip(claim, inst, "needs rank-1 positive integers")
     if len(a) > 48 or max(a.elements) > 10**6:
         return _skip(claim, inst, "product set sweep is kept to |A| <= 48, values <= 10^6")
-    aa = product_set(a, a, size_cap=SUMSET_CAP)
+    aa = _fact(product_set, a, a, size_cap=SUMSET_CAP)
     bigd = len(aa) / len(a)
     db = _fact(dim_bounds, a, 1, budget=budget)
     d = db.lower
@@ -852,13 +840,13 @@ def _ev_sum_product_doubling(claim, a, inst, budget):
     log_a = math.log(len(a))
     try:
         two = _fact(_nA, a, 2)
-        aa = product_set(a, a, size_cap=SUMSET_CAP)
+        aa = _fact(product_set, a, a, size_cap=SUMSET_CAP)
     except SizeCapExceededError:
         return _skip(claim, inst, "sumset or product set exceeds the size cap")
     k_add = len(two) / len(a)
     k_mul = len(aa) / len(a)
     dim_plus = _fact(dim_bounds, a, 1, budget=budget).lower
-    dim_times, _rank = _mult_dim_lower(a)
+    dim_times, _rank = _fact(_mult_dim_lower, a)
     out = []
     if 0 < math.log(k_mul) and math.log(k_mul) < log_a:
         window = log_a * math.log(log_a / math.log(k_mul))
@@ -907,7 +895,7 @@ def _ev_sum_product_dim(claim, a, inst, budget):
     if logloglog <= 0:
         return _skip(claim, inst, "triple logarithm nonpositive")
     dim_plus = _fact(dim_bounds, a, 1, budget=budget).lower
-    dim_times, _rank = _mult_dim_lower(a)
+    dim_times, _rank = _fact(_mult_dim_lower, a)
     denom = log_a * math.sqrt(loglog / logloglog)
     measured = {"dim_plus": dim_plus, "dim_times": dim_times}
     return [
@@ -926,13 +914,13 @@ def _ev_sidon_extremal(claim, a, inst, budget):
         return _skip(claim, inst, "needs at least two positive integers")
     if len(a) > 40:
         return _skip(claim, inst, "extraction sweep is kept to |A| <= 40")
-    b = sidon_extract(a, h=2, op="+", budget=budget)
+    b = _fact(sidon_extract, a, h=2, budget=budget)
     c = sidon_extract(a, h=2, op="*", budget=budget)
     best = max(len(b), len(c))
     measured = {"additive": len(b), "multiplicative": len(c), "size": len(a)}
     try:
         two = _fact(_nA, a, 2)
-        sq = product_set(a, a, size_cap=SUMSET_CAP)
+        sq = _fact(product_set, a, a, size_cap=SUMSET_CAP)
         measured["sum_plus_product"] = len(two) + len(sq)
     except SizeCapExceededError:
         pass
@@ -944,7 +932,7 @@ def _ev_ratio_box_growth(claim, a, inst, budget):
         return _skip(claim, inst, "needs at least three rank-1 integers")
     if len(a) > 24:
         return _skip(claim, inst, "pair scan is kept to |A| <= 24")
-    rb = ratio_box(a)
+    rb = _fact(ratio_box, a)
     try:
         two = _fact(_nA, a, 2)
     except SizeCapExceededError:
@@ -1133,7 +1121,9 @@ def evaluate_claim(claim_id: str, a: GroundSet, instance, budget=None) -> list[C
     Calls on the same (set, budget) share stored facts; a call on another
     one drops them first.  A certificate, witness or partition that fails
     its re-verification comes back as one violated hard record, whatever
-    the claim's class: a broken certificate fails the run.
+    the claim's class: a broken certificate fails the run.  An exhausted
+    budget, a coordinate leaving the 64-bit range, or a size cap the
+    evaluator did not handle comes back as one skipped record naming it.
     """
     global _facts_scope
     claim = get_claim(claim_id)
@@ -1144,6 +1134,8 @@ def evaluate_claim(claim_id: str, a: GroundSet, instance, budget=None) -> list[C
         return claim.evaluate(claim, a, instance, budget)
     except BudgetExceededError as exc:
         return [_rec(claim, instance, {}, note=f"skipped: budget exhausted ({exc})")]
+    except (CoordinateOverflowError, SizeCapExceededError) as exc:
+        return _skip(claim, instance, f"{type(exc).__name__}: {exc}")
     except VerificationFailedError as exc:
         return [
             ClaimRecord(

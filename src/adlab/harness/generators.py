@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import sympy
 
 from ..dissociation import cube as _cube
-from ..errors import PreconditionError
+from ..errors import PreconditionError, VerificationFailedError
 from ..groundset import GroundSet, integers, sumset
 from ..modular import subgroup as _subgroup
 
@@ -142,7 +142,8 @@ def _gen_es_product(seed: int, s: int, h: int) -> GroundSet:
     # Unique factorization keeps all h^s products distinct; the ambient
     # validation raises on 64-bit overflow.
     out = integers(values)
-    assert len(out) == h**s
+    if len(out) != h**s:
+        raise VerificationFailedError(f"{len(out)} distinct products, expected h^s = {h**s}")
     return out
 
 

@@ -20,7 +20,7 @@ import sympy
 from .budget import as_meter
 from .dissociation import dim_bounds
 from .energy import dim_alpha_k, t_k
-from .errors import PreconditionError, SizeCapExceededError
+from .errors import PreconditionError, SizeCapExceededError, VerificationFailedError
 from .groundset import GroundSet, IntegerLattice, Residues, product_set
 from .growth import growth_sequence
 from .records import ClaimRecord, ExperimentReport
@@ -39,10 +39,11 @@ class SubgroupSpec:
     members: GroundSet
 
     def __post_init__(self):
-        assert pow(self.generator, self.t, self.p) == 1
-        for q in sympy.factorint(self.t):
-            assert pow(self.generator, self.t // q, self.p) != 1, "generator order too small"
-        assert len(self.members) == self.t
+        g, t, p = self.generator, self.t, self.p
+        if pow(g, t, p) != 1 or any(pow(g, t // q, p) == 1 for q in sympy.factorint(t)):
+            raise VerificationFailedError(f"{g} does not have order {t} mod {p}")
+        if len(self.members) != t:
+            raise VerificationFailedError(f"subgroup of order {t} has {len(self.members)} members")
 
     def to_json(self) -> dict:
         return {

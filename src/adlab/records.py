@@ -77,11 +77,6 @@ class ExperimentReport:
     params: dict = field(default_factory=dict)
     measured: dict = field(default_factory=dict)
     records: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
-
-    @property
-    def violated(self) -> bool:
-        return bool(self.violations)
 
     def to_json(self) -> dict:
         return {
@@ -90,5 +85,4 @@ class ExperimentReport:
             "params": canonical(self.params),
             "measured": canonical(self.measured),
             "records": [canonical(r) for r in self.records],
-            "violations": canonical(self.violations),
         }

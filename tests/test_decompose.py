@@ -15,6 +15,7 @@ from adlab import (
     level_set,
     rep_fn,
     ratio_box,
+    residues,
     sidon_extract,
     sumset,
     t_k,
@@ -49,6 +50,14 @@ def test_peeling_remainder_has_certified_dim():
     peel = dissociated_peeling(integers(range(1, 9)), 3)
     assert peel.remainder_dim is not None and peel.remainder_dim.exact
     assert peel.remainder_dim.value <= len(peel.remainder)
+
+
+def test_peeling_remainder_check_out_of_budget():
+    # Mod 2^41 each search node weighs more than the default budget, so the
+    # remainder check's greedy fallback runs out too and peeling says so.
+    peel = dissociated_peeling(residues([1, 2, 3], 2**41), 3, budget=5 * 2**27)
+    assert peel.blocks == () and not peel.certified and peel.remainder_dim is None
+    assert peel.note == "dimension check on remainder ran out of budget"
 
 
 def test_peeling_no_block_when_l_exceeds_set():

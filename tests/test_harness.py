@@ -1,9 +1,16 @@
+import hashlib
 import random
 
 import pytest
 
 import adlab.harness.claims as claims
-from adlab import PreconditionError, SizeCapExceededError, VerificationFailedError, integers
+from adlab import (
+    PreconditionError,
+    SizeCapExceededError,
+    VerificationFailedError,
+    integers,
+    residues,
+)
 from adlab.harness import (
     CORE_INSTANCES,
     FITTED_CLAIMS,
@@ -220,7 +227,7 @@ def test_stored_facts_match_cold_runs():
 
     def run(x):
         inst = {"generator": "literal"}
-        return [r.to_json() for cid in HARD_CLAIMS for r in evaluate_claim(cid, x, inst, budget=50_000)]
+        return [r.to_json() for cid in REGISTRY for r in evaluate_claim(cid, x, inst, budget=50_000)]
 
     warm = [run(a), run(b), run(a)]
     cold = []
@@ -228,6 +235,55 @@ def test_stored_facts_match_cold_runs():
         clear_caches()
         cold.append(run(x))
     assert warm == cold
+
+
+def test_each_instance_fact_runs_once(monkeypatch):
+    calls = []
+
+    def counted(name):
+        fn = getattr(claims, name)
+
+        def wrapper(*args, **kw):
+            calls.append((name, args, tuple(sorted(kw.items()))))
+            return fn(*args, **kw)
+
+        return wrapper
+
+    for name in ("d_k_exact", "dim_shift_ratio", "sidon_extract", "ratio_box"):
+        monkeypatch.setattr(claims, name, counted(name))
+    clear_caches()
+    a = integers([1, 2, 4, 8, 9, 20, 33])
+    for cid in REGISTRY:
+        assert evaluate_claim(cid, a, {"generator": "literal"}, budget=50_000)
+    clear_caches()
+    # one call per distinct input; sidon_extremal also extracts under "*"
+    assert len(calls) == len(set(calls))
+    assert sorted(name for name, _, _ in calls) == [
+        "d_k_exact", "dim_shift_ratio", "ratio_box", "sidon_extract", "sidon_extract"
+    ]
+    assert not hasattr(claims, "dim_k_exact") and not hasattr(claims, "d_star_bounds")
+
+
+def test_claims_skip_on_coordinate_overflow():
+    # 2A leaves the signed 64-bit range, which aborted whole suites before.
+    a = integers([2**62 - 1, 2**62])
+    for cid in REGISTRY:
+        recs = evaluate_claim(cid, a, {"generator": "literal"}, budget=50_000)
+        assert recs and not any(r.violated for r in recs), cid
+    recs = evaluate_claim("growth_monotone", a, {"generator": "literal"}, budget=50_000)
+    assert [r.note for r in recs] == [
+        "skipped: CoordinateOverflowError: coordinate 9223372036854775808 outside signed 64-bit range"
+    ]
+
+
+def test_small_modulus_has_one_zero_shift_record():
+    # The residue shifts 0, 1, 2, N-1 collide mod 2 and mod 3.
+    for n in (2, 3):
+        a = residues([1], n)
+        recs = evaluate_claim("shift_zero_fixed", a, {"generator": "literal"})
+        assert len(recs) == 1 and not recs[0].violated
+        shifts = evaluate_claim("shift_dim_ratio", a, {"generator": "literal"})[0].measured["shifts"]
+        assert [row["shift"] for row in shifts] == list(range(n))
 
 
 def test_core_suite_clean():
@@ -238,6 +294,8 @@ def test_core_suite_clean():
     assert not has_hard_violation(rep)
     # every core claim family produced at least one fit or record
     assert rep["fits"]
+    digest = hashlib.sha256(report_to_json(rep, drop_timing=True).encode()).hexdigest()
+    assert digest == "84eb41ff9d9d4582dc617319dd06a3b0e364ec594bb8179725d3be4fb92273f0"
 
 
 def test_report_json_parses_back():

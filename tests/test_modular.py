@@ -7,6 +7,8 @@ import pytest
 
 from adlab import (
     PreconditionError,
+    SubgroupSpec,
+    VerificationFailedError,
     dilate,
     dirichlet_min,
     fourier_max,
@@ -45,6 +47,15 @@ def test_subgroup_rejects_bad_parameters():
         subgroup(7, 4)  # 4 does not divide 6
     with pytest.raises(PreconditionError):
         subgroup(8, 2)  # not prime
+
+
+def test_subgroup_spec_rejects_wrong_generator():
+    members = subgroup(7, 3).members
+    # 3 is a primitive root mod 7: order 6, not 3
+    with pytest.raises(VerificationFailedError, match="order 3"):
+        SubgroupSpec(p=7, t=3, generator=3, members=members)
+    with pytest.raises(VerificationFailedError, match="members"):
+        SubgroupSpec(p=7, t=3, generator=2, members=subgroup(7, 2).members)
 
 
 # ---------------------------------------------------------------------------
