@@ -25,7 +25,6 @@ from .budget import WorkMeter, as_meter
 from .dissociation import DimensionBounds, dim_bounds, is_k_dissociated, max_dissociated_greedy
 from .energy import additive_energy, t_k
 from .errors import (
-    BudgetExceededError,
     PreconditionError,
     SizeCapExceededError,
     VerificationFailedError,
@@ -111,13 +110,7 @@ def dissociated_peeling(
             break
         witness = max_dissociated_greedy(current, k, order="desc_abs", budget=meter)
         if len(witness) < l:
-            try:
-                db = dim_bounds(current, k, budget=meter)
-            except BudgetExceededError:
-                remainder_dim = None
-                certified = False
-                note = "dimension check on remainder ran out of budget"
-                break
+            db = dim_bounds(current, k, budget=meter)
             remainder_dim = db
             if db.lower >= l and db.lower_witness is not None:
                 ordered = by_magnitude(current.ambient, db.lower_witness.elements, descending=True)

@@ -2,8 +2,10 @@
 
 A set L is k-dissociated when no nonzero coefficient vector eps with entries
 in [-k, k] satisfies sum eps_i * l_i = 0.  Equivalently, the (k+1)^|L| sums
-with coefficients in [0, k] are pairwise distinct; the incremental search
-states below maintain exactly that invariant.
+with coefficients in [0, k] are pairwise distinct.  The greedy and
+branch-and-bound searches add one element at a time to a state holding
+those sums (a plain-int bitset on the line and mod N <= 2^22, a frozenset
+elsewhere) and reject an element as soon as two sums meet.
 
 All searches are deterministic: elements are processed in a fixed order and
 witnesses are the lexicographically smallest among optimal ones (subsets are
@@ -115,95 +117,60 @@ class DimensionBounds:
 
 
 # ---------------------------------------------------------------------------
-# Incremental distinct-combination states
+# Distinct-sum search states
 
 
-class _LineBits:
-    """Sums with coefficients in [0,k] as a bitset over an integer interval."""
+def _extender(ambient: Ambient, k: int):
+    """Root state and child step of the distinct-sums search.
 
-    __slots__ = ("bits", "base", "count")
-
-    def __init__(self, bits: int = 1, base: int = 0, count: int = 1):
-        self.bits = bits
-        self.base = base
-        self.count = count
-
-    def extended(self, x: int, k: int):
-        if x >= 0:
-            shifts = [c * x for c in range(k + 1)]
-            new_base = self.base
-        else:
-            shifts = [(k - c) * (-x) for c in range(k + 1)]
-            new_base = self.base + k * x
-        combined = 0
-        for s in shifts:
-            combined |= self.bits << s
-        if combined.bit_count() != (k + 1) * self.count:
-            return None
-        return _LineBits(combined, new_base, (k + 1) * self.count)
-
-
-class _CyclicBits:
-    """Same invariant over Z/NZ, bitset of length N with rotations."""
-
-    __slots__ = ("bits", "n", "count")
-
-    def __init__(self, n: int, bits: int = 1, count: int = 1):
-        self.n = n
-        self.bits = bits
-        self.count = count
-
-    def _rot(self, r: int) -> int:
-        n = self.n
-        r %= n
-        if r == 0:
-            return self.bits
+    A state at depth t holds the (k+1)^t sums with coefficients in [0, k]
+    of the chosen elements.  ``extend(state, x, count)``, where count is
+    that number of sums, returns the state with x added, or None when two
+    sums meet.  On the line the state is a bitset of the sums; a negative x
+    only translates the set, so the bitset depends on |x| alone.  Mod
+    N <= 2^22 it is a bitset of length N whose shifts wrap around;
+    elsewhere it is a frozenset of sums.
+    """
+    if isinstance(ambient, Residues) and ambient.modulus <= (1 << 22):
+        n = ambient.modulus
         mask = (1 << n) - 1
-        return ((self.bits << r) | (self.bits >> (n - r))) & mask
 
-    def extended(self, x: int, k: int):
-        combined = 0
-        for c in range(k + 1):
-            combined |= self._rot(c * x)
-        if combined.bit_count() != (k + 1) * self.count:
-            return None
-        return _CyclicBits(self.n, combined, (k + 1) * self.count)
+        def extend(bits: int, x: int, count: int):
+            spread = bits
+            for c in range(1, k + 1):
+                spread |= bits << (c * x % n)
+            combined = (spread & mask) | (spread >> n)
+            return combined if combined.bit_count() == (k + 1) * count else None
 
+        return 1, extend
+    if isinstance(ambient, IntegerLattice) and ambient.rank == 1:
+        if k == 1:
 
-class _TupleState:
-    """Fallback for lattices of rank >= 2: explicit set of sum vectors."""
+            def extend(bits: int, x: int, count: int):
+                shifted = bits << abs(x)
+                return None if bits & shifted else bits | shifted
 
-    __slots__ = ("ambient", "sums")
+        else:
 
-    def __init__(self, ambient: Ambient, sums: frozenset | None = None):
-        self.ambient = ambient
-        self.sums = sums if sums is not None else frozenset([ambient.zero])
+            def extend(bits: int, x: int, count: int):
+                step = abs(x)
+                combined = bits
+                for c in range(1, k + 1):
+                    combined |= bits << (c * step)
+                return combined if combined.bit_count() == (k + 1) * count else None
 
-    @property
-    def count(self) -> int:
-        return len(self.sums)
+        return 1, extend
+    add = ambient.add
 
-    def extended(self, x, k: int):
-        amb = self.ambient
-        combined = set(self.sums)
-        step = x
-        shifted = self.sums
+    def extend(sums: frozenset, x, count: int):
+        combined = set(sums)
+        shifted = sums
         for _ in range(k):
-            shifted = {amb.add(s, step) for s in shifted}
+            shifted = {add(s, x) for s in shifted}
             combined |= shifted
-        if len(combined) != (k + 1) * len(self.sums):
-            return None
-        return _TupleState(amb, frozenset(combined))
+        return frozenset(combined) if len(combined) == (k + 1) * count else None
 
-
-def _new_state(ambient: Ambient):
-    if isinstance(ambient, Residues):
-        if ambient.modulus <= (1 << 22):
-            return _CyclicBits(ambient.modulus)
-        return _TupleState(ambient)
-    if ambient.rank == 1:
-        return _LineBits()
-    return _TupleState(ambient)
+    return frozenset([ambient.zero]), extend
 
 
 def _state_weight(ambient: Ambient, elems, k: int) -> int:
@@ -349,13 +316,15 @@ def max_dissociated_greedy(
     meter = as_meter(budget)
     elems = _ordered_elements(lam, order)
     weight = _state_weight(amb, elems, k)
-    state = _new_state(amb)
+    state, extend = _extender(amb, k)
+    count = 1
     chosen = []
     for x in elems:
         meter.tick(weight)
-        child = state.extended(x, k)
+        child = extend(state, x, count)
         if child is not None:
             state = child
+            count *= k + 1
             chosen.append(x)
     return GroundSet.of(amb, chosen)
 
@@ -364,21 +333,24 @@ def max_dissociated_greedy(
 # Exact dimension by branch and bound
 
 
-def _counting_allowance(k: int, cur: int, chosen_abs: int, prefix: list, rem: int, modulus: int | None) -> int:
+def _counting_allowance(
+    k: int, powers: list, cur: int, chosen_abs: int, prefix: list, rem: int, modulus: int | None, rank: int
+) -> int:
     """Max further elements any extension could add, by combination counting.
 
-    Coefficient-[0,k] sums of a k-dissociated set are distinct, so (k+1)^t
-    must fit inside the reachable value range.  prefix[m] is the sum of the
-    m largest magnitudes over the whole input, which upper-bounds any m
-    remaining candidates.
+    Coefficient-[0,k] sums of a k-dissociated set are distinct, so
+    powers[t] = (k+1)^t must fit inside the reachable box: the group mod N,
+    else k*(sum of magnitudes)+1 values per coordinate (magnitudes are
+    max-norms in Z^rank).  prefix[m] is the sum of the m largest magnitudes
+    over the whole input, which upper-bounds any m remaining candidates.
     """
     best = 0
     for m in range(rem + 1):
         if modulus is not None:
             box = modulus
         else:
-            box = k * (chosen_abs + prefix[min(m, len(prefix) - 1)]) + 1
-        if (k + 1) ** (cur + m) <= box:
+            box = (k * (chosen_abs + prefix[m]) + 1) ** rank
+        if powers[cur + m] <= box:
             best = m
         else:
             break
@@ -407,39 +379,50 @@ def dim_k_exact(lam: GroundSet, k: int = 1, budget: int | None = None) -> Dimens
     for m in mags:
         prefix.append(prefix[-1] + m)
     modulus = amb.modulus if isinstance(amb, Residues) else None
+    rank = amb.rank
+    # (k+1)^t for every depth t the search can reach: no box below exceeds
+    # top, and the allowance stops at the first power above its box.
+    top = modulus if modulus is not None else (2 * k * prefix[n] + 1) ** rank
+    powers = [1]
+    while len(powers) <= n and powers[-1] <= top:
+        powers.append(powers[-1] * (k + 1))
 
     greedy = max_dissociated_greedy(lam, k, "desc_abs", budget=meter)
     best = len(greedy) - 1
     witness: tuple | None = None
-    root_cap = _counting_allowance(k, 0, 0, prefix, n, modulus)
+    root_cap = _counting_allowance(k, powers, 0, 0, prefix, n, modulus, rank)
 
-    abs_of = {x: amb.magnitude(x) for x in elems}
+    abs_of = [amb.magnitude(x) for x in elems]
+    root, extend = _extender(amb, k)
+    tick = meter.tick
 
     def dfs(i: int, chosen: list, chosen_abs: int, state) -> None:
         nonlocal best, witness
-        if len(chosen) > best:
-            best = len(chosen)
+        depth = len(chosen)
+        if depth > best:
+            best = depth
             witness = tuple(chosen)
         rem = n - i
-        if len(chosen) + rem <= best:
+        if depth + rem <= best:
             return
-        cap = _counting_allowance(k, len(chosen), chosen_abs, prefix, rem, modulus)
-        if len(chosen) + cap <= best:
+        cap = _counting_allowance(k, powers, depth, chosen_abs, prefix, rem, modulus, rank)
+        if depth + cap <= best:
             return
+        count = powers[depth]
         for j in range(i, n):
-            if len(chosen) + (n - j) <= best:
+            if depth + (n - j) <= best:
                 break
-            meter.tick(weight)
+            tick(weight)
             x = elems[j]
-            child = state.extended(x, k)
+            child = extend(state, x, count)
             if child is not None:
                 chosen.append(x)
-                dfs(j + 1, chosen, chosen_abs + abs_of[x], child)
+                dfs(j + 1, chosen, chosen_abs + abs_of[j], child)
                 chosen.pop()
 
     truncated = False
     try:
-        dfs(0, [], 0, _new_state(amb))
+        dfs(0, [], 0, root)
     except BudgetExceededError:
         truncated = True
 
@@ -458,12 +441,22 @@ def dim_k_exact(lam: GroundSet, k: int = 1, budget: int | None = None) -> Dimens
 
 
 def dim_bounds(lam: GroundSet, k: int = 1, budget: int | None = None) -> DimensionBounds:
-    """dim_k_exact that degrades to bounds instead of raising on budget."""
+    """dim_k_exact that degrades to bounds instead of raising on budget.
+
+    When the search cannot even finish its greedy pass, a greedy pass on a
+    fresh default budget gives the lower bound; when one node of that pass
+    outweighs the whole budget too, the bounds are [0, n] with an empty
+    witness.
+    """
     try:
         return dim_k_exact(lam, k, budget)
     except BudgetExceededError:
-        greedy = max_dissociated_greedy(lam, k, "desc_abs")
-        n = len([x for x in lam.elements if x != lam.ambient.zero])
+        amb = lam.ambient
+        try:
+            greedy = max_dissociated_greedy(lam, k, "desc_abs")
+        except BudgetExceededError:
+            greedy = GroundSet.of(amb, ())
+        n = len([x for x in lam.elements if x != amb.zero])
         return DimensionBounds(
             "dim_k", k, len(greedy), n, len(greedy) == n, greedy, None, 0, note="budget"
         )

@@ -301,12 +301,12 @@ def _ev_dim_chain(claim, a, inst, budget):
         de = _fact(dim_bounds, a, 1, budget=local)
         dk = _fact(d_k_exact, a, 1, budget=local)
         if de.exact and dk.exact:
-            dstar_lo = min(dstar_lo, dk.value)
+            # The check reads the uncapped count; the report shows it capped at d.
             checks = {"dstar_le_d": dstar_lo <= dk.value, "d_le_dim": dk.value <= de.value}
             measured = {
                 "dim": de.value,
                 "d": dk.value,
-                "dstar_lower": dstar_lo,
+                "dstar_lower": min(dstar_lo, dk.value),
                 "dstar_upper": dk.value,
                 "mode": "exact",
             }

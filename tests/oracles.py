@@ -40,11 +40,19 @@ def naive_sigma(xs, k):
     return sorted(out)
 
 
-def naive_relation(xs, k):
-    """A nonzero coefficient vector in [-k, k]^n summing to zero, or None."""
+def naive_relation(xs, k, modulus=None):
+    """A nonzero coefficient vector in [-k, k]^n summing to zero, or None.
+
+    Elements are ints, residues mod ``modulus``, or equal-length tuples of
+    ints added componentwise.
+    """
     xs = sorted(xs)
+    coords = [xs] if not xs or not isinstance(xs[0], tuple) else list(zip(*xs))
     for coeffs in product(range(-k, k + 1), repeat=len(xs)):
-        if any(coeffs) and sum(c * x for c, x in zip(coeffs, xs)) == 0:
+        if not any(coeffs):
+            continue
+        totals = [sum(c * x for c, x in zip(coeffs, coord)) for coord in coords]
+        if all(t == 0 if modulus is None else t % modulus == 0 for t in totals):
             return coeffs
     return None
 
@@ -72,11 +80,11 @@ def naive_dim_k1(xs):
     return best
 
 
-def naive_dim_k(xs, k):
+def naive_dim_k(xs, k, modulus=None):
     """Largest k-dissociated subset via per-subset relation search."""
     best = 0
     for sub in subsets(xs):
-        if len(sub) > best and naive_relation(sub, k) is None:
+        if len(sub) > best and naive_relation(sub, k, modulus) is None:
             best = len(sub)
     return best
 

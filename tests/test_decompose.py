@@ -54,10 +54,12 @@ def test_peeling_remainder_has_certified_dim():
 
 def test_peeling_remainder_check_out_of_budget():
     # Mod 2^41 each search node weighs more than the default budget, so the
-    # remainder check's greedy fallback runs out too and peeling says so.
+    # remainder check's greedy fallback runs out too and certifies only [0, 3].
     peel = dissociated_peeling(residues([1, 2, 3], 2**41), 3, budget=5 * 2**27)
-    assert peel.blocks == () and not peel.certified and peel.remainder_dim is None
-    assert peel.note == "dimension check on remainder ran out of budget"
+    assert peel.blocks == () and not peel.certified
+    db = peel.remainder_dim
+    assert (db.lower, db.upper, db.exact, db.note) == (0, 3, False, "budget")
+    assert peel.note == "remainder dimension not certified below l (budget truncation)"
 
 
 def test_peeling_no_block_when_l_exceeds_set():

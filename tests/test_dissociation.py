@@ -18,6 +18,7 @@ from adlab import (
     max_dissociated_greedy,
     residues,
     span_k,
+    vectors,
 )
 from adlab.dissociation import coin_weighing_dissociated
 
@@ -63,6 +64,66 @@ def test_dim_k2_matches_naive_on_tiny():
         xs = sorted(rng.sample(range(1, 25), rng.randint(1, 5)))
         db = dim_k_exact(integers(xs), 2)
         assert db.value == naive_dim_k(xs, 2)
+
+
+def _random_sets(kind, rng):
+    """(ground set, elements, modulus) triples for one ambient kind."""
+    if kind == "residues":
+        # N = 2 and 3, elements with c*x = 0 for c <= 3 (3 mod 6, 4 mod 8), and a
+        # modulus past the bitset limit, which runs on frozensets.
+        yield residues([1], 2), [1], 2
+        yield residues([1, 2], 3), [1, 2], 3
+        yield residues([3], 6), [3], 6
+        yield residues([2, 4, 5], 8), [2, 4, 5], 8
+        for n in (4, 7, 12, 30):
+            for _ in range(3):
+                xs = rng.sample(range(1, n), rng.randint(1, min(n - 1, 5)))
+                yield residues(xs, n), xs, n
+        big = (1 << 22) + 1
+        xs = [1, 2, 5, big - 3, big - 1]
+        yield residues(xs, big), xs, big
+    elif kind == "z2":
+        # Four points with dim_3 = 3 and five with dim_2 = 4: (k+1)^t sums
+        # exceed k * (sum of max-norms) + 1, which bounds one coordinate only.
+        for xs in ([(-3, 1), (0, 2), (1, 0), (3, -2)], [(-3, 1), (1, -2), (1, -1), (1, 3), (2, 3)]):
+            yield vectors(xs, 2), xs, None
+        pts = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
+        for _ in range(20):
+            xs = rng.sample(pts, rng.randint(1, 5))
+            yield vectors(xs, 2), xs, None
+    else:
+        for _ in range(8):
+            xs = rng.sample(range(-20, 21), rng.randint(1, 5))
+            yield integers(xs), xs, None
+
+
+@pytest.mark.parametrize("kind", ["residues", "z2", "negative"])
+def test_dim_and_greedy_match_naive_in_every_ambient(kind):
+    rng = random.Random(17)
+    for a, xs, modulus in _random_sets(kind, rng):
+        for k in (1, 2, 3):
+            db = dim_k_exact(a, k)
+            assert db.exact and db.value == naive_dim_k(xs, k, modulus), (xs, k)
+            assert naive_relation(list(db.lower_witness.elements), k, modulus) is None
+            greedy = max_dissociated_greedy(a, k)
+            assert set(greedy.elements) <= set(a.elements)
+            assert naive_relation(list(greedy.elements), k, modulus) is None, (xs, k)
+
+
+def test_truncated_searches_spend_the_same_states():
+    # Budget-truncated searches on subset-sum cubes, pinned tick for tick.
+    cases = [
+        ([2, 8, 32, 128, 512], (7, 12, False, 400001, (2, 8, 34, 130, 168, 520, 672))),
+        ([5, 6, 118, 136, 145], (7, 11, False, 400001, (5, 6, 123, 141, 260, 292, 399))),
+        (
+            [558, 619, 621, 641, 931, 938],
+            (8, 15, False, 400008, (2510, 3370, 3377, 3667, 3687, 3689, 3750, 4308)),
+        ),
+    ]
+    for gens, expected in cases:
+        db = dim_k_exact(cube(integers(gens))[0], 1, budget=400_000)
+        assert (db.lower, db.upper, db.exact, db.states, db.lower_witness.elements) == expected
+        assert db.note == "search truncated by budget"
 
 
 def test_dim_frozen_values():
@@ -224,6 +285,14 @@ def test_degraded_bounds_that_meet_are_exact():
     db = dim_bounds(a, 1, budget=3)
     assert db.note == "budget"
     assert (db.lower, db.upper, db.exact, db.value) == (6, 6, True, 6)
+
+
+def test_bounds_degrade_when_one_node_outweighs_every_budget():
+    # One node of this wide set weighs 2^49 states, more than the default
+    # budget the greedy fallback gets, so only [0, n] is certified.
+    db = dim_bounds(integers([2**62 - 1, 2**62]), 1, budget=50_000)
+    assert (db.lower, db.upper, db.exact, db.note) == (0, 2, False, "budget")
+    assert db.lower_witness is not None and len(db.lower_witness) == 0
 
 
 def test_coin_weighing_result_reverifies():

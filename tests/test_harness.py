@@ -8,6 +8,7 @@ from adlab import (
     PreconditionError,
     SizeCapExceededError,
     VerificationFailedError,
+    d_k_exact,
     integers,
     residues,
 )
@@ -202,6 +203,22 @@ def test_verification_failure_is_one_violated_record(monkeypatch, target, claim)
     assert len(recs) == 1 and recs[0]["violated"] and recs[0]["class"] == "hard"
     assert "certificate does not re-verify" in recs[0]["note"]
     assert rep["violations"] == [{"claim": claim, "instance": "{8 elements, z d=1}"}]
+    assert rep["summary"]["hard_violations"] == 1
+
+
+def test_dim_chain_checks_the_uncapped_d_star_count(monkeypatch):
+    # d* <= d is hard: a count above the exact d must be one violated record.
+    a = integers(range(1, 9))
+    d = d_k_exact(a, 1).value
+    monkeypatch.setattr(claims, "d_star_lower", lambda a, lam, k: d + 1)
+    clear_caches()
+    rep = run_suite(["dim_chain"], [a])
+    clear_caches()
+    recs = rep["records"]
+    assert len(recs) == 1 and recs[0]["violated"] and recs[0]["class"] == "hard"
+    assert recs[0]["measured"]["mode"] == "exact"
+    assert recs[0]["measured"]["checks"] == {"dstar_le_d": False, "d_le_dim": True}
+    assert recs[0]["measured"]["dstar_lower"] == d
     assert rep["summary"]["hard_violations"] == 1
 
 
