@@ -6,7 +6,7 @@ explicit sets in the integers, integer lattices, and residue rings, with
 certified search budgets and a claim-verification harness on top.
 """
 
-from .budget import DEFAULT_BUDGET, WorkMeter, effective_budget
+from .budget import DEFAULT_BUDGET, WorkMeter
 from .decompose import (
     BsgResult,
     DecompositionResult,

@@ -2,32 +2,16 @@
 
 Every potentially exponential search takes a ``budget`` argument counting
 elementary states (search nodes, enumerated coefficient vectors, table
-entries).  ``None`` means "use the default", which can be overridden with
-the ``ADLAB_BUDGET`` environment variable.
+entries).  A call's budget is one ``WorkMeter``: ``as_meter`` makes it
+once, at the top of the call, from an int (``None`` means
+``DEFAULT_BUDGET``), and every sub-search of the call spends that meter.
+A budget therefore bounds the total work of a call, not the work of each
+sub-call; passing a meter in shares it with the caller.
 """
-
-import os
 
 from .errors import BudgetExceededError
 
 DEFAULT_BUDGET = 1 << 26
-
-
-def effective_budget(budget: int | None) -> int:
-    """Resolve an explicit budget, the environment override, or the default."""
-    if budget is not None:
-        if budget <= 0:
-            raise ValueError("budget must be positive")
-        return budget
-    env = os.environ.get("ADLAB_BUDGET")
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValueError(f"ADLAB_BUDGET is not an integer: {env!r}") from exc
-        if value > 0:
-            return value
-    return DEFAULT_BUDGET
 
 
 def as_meter(budget) -> "WorkMeter":
@@ -43,7 +27,11 @@ class WorkMeter:
     __slots__ = ("limit", "states")
 
     def __init__(self, budget: int | None):
-        self.limit = effective_budget(budget)
+        if budget is None:
+            budget = DEFAULT_BUDGET
+        elif budget <= 0:
+            raise ValueError("budget must be positive")
+        self.limit = budget
         self.states = 0
 
     def tick(self, n: int = 1) -> None:

@@ -60,78 +60,85 @@ def _emit(args, payload: dict, human: list[str]) -> None:
             print(line)
 
 
-def _common_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--k", type=int, default=1, help="dissociation / energy order")
-    p.add_argument("--op", choices=("add", "mul"), default="add", help="group operation")
-    p.add_argument("--budget", type=int, default=None, help="search state budget")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
+# Flags shared by several subcommands; each subcommand takes only those it
+# reads, plus --json.
+_SHARED_FLAGS = {
+    "k": dict(type=int, default=1, help="dissociation / energy order"),
+    "op": dict(choices=("add", "mul"), default="add", help="group operation"),
+    "budget": dict(type=int, default=None, help="search state budget"),
+    "cap": dict(type=int, default=None, help="size cap for enumerated sets"),
+    "mod": dict(type=int, default=None, help="treat inline sets as residues mod N"),
+}
+
+
+def _command(sub, name: str, summary: str, *flags: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=summary)
     p.add_argument("--json", action="store_true", help="print canonical JSON")
-    p.add_argument("--cap", type=int, default=None, help="size cap for enumerated sets")
-    p.add_argument("--mod", type=int, default=None, help="treat inline sets as residues mod N")
+    for flag in flags:
+        p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
     return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_parent()
     top = argparse.ArgumentParser(prog="adlab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="run a claim suite")
+    p = _command(sub, "verify", "run a claim suite", "budget")
     p.add_argument("--suite", default="core", help="suite name (core)")
     p.add_argument("--out", default=None, help="write the JSON report to this path")
 
-    p = sub.add_parser("dim", parents=[common], help="additive dimension bounds")
+    p = _command(sub, "dim", "additive dimension bounds", "k", "budget", "mod")
     p.add_argument("set", help="set file or inline list")
 
-    p = sub.add_parser("energy", parents=[common], help="higher energy T_k")
+    p = _command(sub, "energy", "higher energy T_k", "k", "op", "cap", "mod")
     p.add_argument("set")
 
-    p = sub.add_parser("sumset", parents=[common], help="iterated sumset nA - mA")
+    p = _command(sub, "sumset", "iterated sumset nA - mA", "cap", "mod")
     p.add_argument("set")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--m", type=int, default=0)
 
-    p = sub.add_parser("span", parents=[common], help="k-span of a set")
+    p = _command(sub, "span", "k-span of a set", "k", "cap", "mod")
     p.add_argument("set")
 
-    p = sub.add_parser("cube", parents=[common], help="subset-sum cube of a set")
+    p = _command(sub, "cube", "subset-sum cube of a set", "mod")
     p.add_argument("set")
 
-    p = sub.add_parser("subgroup", parents=[common], help="multiplicative subgroup experiment")
+    p = _command(sub, "subgroup", "multiplicative subgroup experiment", "budget")
     p.add_argument("--p", type=int, required=True, help="prime modulus")
     p.add_argument("--t", type=int, required=True, help="subgroup order (divides p-1)")
     p.add_argument("--nmax", type=int, default=4)
     p.add_argument("--kmax", type=int, default=3)
 
-    p = sub.add_parser("dirichlet", parents=[common], help="Dirichlet-minimum dimension bound")
+    p = _command(sub, "dirichlet", "Dirichlet-minimum dimension bound", "k", "budget", "mod")
     p.add_argument("set")
     p.add_argument("--s", type=int, default=2, help="number of quotient slots")
     p.add_argument("--modulus", type=int, default=None, help="reduction modulus for integer sets")
 
-    p = sub.add_parser("fourier", parents=[common], help="largest nontrivial Fourier coefficient")
+    p = _command(sub, "fourier", "largest nontrivial Fourier coefficient", "mod")
     p.add_argument("set")
 
-    p = sub.add_parser("decompose", parents=[common], help="additive/multiplicative split")
+    p = _command(sub, "decompose", "additive/multiplicative split", "budget", "mod")
     p.add_argument("set")
     p.add_argument("--s", type=int, default=2)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--bigk", default=None, help="threshold parameter K as int or num/den")
 
-    p = sub.add_parser("bsg", parents=[common], help="structured core extraction")
+    p = _command(sub, "bsg", "structured core extraction", "budget", "mod")
     p.add_argument("seta")
     p.add_argument("setb")
     p.add_argument("--l", type=int, default=3)
     p.add_argument("--bigk", default=None, help="energy parameter K as int or num/den")
 
-    p = sub.add_parser("sidon", parents=[common], help="largest B_h[1] subset")
+    p = _command(sub, "sidon", "largest B_h[1] subset", "op", "budget", "mod")
     p.add_argument("set")
     p.add_argument("--h", type=int, default=2)
 
-    p = sub.add_parser("ratiobox", parents=[common], help="ratio box of the difference set")
+    p = _command(sub, "ratiobox", "ratio box of the difference set", "mod")
     p.add_argument("set")
 
-    p = sub.add_parser("gen", parents=[common], help="emit a generated instance as a set file")
+    p = _command(sub, "gen", "emit a generated instance as a set file")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized generators")
     p.add_argument("generator", help="generator name (e.g. interval, subgroup)")
     p.add_argument("params", nargs="*", help="name=value pairs (tuples in Python syntax)")
     p.add_argument("--out", default=None, help="write the set file here instead of stdout")
@@ -317,7 +324,7 @@ def _cmd_bsg(args) -> int:
         if e == 0:
             raise AdlabError("E(A,B) = 0; no structured core exists")
         kk = Fraction(2 * len(a) * len(b) ** 2, e)
-    res = bsg_asymmetric(a, b, kk, l=args.l, budget=args.budget, seed=args.seed)
+    res = bsg_asymmetric(a, b, kk, l=args.l, budget=args.budget)
     payload = res.to_json()
     human = [
         f"H ({len(res.h)} elements): {sorted(res.h.elements)}",

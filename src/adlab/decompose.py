@@ -7,10 +7,9 @@ splitting a set into an additively tame part and a multiplicatively tame
 part, pulling out B_h[1] (Sidon-type) subsets, and measuring how much of
 the ratio box [n]/[n] the difference set covers.
 
-Everything is deterministic: randomized-looking steps are either
-derandomized (popularity arguments use exact counts) or take explicit
-seeds.  Reported statistics are exact integers or rationals so they can be
-recomputed bit-for-bit.
+Everything is deterministic: randomized-looking steps are derandomized
+(popularity arguments use exact counts).  Reported statistics are exact
+integers or rationals so they can be recomputed bit-for-bit.
 """
 
 from __future__ import annotations
@@ -68,10 +67,6 @@ class PeelingResult:
     certified: bool
     note: str = ""
 
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
     def to_json(self) -> dict:
         return {
             "blocks": [sorted(b.elements) for b in self.blocks],
@@ -108,7 +103,7 @@ def dissociated_peeling(
             remainder_dim = db
             certified = db is None or db.upper < l
             break
-        witness = max_dissociated_greedy(current, k, order="desc_abs", budget=meter)
+        witness = max_dissociated_greedy(current, k, budget=meter)
         if len(witness) < l:
             db = dim_bounds(current, k, budget=meter)
             remainder_dim = db
@@ -225,7 +220,6 @@ def _bsg_core(
     energy_ab: int,
     l: int,
     meter: WorkMeter,
-    seed: int,
 ) -> BsgResult:
     """The BSG pipeline behind bsg_asymmetric; energy_ab is E(A,B), which
     both callers have already computed."""
@@ -312,7 +306,6 @@ def _bsg_core(
         "intersection": x_count,
         "a_size": size_a,
         "b_size": size_b,
-        "seed": seed,
     }
     return BsgResult(h=h, x=x_star, stats=stats)
 
@@ -323,7 +316,6 @@ def bsg_asymmetric(
     k_target: Fraction | int,
     l: int = 3,
     budget: Optional[int] = None,
-    seed: int = 0,
 ) -> BsgResult:
     """Extract a small-doubling core H and shift x with B ∩ (H+x) large.
 
@@ -335,8 +327,7 @@ def bsg_asymmetric(
     and x maximizes r_{B-H}.  Guarantees at desk scale are empirical; the
     stats record the measured doubling |H+H|/|H| and intersection count
     next to their trivial yardsticks, and everything in stats is exactly
-    recomputable.  ``seed`` is accepted for interface stability and echoed
-    in the stats; the default pipeline does not branch on it.
+    recomputable.
     """
     if a.ambient != b.ambient:
         raise PreconditionError("A and B must share an ambient")
@@ -353,7 +344,7 @@ def bsg_asymmetric(
             f"energy precondition failed: E(A,B) = {energy_ab} < |A||B|^2/K"
         )
     meter = as_meter(budget)
-    return _bsg_core(a, b, k_target, energy_ab, l, meter, seed)
+    return _bsg_core(a, b, k_target, energy_ab, l, meter)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +432,7 @@ def beta_decomposition(
 
     e_pa = additive_energy(p, a).value
     k_prime = Fraction(len(p) * size**2, e_pa)
-    core = _bsg_core(p, a, k_prime, e_pa, l=2, meter=meter, seed=0)
+    core = _bsg_core(p, a, k_prime, e_pa, l=2, meter=meter)
     shifted = translate(core.h, core.x)
     a_star = a.restrict(shifted.elements)
     if not a_star.elements:

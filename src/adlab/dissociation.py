@@ -39,6 +39,8 @@ EXHAUSTIVE_STATE_LIMIT = 3 ** 12
 
 DEFAULT_SPAN_CAP = 1 << 22
 
+MAX_CUBE_GENERATORS = 24
+
 
 @dataclass(frozen=True)
 class DissociationCertificate:
@@ -290,31 +292,18 @@ def _mitm_certificate(lam: GroundSet, k: int, meter: WorkMeter) -> DissociationC
 # Greedy maximal dissociated subsets
 
 
-def _ordered_elements(lam: GroundSet, order: str):
-    amb = lam.ambient
-    elems = [x for x in lam.elements if x != amb.zero]
-    if order == "given":
-        return elems
-    if order == "desc_abs":
-        return by_magnitude(amb, elems, descending=True)
-    if order == "asc_abs":
-        return by_magnitude(amb, elems)
-    raise ValueError(f"unknown order {order!r}")
-
-
-def max_dissociated_greedy(
-    lam: GroundSet, k: int = 1, order: str = "desc_abs", budget: int | None = None
-) -> GroundSet:
+def max_dissociated_greedy(lam: GroundSet, k: int = 1, budget: int | None = None) -> GroundSet:
     """Single-pass greedy k-dissociated subset, maximal under insertion.
 
-    Rejection is monotone (a relation survives supersets), so the result
-    cannot be extended by any element of the input.
+    Elements are tried largest magnitude first.  Rejection is monotone (a
+    relation survives supersets), so the result cannot be extended by any
+    element of the input.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     amb = lam.ambient
     meter = as_meter(budget)
-    elems = _ordered_elements(lam, order)
+    elems = by_magnitude(amb, [x for x in lam.elements if x != amb.zero], descending=True)
     weight = _state_weight(amb, elems, k)
     state, extend = _extender(amb, k)
     count = 1
@@ -387,7 +376,7 @@ def dim_k_exact(lam: GroundSet, k: int = 1, budget: int | None = None) -> Dimens
     while len(powers) <= n and powers[-1] <= top:
         powers.append(powers[-1] * (k + 1))
 
-    greedy = max_dissociated_greedy(lam, k, "desc_abs", budget=meter)
+    greedy = max_dissociated_greedy(lam, k, budget=meter)
     best = len(greedy) - 1
     witness: tuple | None = None
     root_cap = _counting_allowance(k, powers, 0, 0, prefix, n, modulus, rank)
@@ -443,22 +432,18 @@ def dim_k_exact(lam: GroundSet, k: int = 1, budget: int | None = None) -> Dimens
 def dim_bounds(lam: GroundSet, k: int = 1, budget: int | None = None) -> DimensionBounds:
     """dim_k_exact that degrades to bounds instead of raising on budget.
 
-    When the search cannot even finish its greedy pass, a greedy pass on a
-    fresh default budget gives the lower bound; when one node of that pass
-    outweighs the whole budget too, the bounds are [0, n] with an empty
-    witness.
+    When the budget runs out before the search's greedy pre-pass ends, the
+    bounds are [0, n] with an empty witness, where n counts the nonzero
+    elements.
     """
+    meter = as_meter(budget)
     try:
-        return dim_k_exact(lam, k, budget)
+        return dim_k_exact(lam, k, meter)
     except BudgetExceededError:
         amb = lam.ambient
-        try:
-            greedy = max_dissociated_greedy(lam, k, "desc_abs")
-        except BudgetExceededError:
-            greedy = GroundSet.of(amb, ())
         n = len([x for x in lam.elements if x != amb.zero])
         return DimensionBounds(
-            "dim_k", k, len(greedy), n, len(greedy) == n, greedy, None, 0, note="budget"
+            "dim_k", k, 0, n, False, GroundSet.of(amb, ()), None, meter.states, note="budget"
         )
 
 
@@ -509,7 +494,7 @@ def d_k_exact(a: GroundSet, k: int = 1, budget: int | None = None) -> DimensionB
 
     # A maximal 1-dissociated subset spans A with coefficients in [-1, 1],
     # so it is a valid upper witness for every k >= 1.
-    fallback = max_dissociated_greedy(a, 1, "desc_abs", budget=meter)
+    fallback = max_dissociated_greedy(a, 1, budget=meter)
     try:
         if not need <= set(span_k(fallback, k).elements):
             fallback = a
@@ -558,13 +543,15 @@ def d_star_bounds(a: GroundSet, k: int = 1, budget: int | None = None) -> Dimens
 
     Upper: the restricted covering number d_k(A) from ``d_k_exact``.  Lower:
     ``d_star_lower`` on the greedy maximal k-dissociated subset, capped at
-    the upper bound.  The result is never exact; its lower witness is that
-    greedy subset and its upper witness the restricted cover.
+    the upper bound.  The greedy pass runs first and both spend one meter.
+    The result is never exact; its lower witness is that greedy subset and
+    its upper witness the restricted cover.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    dk = d_k_exact(a, k, budget)
-    lam = max_dissociated_greedy(a, k, "desc_abs", budget=budget)
+    meter = as_meter(budget)
+    lam = max_dissociated_greedy(a, k, budget=meter)
+    dk = d_k_exact(a, k, meter)
     upper = dk.upper
     lower = min(d_star_lower(a, lam, k), upper)
     return DimensionBounds(
@@ -577,10 +564,10 @@ def d_star_bounds(a: GroundSet, k: int = 1, budget: int | None = None) -> Dimens
 # Combinatorial cubes
 
 
-def cube(lam: GroundSet, max_generators: int = 24) -> tuple[GroundSet, bool]:
+def cube(lam: GroundSet) -> tuple[GroundSet, bool]:
     """Subset-sum cube of L and whether it is proper (|Q| = 2^|L|)."""
-    if len(lam) > max_generators:
-        raise PreconditionError(f"cube limited to {max_generators} generators")
+    if len(lam) > MAX_CUBE_GENERATORS:
+        raise PreconditionError(f"cube limited to {MAX_CUBE_GENERATORS} generators")
     amb = lam.ambient
     sums = {amb.zero}
     for x in lam.elements:
@@ -603,14 +590,16 @@ def coin_weighing_dissociated(
     """Random 0/1 column sums over an m-dissociated base, verified dissociated.
 
     Draws an n x m random 0/1 matrix whose column sums live in the subset-sum
-    set of L; re-verifies the result and retries on failure.
+    set of L; re-verifies the result and retries on failure.  The base
+    certificate and every trial's check spend one meter.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     n = len(lam)
     if n == 0:
         raise PreconditionError("base set is empty")
-    base_cert = is_k_dissociated(lam, max(1, m), budget)
+    meter = as_meter(budget)
+    base_cert = is_k_dissociated(lam, max(1, m), meter)
     if not base_cert.is_dissociated:
         raise PreconditionError(
             f"base set is not {m}-dissociated (relation {base_cert.relation})"
@@ -625,7 +614,7 @@ def coin_weighing_dissociated(
         if len(sums) < m:
             continue
         cand = GroundSet(amb, tuple(sorted(sums)))
-        if is_k_dissociated(cand, 1, budget).is_dissociated:
+        if is_k_dissociated(cand, 1, meter).is_dissociated:
             return cand
     raise VerificationFailedError(
         f"no dissociated column-sum set found in {trials} trials"

@@ -20,8 +20,11 @@ from .dissociation import (
     dim_k_exact,
     is_k_dissociated,
 )
-from .errors import PreconditionError
+from .errors import BudgetExceededError, PreconditionError
 from .groundset import GroundSet, mult_embed, rep_fn
+
+# dim_alpha_k enumerates every subset up to this size, and probes beyond it.
+EXACT_ALPHA_THRESHOLD = 16
 
 
 @dataclass(frozen=True)
@@ -111,13 +114,13 @@ def dim_alpha_k(
     alpha,
     k: int = 2,
     budget: int | None = None,
-    exact_threshold: int = 16,
 ) -> DimensionBounds:
     """min dim(B) over B subset of A with T_k(B) >= alpha * T_k(A).
 
-    Exact subset enumeration up to ``exact_threshold`` elements; beyond that
-    a sound upper bound is produced by probing energy-heavy subsets obtained
-    from block peeling, with the threshold inequality re-checked exactly.
+    Exact subset enumeration up to ``EXACT_ALPHA_THRESHOLD`` elements;
+    beyond that a sound upper bound is produced by probing energy-heavy
+    subsets obtained from block peeling, with the threshold inequality
+    re-checked exactly.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -129,7 +132,7 @@ def dim_alpha_k(
     if n == 0:
         raise PreconditionError("dim_alpha_k needs a nonempty set")
     meter = as_meter(budget)
-    if n <= exact_threshold:
+    if n <= EXACT_ALPHA_THRESHOLD:
         elems = a.elements
         best: int | None = None
         best_witness: GroundSet | None = None
@@ -147,6 +150,13 @@ def dim_alpha_k(
                 # dim(B) >= ceil(log_3 |B|) cannot beat the current optimum.
                 continue
             db = dim_k_exact(sub, 1, budget=meter)
+            if not db.exact:
+                # The subsets' searches share one meter: a truncated one spent it.
+                raise BudgetExceededError(
+                    f"state budget exhausted ({meter.states} > {meter.limit})",
+                    budget=meter.limit,
+                    states=meter.states,
+                )
             if best is None or db.value < best:
                 best = db.value
                 best_witness = sub

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
-import sympy
-
 from .errors import (
     AmbientMismatchError,
     CoordinateOverflowError,
@@ -302,9 +300,6 @@ class RepFn:
     def support(self) -> GroundSet:
         return GroundSet(self.ambient, tuple(sorted(self.entries)))
 
-    def total_mass(self) -> int:
-        return sum(self.entries.values())
-
     def max_value(self) -> int:
         return max(self.entries.values()) if self.entries else 0
 
@@ -458,6 +453,8 @@ def mult_embed(a: GroundSet) -> MultEmbedding:
         raise PreconditionError("mult_embed expects a rank-1 integer set")
     if any(x < 1 for x in a.elements):
         raise PreconditionError("mult_embed expects positive integers")
+    import sympy
+
     factorizations = {x: sympy.factorint(x) for x in a.elements}
     primes = sorted({p for f in factorizations.values() for p in f})
     rank = max(1, len(primes))

@@ -67,6 +67,8 @@ SUMSET_CAP = 200_000
 # Line-bitset states cost memory proportional to k * sum|a|, so claims that
 # need dimensions at amplified k stay on compact sets.
 MAX_AMPLIFIED_DIAMETER = 5_000
+# The subset-sum cube searches run at this budget, whatever the claim's.
+CUBE_DIM_BUDGET = 400_000
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,11 @@ def _compact_for_amplified_k(a: GroundSet) -> bool:
 # evaluate_claim drops the store whenever it moves to another (set, budget),
 # so each fact is computed once per instance and never reused for another.
 # A fact whose computation hit a size cap keeps the error and raises it on
-# each hit.
+# each hit.  Every budgeted fact runs at the claim's budget, with two
+# exceptions that keep a meter of their own: the CUBE_DIM_BUDGET cube
+# searches of sigma_dissociated_dim and cube_dim_ratio (their fitted
+# constants are measured at that size), and is_k_dissociated certificate
+# checks (a budget must never turn a re-verification into a skip).
 
 _MISSING = object()
 _facts: dict = {}
@@ -294,12 +300,11 @@ def _ev_dim_chain(claim, a, inst, budget):
     # below and feeds the d* counting bound; it also spans A with
     # coefficients in [-1,1] (every rejected element closed a relation), so
     # |W| bounds d from above.
-    w = _fact(max_dissociated_greedy, a, 1)
+    w = _fact(max_dissociated_greedy, a, 1, budget=budget)
     dstar_lo = d_star_lower(a, w, 1)
     if len(a) <= 10:
-        local = budget if budget is not None else 2_000_000
-        de = _fact(dim_bounds, a, 1, budget=local)
-        dk = _fact(d_k_exact, a, 1, budget=local)
+        de = _fact(dim_bounds, a, 1, budget=budget)
+        dk = _fact(d_k_exact, a, 1, budget=budget)
         if de.exact and dk.exact:
             # The check reads the uncapped count; the report shows it capped at d.
             checks = {"dstar_le_d": dstar_lo <= dk.value, "d_le_dim": dk.value <= de.value}
@@ -431,7 +436,7 @@ def _ev_witness_reverify(claim, a, inst, budget):
         return _skip(claim, inst, "empty set")
     checks = {}
     measured = {}
-    w = _fact(max_dissociated_greedy, a, 1)
+    w = _fact(max_dissociated_greedy, a, 1, budget=budget)
     cert_w = is_k_dissociated(w, 1) if w else None
     checks["greedy_witness_dissociated"] = cert_w is None or cert_w.is_dissociated
     db = _fact(dim_bounds, a, 1, budget=budget)
@@ -600,9 +605,8 @@ def _ev_poly_growth(claim, a, inst, budget):
 def _ev_dim_compare(claim, a, inst, budget):
     if not a or len(a) > 16:
         return _skip(claim, inst, "exact two-parameter dimensions are kept to |A| <= 16")
-    local = budget if budget is not None else 2_000_000
-    d1 = _fact(dim_bounds, a, 1, budget=local)
-    d2 = _fact(dim_bounds, a, 2, budget=local)
+    d1 = _fact(dim_bounds, a, 1, budget=budget)
+    d2 = _fact(dim_bounds, a, 2, budget=budget)
     if not (d1.exact and d2.exact) or d1.value == 0 or d2.value == 0:
         return _skip(claim, inst, "dimension search truncated or degenerate")
     out = []
@@ -678,12 +682,12 @@ def _ev_sigma_dim(claim, a, inst, budget):
         return _skip(claim, inst, "empty set")
     if not _compact_for_amplified_k(a):
         return _skip(claim, inst, "set too wide for order-2 dissociation states")
-    lam = _largest(_fact(max_dissociated_greedy, a, 2), 8)
+    lam = _largest(_fact(max_dissociated_greedy, a, 2, budget=budget), 8)
     n = len(lam)
     if n < 2:
         return _skip(claim, inst, "no 2-dissociated pair to build the subset-sum set")
     q, _proper = cube(lam)
-    dq = _fact(dim_bounds, q, 1, budget=400_000)
+    dq = _fact(dim_bounds, q, 1, budget=CUBE_DIM_BUDGET)
     upper_ratio = dq.upper / (n * math.log(n))
     lower_ratio = dq.lower / min(n * math.log(n), 2.0)
     measured = {
@@ -706,11 +710,11 @@ def _ev_cube_dim_ratio(claim, a, inst, budget):
     if d < 2:
         return _skip(claim, inst, "needs dimension at least 2")
     k_star = min(64, max(1, round(d * math.log(d))))
-    lam = _largest(_fact(max_dissociated_greedy, a, k_star), 8)
+    lam = _largest(_fact(max_dissociated_greedy, a, k_star, budget=budget), 8)
     if len(lam) < 1:
         return _skip(claim, inst, "no high-order dissociated subset")
     q, _proper = cube(lam)
-    dq = _fact(dim_bounds, q, 1, budget=400_000)
+    dq = _fact(dim_bounds, q, 1, budget=CUBE_DIM_BUDGET)
     if dq.lower == 0:
         return _skip(claim, inst, "degenerate subset-sum set")
     big_k = dq.upper / d
@@ -749,7 +753,7 @@ def _ev_dim_alpha(claim, a, inst, budget):
 def _ev_rudin(claim, a, inst, budget):
     if not a:
         return _skip(claim, inst, "empty set")
-    lam = _largest(_fact(max_dissociated_greedy, a, 1), 12)
+    lam = _largest(_fact(max_dissociated_greedy, a, 1, budget=budget), 12)
     if len(lam) < 2:
         return _skip(claim, inst, "no dissociated pair")
     out = []
@@ -822,14 +826,15 @@ def _ev_product_doubling_dim(claim, a, inst, budget):
     )
 
 
-def _mult_dim_lower(a: GroundSet) -> tuple[int, int]:
+def _mult_dim_lower(a: GroundSet, budget) -> tuple[int, int]:
     """Certified lower bound for the multiplicative dimension.
 
     Works on a compact subset of the prime-exponent image so the subset-sum
     state (a set of exponent vectors) stays small.
     """
     emb = mult_embed(a)
-    return len(_fact(max_dissociated_greedy, _largest(emb.image, 14), 1)), len(emb.primes)
+    greedy = _fact(max_dissociated_greedy, _largest(emb.image, 14), 1, budget=budget)
+    return len(greedy), len(emb.primes)
 
 
 def _ev_sum_product_doubling(claim, a, inst, budget):
@@ -846,7 +851,7 @@ def _ev_sum_product_doubling(claim, a, inst, budget):
     k_add = len(two) / len(a)
     k_mul = len(aa) / len(a)
     dim_plus = _fact(dim_bounds, a, 1, budget=budget).lower
-    dim_times, _rank = _fact(_mult_dim_lower, a)
+    dim_times, _rank = _fact(_mult_dim_lower, a, budget)
     out = []
     if 0 < math.log(k_mul) and math.log(k_mul) < log_a:
         window = log_a * math.log(log_a / math.log(k_mul))
@@ -895,7 +900,7 @@ def _ev_sum_product_dim(claim, a, inst, budget):
     if logloglog <= 0:
         return _skip(claim, inst, "triple logarithm nonpositive")
     dim_plus = _fact(dim_bounds, a, 1, budget=budget).lower
-    dim_times, _rank = _fact(_mult_dim_lower, a)
+    dim_times, _rank = _fact(_mult_dim_lower, a, budget)
     denom = log_a * math.sqrt(loglog / logloglog)
     measured = {"dim_plus": dim_plus, "dim_times": dim_times}
     return [

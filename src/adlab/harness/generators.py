@@ -14,8 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import sympy
-
 from ..dissociation import cube as _cube
 from ..errors import PreconditionError, VerificationFailedError
 from ..groundset import GroundSet, integers, sumset
@@ -135,6 +133,8 @@ def _gen_es_product(seed: int, s: int, h: int) -> GroundSet:
         raise PreconditionError("need s >= 1 and h >= 1")
     if h**s > ES_SIZE_CAP:
         raise PreconditionError(f"h^s = {h ** s} exceeds the {ES_SIZE_CAP} instance cap")
+    import sympy
+
     primes = [sympy.prime(i + 1) for i in range(s)]
     values = [1]
     for p in primes:
@@ -154,6 +154,8 @@ def _gen_subgroup(seed: int, p: int, t: int) -> GroundSet:
 def _gen_primes(seed: int, count: int) -> GroundSet:
     if count < 1:
         raise PreconditionError("need count >= 1")
+    import sympy
+
     return integers(sympy.prime(i + 1) for i in range(count))
 
 

@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import sympy
 
 from .budget import as_meter
 from .dissociation import dim_bounds
@@ -39,6 +38,8 @@ class SubgroupSpec:
     members: GroundSet
 
     def __post_init__(self):
+        import sympy
+
         g, t, p = self.generator, self.t, self.p
         if pow(g, t, p) != 1 or any(pow(g, t // q, p) == 1 for q in sympy.factorint(t)):
             raise VerificationFailedError(f"{g} does not have order {t} mod {p}")
@@ -60,6 +61,8 @@ def subgroup(p: int, t: int) -> SubgroupSpec:
     Requires p prime (at most 2^31) and t | p-1.  The generator is a power
     of the smallest primitive root mod p, so the result is deterministic.
     """
+    import sympy
+
     if p > 2**31 or not sympy.isprime(p):
         raise PreconditionError(f"p={p} must be a prime at most 2^31")
     if t < 1 or (p - 1) % t != 0:
@@ -358,6 +361,8 @@ def random_cover(
         raise PreconditionError("p_prob must lie in [0, 1]")
 
     if isinstance(amb, Residues):
+        import sympy
+
         n = amb.modulus
         if not sympy.isprime(n):
             raise PreconditionError("multiplicative covering mod N needs N prime")
@@ -440,6 +445,8 @@ def _hermite(n: int) -> float:
 def _dirichlet_lattice_prediction(p: int, t: int) -> tuple[float, int]:
     """Lattice-based lower bound for p^2 * D_{2,p}(Gamma), maximized over
     the admissible lattice rank r."""
+    import sympy
+
     best = 0.0
     best_r = 2
     r_cap = max(2, int(sympy.totient(t)))
@@ -472,6 +479,8 @@ def subgroup_growth_experiment(
     Logs (never asserts) the lattice prediction for the Dirichlet value.
     Natural logarithms throughout.
     """
+    import sympy
+
     if p > 100_000:
         raise PreconditionError("experiment pipeline is capped at p <= 100000")
     spec = subgroup(p, t)

@@ -237,7 +237,7 @@ def test_criterion_09_bsg_contract():
         e = additive_energy(a, b).value
         k_target = Fraction(2 * len(a) * len(b) ** 2, e)
         assert e >= Fraction(len(a) * len(b) ** 2, k_target)  # verified precondition
-        res = bsg_asymmetric(a, b, k_target, seed=9000 + i)
+        res = bsg_asymmetric(a, b, k_target)
         assert len(res.h) > 0
         hh = sumset(res.h, res.h)
         assert res.stats["doubling"] == Fraction(len(hh), len(res.h))
@@ -282,7 +282,7 @@ def test_criterion_11_freiman_model_exhaustive():
 
 
 def test_criterion_12_deterministic_reports():
-    cmd = ["-m", "adlab.cli", "verify", "--suite", "core", "--seed", "7"]
+    cmd = ["-m", "adlab.cli", "verify", "--suite", "core"]
     runs = []
     # the third run drops asserts: verdicts must not depend on them
     for flags in ([], [], ["-O"]):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +18,27 @@ def test_no_command_exits_with_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cube", "1,2", "--k", "3"], ["verify", "--seed", "1"], ["bsg", "1,2", "1,2", "--seed", "1"]],
+)
+def test_flags_a_subcommand_does_not_read_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_import_leaves_sympy_unloaded():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, adlab, adlab.cli; print('sympy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_dim_json_frozen(capsys):
@@ -100,6 +124,7 @@ def test_bsg_default_k(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["stats"]["k_target"] == "128/43"  # 2|A||B|^2 / E(A,B)
+    assert "seed" not in payload["stats"]
     assert payload["h"]
 
 

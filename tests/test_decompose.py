@@ -129,10 +129,10 @@ def test_bsg_rejects_weak_energy():
         bsg_asymmetric(a, a, Fraction(1))
 
 
-def test_bsg_deterministic_per_seed():
+def test_bsg_deterministic():
     a = integers([0, 1, 2, 3, 5, 8, 11])
-    r1 = bsg_asymmetric(a, a, Fraction(3), seed=5)
-    r2 = bsg_asymmetric(a, a, Fraction(3), seed=5)
+    r1 = bsg_asymmetric(a, a, Fraction(3))
+    r2 = bsg_asymmetric(a, a, Fraction(3))
     assert r1.h.elements == r2.h.elements and r1.x == r2.x
     assert r1.stats == r2.stats
 

@@ -281,15 +281,17 @@ def test_budget_raises_and_bounds_degrade():
 
 
 def test_degraded_bounds_that_meet_are_exact():
+    # Budget 6 buys the greedy pre-pass but not the whole search.
     a = integers([1, 2, 4, 8, 16, 32])
-    db = dim_bounds(a, 1, budget=3)
-    assert db.note == "budget"
+    db = dim_bounds(a, 1, budget=6)
+    assert db.note == "search truncated by budget"
     assert (db.lower, db.upper, db.exact, db.value) == (6, 6, True, 6)
 
 
 def test_bounds_degrade_when_one_node_outweighs_every_budget():
-    # One node of this wide set weighs 2^49 states, more than the default
-    # budget the greedy fallback gets, so only [0, n] is certified.
+    # One node of this wide set weighs 2^49 states, more than the whole
+    # budget, so the greedy pre-pass cannot finish and only [0, n] is
+    # certified.
     db = dim_bounds(integers([2**62 - 1, 2**62]), 1, budget=50_000)
     assert (db.lower, db.upper, db.exact, db.note) == (0, 2, False, "budget")
     assert db.lower_witness is not None and len(db.lower_witness) == 0

@@ -233,7 +233,7 @@ def test_dim_alpha_witness_retains_energy():
 
 def test_dim_alpha_heuristic_mode_is_sound():
     a = integers(range(1, 41))
-    res = dim_alpha_k(a, Fraction(1, 2), k=2, exact_threshold=16)
+    res = dim_alpha_k(a, Fraction(1, 2), k=2)
     assert not res.exact
     assert 1 <= res.lower <= res.upper
     # the heuristic witness must satisfy the energy threshold it claims
