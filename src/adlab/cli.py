@@ -16,10 +16,11 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
+from .budget import WorkMeter
 from .decompose import bsg_asymmetric, dec_tk, ratio_box, sidon_extract
 from .dissociation import cube, dim_bounds, is_k_dissociated, span_k
 from .energy import additive_energy, t_k
-from .errors import AdlabError
+from .errors import AdlabError, BudgetExceededError
 from .groundset import (
     GroundSet,
     integers,
@@ -31,7 +32,7 @@ from .groundset import (
 from .harness import generate, run_core_suite, spec as make_spec
 from .harness.runner import report_to_json
 from .modular import fourier_max, subgroup_growth_experiment, verify_dirichlet_dim
-from .records import canonical, stable_dumps
+from .records import stable_dumps
 
 OP_NAMES = {"add": "+", "mul": "*"}
 
@@ -52,9 +53,9 @@ def _parse_set(text: str, mod: Optional[int]) -> GroundSet:
     return integers(items)
 
 
-def _emit(args, payload: dict, human: list[str]) -> None:
+def _emit(args, payload, human: list[str]) -> None:
     if args.json:
-        print(stable_dumps(canonical(payload)))
+        print(stable_dumps(payload))
     else:
         for line in human:
             print(line)
@@ -177,18 +178,26 @@ def _cmd_verify(args) -> int:
 
 def _cmd_dim(args) -> int:
     a = _parse_set(args.set, args.mod)
-    db = dim_bounds(a, args.k, budget=args.budget)
-    cert = is_k_dissociated(a, args.k, budget=args.budget) if len(a) <= 24 else None
-    payload = {"bounds": db.to_json()}
+    meter = WorkMeter(args.budget)
+    db = dim_bounds(a, args.k, budget=meter)
+    payload = {"bounds": db}
     human = [
         f"dim_{args.k}: "
         + (f"{db.lower} (exact)" if db.exact else f"in [{db.lower}, {db.upper}]")
     ]
     if db.lower_witness is not None:
         human.append(f"witness: {sorted(db.lower_witness.elements)}")
-    if cert is not None:
-        payload["certificate"] = cert.to_json()
-        human.append(f"whole set: {cert.verdict}")
+    if len(a) <= 24:
+        # The whole-set certificate spends what the dimension search left.
+        try:
+            cert = is_k_dissociated(a, args.k, budget=meter)
+        except BudgetExceededError as exc:
+            payload["certificate"] = None
+            payload["note"] = f"whole-set certificate not reached: {exc}"
+            human.append(f"note: {payload['note']}")
+        else:
+            payload["certificate"] = cert
+            human.append(f"whole set: {cert.verdict}")
     _emit(args, payload, human)
     return 0
 
@@ -197,7 +206,7 @@ def _cmd_energy(args) -> int:
     a = _parse_set(args.set, args.mod)
     k = args.k if args.k > 1 else 2
     val = t_k(a, k, op=OP_NAMES[args.op], size_cap=args.cap)
-    payload = {"energy": val.to_json()}
+    payload = {"energy": val}
     human = [f"T_{k}^{val.operation}(A) = {val.value}"]
     if args.op == "add" and k == 2:
         e = additive_energy(a, a).value
@@ -248,14 +257,13 @@ def _cmd_subgroup(args) -> int:
         args.p, args.t, n_max=args.nmax, k_max=args.kmax, budget=args.budget
     )
     m = rep.measured
-    payload = rep.to_json()
     human = [
         f"Gamma(p={args.p}, t={args.t}): curve {m['curve']}",
         f"dim in [{m['dim_lower']}, {m['dim_upper']}], regime {m['regime']}",
         f"energies: {m['energies']}",
         f"half-cover n: {m['half_cover_n']}, coverage {m['coverage_fraction']}",
     ]
-    _emit(args, payload, human)
+    _emit(args, rep, human)
     return 0
 
 
@@ -264,10 +272,9 @@ def _cmd_dirichlet(args) -> int:
     rep = verify_dirichlet_dim(
         a, s=args.s, modulus=args.modulus, k=args.k, budget=args.budget
     )
-    payload = rep.to_json()
     dv = rep.measured["dirichlet"]
     human = [
-        f"Dirichlet minimum (s={args.s}, N={rep.measured['modulus']}): {dv['value']}",
+        f"Dirichlet minimum (s={args.s}, N={rep.measured['modulus']}): {dv.value}",
         f"dim lower bound used: {rep.measured['dim_lower']}",
     ]
     for r in rep.records:
@@ -276,19 +283,18 @@ def _cmd_dirichlet(args) -> int:
                 f"bound: dim {r.measured['d']} >= {r.measured['rhs']:.4f} "
                 f"({'violated' if r.violated else 'holds'})"
             )
-    _emit(args, payload, human)
+    _emit(args, rep, human)
     return 0
 
 
 def _cmd_fourier(args) -> int:
     a = _parse_set(args.set, args.mod)
     peak = fourier_max(a)
-    payload = peak.to_json()
     human = [
         f"max |A^(r)| over r != 0: {peak.max_abs:.6f} at r = {peak.argmax} "
         f"(N = {peak.modulus}, |A| = {peak.size})"
     ]
-    _emit(args, payload, human)
+    _emit(args, peak, human)
     return 0
 
 
@@ -301,7 +307,6 @@ def _cmd_decompose(args) -> int:
         big_k=_parse_fraction(args.bigk),
         budget=args.budget,
     )
-    payload = dec.to_json()
     human = [
         f"B ({len(dec.b)} elements): {sorted(dec.b.elements)}",
         f"C ({len(dec.c)} elements): {sorted(dec.c.elements)}",
@@ -311,7 +316,7 @@ def _cmd_decompose(args) -> int:
     ]
     for flag in dec.flags:
         human.append(f"note: {flag}")
-    _emit(args, payload, human)
+    _emit(args, dec, human)
     return 0
 
 
@@ -325,14 +330,13 @@ def _cmd_bsg(args) -> int:
             raise AdlabError("E(A,B) = 0; no structured core exists")
         kk = Fraction(2 * len(a) * len(b) ** 2, e)
     res = bsg_asymmetric(a, b, kk, l=args.l, budget=args.budget)
-    payload = res.to_json()
     human = [
         f"H ({len(res.h)} elements): {sorted(res.h.elements)}",
         f"shift x = {res.x}",
         f"doubling |H+H|/|H| = {res.stats['doubling']}",
         f"intersection |B cap (H+x)| = {res.stats['intersection']}",
     ]
-    _emit(args, payload, human)
+    _emit(args, res, human)
     return 0
 
 
@@ -348,9 +352,8 @@ def _cmd_sidon(args) -> int:
 def _cmd_ratiobox(args) -> int:
     a = _parse_set(args.set, args.mod)
     rb = ratio_box(a)
-    payload = rb.to_json()
     human = [f"ratio box n = {rb.n} (first missing: {rb.missing}, ratios: {rb.ratio_count})"]
-    _emit(args, payload, human)
+    _emit(args, rb, human)
     return 0
 
 
@@ -372,7 +375,7 @@ def _cmd_gen(args) -> int:
             fh.write(text)
         print(f"{instance.label}: {len(ground)} elements -> {args.out}")
     elif args.json:
-        print(stable_dumps(canonical({"instance": instance.to_json(), "elements": list(ground.elements)})))
+        print(stable_dumps({"instance": instance, "elements": ground}))
     else:
         print(text, end="")
     return 0

@@ -179,9 +179,6 @@ class BsgResult:
     x: object
     stats: dict
 
-    def to_json(self) -> dict:
-        return {"h": sorted(self.h.elements), "x": self.x, "stats": self.stats}
-
 
 def _energy_chain(b: GroundSet, l: int, size_cap: int) -> tuple[list[RepFn], list[int]]:
     """r_{2^i B} and T_{2^i}(B) for i = 0..l, stopping early at the cap."""
@@ -358,9 +355,6 @@ class BetaDecomposition:
     a_star: GroundSet
     stats: dict
     note: str = ""
-
-    def to_json(self) -> dict:
-        return {"a_star": sorted(self.a_star.elements), "stats": self.stats, "note": self.note}
 
 
 def beta_decomposition(
@@ -698,9 +692,6 @@ class RatioBoxResult:
     n: int
     missing: Optional[Fraction]
     ratio_count: int
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "missing": self.missing, "ratio_count": self.ratio_count}
 
 
 def ratio_box(a: GroundSet, cap: int = RATIO_SET_CAP) -> RatioBoxResult:

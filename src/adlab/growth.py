@@ -32,7 +32,7 @@ from .groundset import (
     sumset,
     translate,
 )
-from .records import ClaimRecord, ExperimentReport
+from .records import ClaimRecord, ExperimentReport, canonical
 
 DEFAULT_GROWTH_CAP = 200_000
 
@@ -54,9 +54,6 @@ class GrowthCurve:
         if not 1 <= n <= len(self.sizes):
             raise PreconditionError(f"curve has no entry for n={n}")
         return Fraction(self.sizes[n - 1], self.sizes[0])
-
-    def to_json(self) -> dict:
-        return {"sizes": list(self.sizes), "truncated_at": self.truncated_at}
 
 
 def growth_sequence(a: GroundSet, n_max: int, size_cap: int = DEFAULT_GROWTH_CAP) -> GrowthCurve:
@@ -135,7 +132,7 @@ def verify_growth_bounds(
     d = db.lower  # certified even when the search was truncated
     records: list[ClaimRecord] = []
     measured: dict = {
-        "curve": curve.to_json(),
+        "curve": canonical(curve),
         "dim_lower": db.lower,
         "dim_upper": db.upper,
         "dim_exact": db.exact,
@@ -404,7 +401,7 @@ def polynomial_growth_fit(
         name="polynomial_growth",
         instance=a.describe(),
         params={"n_max": n_max, "size_cap": size_cap},
-        measured={"curve": curve.to_json(), "d_fit": d_fit, "per_n": per_n},
+        measured={"curve": canonical(curve), "d_fit": d_fit, "per_n": per_n},
         records=records,
     )
 
@@ -430,18 +427,6 @@ class FreimanModel:
 
     def image(self) -> GroundSet:
         return GroundSet.of(Residues(self.modulus), self.mapping.values())
-
-    def to_json(self) -> dict:
-        return {
-            "subset": sorted(self.subset.elements),
-            "modulus": self.modulus,
-            "mapping": {str(k): v for k, v in self.mapping.items()},
-            "l": self.l,
-            "prime": self.prime,
-            "dilation": self.dilation,
-            "attempts": self.attempts,
-            "verified": self.verified,
-        }
 
 
 def verify_span_isomorphism(

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from ..errors import PreconditionError
 from ..groundset import GroundSet
-from ..records import SCHEMA_VERSION, ClaimRecord, canonical, stable_dumps
+from ..records import SCHEMA_VERSION, ClaimRecord, stable_dumps
 from .claims import REGISTRY, evaluate_claim, fit_constant, get_claim
 from .generators import InstanceSpec, spec
 
@@ -130,7 +130,7 @@ def run_core_suite(budget: Optional[int] = None) -> dict:
 
 def report_to_json(report: dict, drop_timing: bool = False) -> str:
     payload = {k: v for k, v in report.items() if not (drop_timing and k == "timing")}
-    return stable_dumps(canonical(payload))
+    return stable_dumps(payload)
 
 
 def has_hard_violation(report: dict) -> bool:

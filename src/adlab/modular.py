@@ -14,15 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .budget import as_meter
 from .dissociation import dim_bounds
 from .energy import dim_alpha_k, t_k
 from .errors import PreconditionError, SizeCapExceededError, VerificationFailedError
 from .groundset import GroundSet, IntegerLattice, Residues, product_set
 from .growth import growth_sequence
-from .records import ClaimRecord, ExperimentReport
+from .records import ClaimRecord, ExperimentReport, canonical
 
 DIRICHLET_SCAN_CAP = 1 << 20
 FOURIER_SIZE_CAP = 1 << 22
@@ -45,14 +43,6 @@ class SubgroupSpec:
             raise VerificationFailedError(f"{g} does not have order {t} mod {p}")
         if len(self.members) != t:
             raise VerificationFailedError(f"subgroup of order {t} has {len(self.members)} members")
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "t": self.t,
-            "generator": self.generator,
-            "members": sorted(self.members.elements),
-        }
 
 
 def subgroup(p: int, t: int) -> SubgroupSpec:
@@ -92,16 +82,6 @@ class DirichletValue:
     modulus: int
     exact: bool
     error_bound: float = 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "argmin_q": self.argmin_q,
-            "s": self.s,
-            "modulus": self.modulus,
-            "exact": self.exact,
-            "error_bound": self.error_bound,
-        }
 
 
 def _dirichlet_elems(a: GroundSet, modulus: Optional[int]) -> tuple[list[int], int]:
@@ -204,7 +184,7 @@ def verify_dirichlet_dim(
     elems, n = _dirichlet_elems(a, modulus)
     dv = dirichlet_min(a, s, modulus=modulus)
     records: list[ClaimRecord] = []
-    measured: dict = {"dirichlet": dv.to_json(), "modulus": n}
+    measured: dict = {"dirichlet": dv, "modulus": n}
     meter = as_meter(budget)
     db = dim_bounds(a, 1, budget=meter)
     d = db.lower
@@ -273,17 +253,11 @@ class FourierPeak:
     max_abs: float
     argmax: int
 
-    def to_json(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "size": self.size,
-            "max_abs": self.max_abs,
-            "argmax": self.argmax,
-        }
 
+def fourier_spectrum(a: GroundSet):
+    """|hat A(r)| for r = 0..N-1, as a numpy array, via a dense FFT."""
+    import numpy as np
 
-def fourier_spectrum(a: GroundSet) -> np.ndarray:
-    """|hat A(r)| for r = 0..N-1 via a dense FFT."""
     amb = a.ambient
     if not isinstance(amb, Residues):
         raise PreconditionError("Fourier diagnostics need a residue ambient")
@@ -309,7 +283,7 @@ def fourier_max(a: GroundSet) -> FourierPeak:
     if n == 1:
         raise PreconditionError("modulus 1 has no nonzero frequency")
     rest = mags[1:]
-    idx = int(np.argmax(rest)) + 1
+    idx = int(rest.argmax()) + 1
     return FourierPeak(modulus=n, size=len(a), max_abs=float(rest[idx - 1]), argmax=idx)
 
 
@@ -598,7 +572,7 @@ def subgroup_growth_experiment(
         instance=gamma.describe(),
         params={"p": p, "t": t, "n_max": n_max, "k_max": k_max},
         measured={
-            "curve": curve.to_json(),
+            "curve": canonical(curve),
             "energies": {str(k): v for k, v in energies.items()},
             "dim_lower": d,
             "dim_upper": db.upper,

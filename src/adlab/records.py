@@ -3,12 +3,18 @@
 Reports must be byte-reproducible across runs with the same seed, so the
 serializer sorts keys, renders fractions as "num/den" strings, and rounds
 floats to 12 significant digits before emitting them.
+
+A result object serializes by one rule, tried in this order: its
+``to_json()`` if it defines one (only for a result that renames, omits or
+derives a field), else its ``elements`` as a list (a ``GroundSet``), else,
+for a dataclass, its fields by name.  Anything else falls back to ``repr``.
+``stable_dumps`` applies the rule once, so callers pass it raw objects.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 
 SCHEMA_VERSION = 1
@@ -37,6 +43,8 @@ def canonical(obj):
         return canonical(obj.to_json())
     if hasattr(obj, "elements"):
         return canonical(list(obj.elements))
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return canonical({f.name: getattr(obj, f.name) for f in fields(obj)})
     return repr(obj)
 
 
@@ -77,12 +85,3 @@ class ExperimentReport:
     params: dict = field(default_factory=dict)
     measured: dict = field(default_factory=dict)
     records: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "instance": canonical(self.instance),
-            "params": canonical(self.params),
-            "measured": canonical(self.measured),
-            "records": [canonical(r) for r in self.records],
-        }

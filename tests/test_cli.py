@@ -33,12 +33,12 @@ def test_flags_a_subcommand_does_not_read_are_rejected(argv):
 def test_import_leaves_sympy_unloaded():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, adlab, adlab.cli; print('sympy' in sys.modules, 'numpy' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, adlab, adlab.cli; print('sympy' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def test_dim_json_frozen(capsys):
@@ -48,6 +48,15 @@ def test_dim_json_frozen(capsys):
     assert payload["bounds"]["lower"] == payload["bounds"]["upper"] == 3
     assert payload["bounds"]["exact"]
     assert payload["certificate"]["verdict"] == "relation"
+
+
+def test_dim_certificate_shares_the_budget(capsys):
+    code, out, err = run(capsys, "dim", "1,2,4,8,16,32,64,128", "--budget", "12", "--json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["bounds"]["lower"] == 8 and payload["bounds"]["states"] == 13
+    assert payload["certificate"] is None
+    assert "budget exhausted" in payload["note"]
 
 
 def test_dim_human_output(capsys):

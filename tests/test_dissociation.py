@@ -43,6 +43,13 @@ def test_relation_certificate_replays():
     assert any(coeffs) and all(abs(c) <= 1 for c in coeffs)
 
 
+def test_k2_certificate_costs_two_half_tables():
+    xs = [1, 5, 25, 125, 625, 3125]
+    cert = is_k_dissociated(integers(xs), 2)
+    assert cert.is_dissociated
+    assert cert.states_visited <= 2 * 5 ** 3  # 2(2k+1)^ceil(n/2), not (2k+1)^n = 15 625
+
+
 def test_zero_element_is_instant_relation():
     cert = is_k_dissociated(integers([0, 5]), 1)
     assert cert.verdict == "relation"

@@ -163,7 +163,7 @@ def test_verify_dirichlet_dim_clean():
     assert not any(r.violated for r in rep.records)
     claims = {r.claim for r in rep.records}
     assert "dirichlet_dim_lower" in claims
-    assert rep.measured["dirichlet"]["exact"]
+    assert rep.measured["dirichlet"].exact
     assert rep.measured["dim_lower"] >= 1
 
 
