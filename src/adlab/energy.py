@@ -4,6 +4,14 @@ T_k(A) counts 2k-tuples with equal k-fold sums; it equals the sum of squared
 k-fold representation counts.  Multiplicative energies are computed through
 the prime-exponent embedding, which is an exact isomorphism onto vector
 addition.  All values are unbounded Python integers.
+
+dim_{alpha,k}(A), the least dim(B) over B subset of A with T_k(B) >= alpha *
+T_k(A), is exact up to ``EXACT_ALPHA_THRESHOLD`` elements: a depth-first
+search over index-increasing subsets, carrying each subset's
+representation functions and stopping at the first subset that
+qualifies, finds the minimal qualifying subsets, and ``dim_k_exact``
+searches them in (size, elements) order.  One meter state is one
+representation entry read by that search.
 """
 
 from __future__ import annotations
@@ -19,11 +27,13 @@ from .dissociation import (
     dim_bounds,
     dim_k_exact,
     is_k_dissociated,
+    max_dissociated_greedy,
 )
 from .errors import BudgetExceededError, PreconditionError
 from .groundset import GroundSet, mult_embed, rep_fn
 
-# dim_alpha_k enumerates every subset up to this size, and probes beyond it.
+# dim_alpha_k searches the minimal qualifying subsets exactly up to this
+# size, and probes energy-heavy subsets beyond it.
 EXACT_ALPHA_THRESHOLD = 16
 
 
@@ -117,10 +127,21 @@ def dim_alpha_k(
 ) -> DimensionBounds:
     """min dim(B) over B subset of A with T_k(B) >= alpha * T_k(A).
 
-    Exact subset enumeration up to ``EXACT_ALPHA_THRESHOLD`` elements;
-    beyond that a sound upper bound is produced by probing energy-heavy
-    subsets obtained from block peeling, with the threshold inequality
-    re-checked exactly.
+    Exact up to ``EXACT_ALPHA_THRESHOLD`` elements.  T_k and dim both grow
+    with B, so the minimum is reached on a minimal qualifying B, and a
+    depth-first search over index-increasing subsets that stops extending a
+    subset once it qualifies reaches every such B (see
+    ``_qualifying_subsets``).  Candidates are then taken in (size, sorted
+    elements) order and searched with ``dim_k_exact`` unless dim(B) >=
+    ceil(log_3 |B|) or a greedy dissociated subset of B already shows that
+    B cannot beat the best so far.  The witness is the first subset in that
+    order whose dimension is the minimum.
+
+    The meter counts one state per representation-function entry the
+    energy search reads, then the states of the greedy and exact dimension
+    searches.  Beyond the threshold a sound upper bound is produced by
+    probing energy-heavy subsets obtained from block peeling, with the
+    threshold inequality re-checked exactly.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -133,21 +154,16 @@ def dim_alpha_k(
         raise PreconditionError("dim_alpha_k needs a nonempty set")
     meter = as_meter(budget)
     if n <= EXACT_ALPHA_THRESHOLD:
-        elems = a.elements
         best: int | None = None
         best_witness: GroundSet | None = None
-        # Subsets grouped by size: small subsets give small dimensions first.
-        qualifying = []
-        for mask in range(1, 1 << n):
-            meter.tick()
-            sub = GroundSet(a.ambient, tuple(elems[i] for i in range(n) if mask >> i & 1))
-            tb = _additive_tk(sub, k, None)
-            if tb * alpha.denominator >= alpha.numerator * total:
-                qualifying.append((len(sub), sub))
-        qualifying.sort(key=lambda item: (item[0], item[1].elements))
-        for size, sub in qualifying:
-            if best is not None and _floor_log(size, 3) + 1 > best:
+        candidates = _qualifying_subsets(a, k, alpha.numerator * total, alpha.denominator, meter)
+        candidates.sort(key=lambda elems: (len(elems), elems))
+        for elems in candidates:
+            if best is not None and _floor_log(len(elems), 3) + 1 > best:
                 # dim(B) >= ceil(log_3 |B|) cannot beat the current optimum.
+                continue
+            sub = GroundSet(a.ambient, elems)
+            if best is not None and len(max_dissociated_greedy(sub, 1, budget=meter)) >= best:
                 continue
             db = dim_k_exact(sub, 1, budget=meter)
             if not db.exact:
@@ -160,7 +176,9 @@ def dim_alpha_k(
             if best is None or db.value < best:
                 best = db.value
                 best_witness = sub
-                if best <= 1:
+                if best == 0:
+                    # Only {0} has dimension 0.  At best == 1 the two skips
+                    # above pass over every other candidate.
                     break
         assert best is not None  # B = A always qualifies at alpha <= 1
         return DimensionBounds(
@@ -196,6 +214,70 @@ def dim_alpha_k(
         "dim_alpha_k", k, 1, max(1, upper), False, None, witness, meter.states,
         note="heuristic mode: upper from an energy-retaining subset",
     )
+
+
+def _qualifying_subsets(a: GroundSet, k: int, need: int, den: int, meter) -> list:
+    """Element tuples of the subsets B with T_k(B) * den >= need that a
+    depth-first search over index-increasing subsets reaches.
+
+    A subset that qualifies is recorded and not extended.  T_k grows with
+    B, so every proper prefix of a minimal qualifying subset fails and the
+    search reaches it.  Each node carries r_j, the j-fold representation
+    function of B, for j = 0..k, and T_k(B) = sum r_k(x)^2.  Adding y gives
+    r_j(B + y) = sum_i C(j, i) * r_{j-i}(B) shifted by i*y, so a node costs
+    O(k^2 |support|) and not a k-fold convolution.  The meter is ticked
+    once per entry of B's functions that forming a child reads, before the
+    child is formed.
+    """
+    amb = a.ambient
+    add = amb.add
+    elems = a.elements
+    n = len(elems)
+    binom = [[math.comb(j, i) for i in range(j + 1)] for j in range(k + 1)]
+    shifts = [[amb.scale(i, y) for i in range(k + 1)] for y in elems]
+    found: list = []
+    chosen: list = []
+
+    def walk(start: int, reps: list, energy: int) -> None:
+        # A child's r_j copies r_j(B) and shifts r_{j-i}(B) for i = 1..j.
+        sizes = [len(r) for r in reps]
+        cost = sum(sum(sizes[: j + 1]) for j in range(1, k + 1))
+        for idx in range(start, n):
+            meter.tick(cost)
+            shift = shifts[idx]
+            child = [reps[0]]
+            for j in range(1, k):
+                out = dict(reps[j])
+                for i in range(1, j + 1):
+                    c = binom[j][i]
+                    d = shift[i]
+                    for x, v in reps[j - i].items():
+                        z = add(x, d)
+                        out[z] = out.get(z, 0) + c * v
+                child.append(out)
+            # r_k also updates the energy: an entry going from v to v + w
+            # adds w * (2v + w) to the sum of squares.
+            out = dict(reps[k])
+            child_energy = energy
+            for i in range(1, k + 1):
+                c = binom[k][i]
+                d = shift[i]
+                for x, v in reps[k - i].items():
+                    z = add(x, d)
+                    old = out.get(z, 0)
+                    w = c * v
+                    out[z] = old + w
+                    child_energy += w * (2 * old + w)
+            child.append(out)
+            chosen.append(elems[idx])
+            if child_energy * den >= need:
+                found.append(tuple(chosen))
+            else:
+                walk(idx + 1, child, child_energy)
+            chosen.pop()
+
+    walk(0, [{amb.zero: 1}] + [{} for _ in range(k)], 0)
+    return found
 
 
 def _floor_log(n: int, base: int) -> int:

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from ..errors import PreconditionError
 from ..groundset import GroundSet
-from ..records import SCHEMA_VERSION, ClaimRecord, stable_dumps
+from ..records import SCHEMA_VERSION, ClaimRecord, canonical, dumps_canonical
 from .claims import REGISTRY, evaluate_claim, fit_constant, get_claim
 from .generators import InstanceSpec, spec
 
@@ -71,8 +71,10 @@ def run_suite(
 ) -> dict:
     """Evaluate claims over instances and return the full report.
 
-    An unknown claim id raises before any work happens.  An empty instance
-    list legitimately yields an empty report with zero violations.
+    The report is canonical JSON data (see ``records.canonical``), so that
+    ``report_to_json`` only writes it.  An unknown claim id raises before
+    any work happens.  An empty instance list legitimately yields an empty
+    report with zero violations.
     """
     ids = list(claim_ids) if claim_ids is not None else list(REGISTRY)
     for cid in ids:
@@ -102,13 +104,12 @@ def run_suite(
         if pool:
             fits[cid] = fit_constant(cid, pool)
     elapsed = time.perf_counter() - started
-    return {
+    report = canonical({
         "schema": SCHEMA_VERSION,
         "name": name,
         "budget": budget,
         "claims": ids,
         "instances": instance_json,
-        "records": [r.to_json() for r in records],
         "fits": fits,
         "summary": {
             "claims": len(ids),
@@ -119,7 +120,10 @@ def run_suite(
         },
         "violations": violations,
         "timing": {"total_s": elapsed},
-    }
+    })
+    # A record's to_json is canonical already; walking it again repeats it.
+    report["records"] = [r.to_json() for r in records]
+    return report
 
 
 def run_core_suite(budget: Optional[int] = None) -> dict:
@@ -129,8 +133,9 @@ def run_core_suite(budget: Optional[int] = None) -> dict:
 
 
 def report_to_json(report: dict, drop_timing: bool = False) -> str:
+    """JSON text of a ``run_suite`` report, which is already canonical."""
     payload = {k: v for k, v in report.items() if not (drop_timing and k == "timing")}
-    return stable_dumps(payload)
+    return dumps_canonical(payload)
 
 
 def has_hard_violation(report: dict) -> bool:

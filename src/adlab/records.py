@@ -8,7 +8,9 @@ A result object serializes by one rule, tried in this order: its
 ``to_json()`` if it defines one (only for a result that renames, omits or
 derives a field), else its ``elements`` as a list (a ``GroundSet``), else,
 for a dataclass, its fields by name.  Anything else falls back to ``repr``.
-``stable_dumps`` applies the rule once, so callers pass it raw objects.
+``stable_dumps`` applies the rule once, so callers pass it raw objects;
+``dumps_canonical`` writes data that ``canonical`` has already produced,
+so a report canonicalized once is never walked again.
 """
 
 from __future__ import annotations
@@ -16,12 +18,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 SCHEMA_VERSION = 1
 
 
+# Exact types that are already JSON-stable primitives: the common case.
+_PLAIN = frozenset({str, int, bool, type(None)})
+
+
 def canonical(obj):
     """Recursively convert a report object into JSON-stable primitives."""
+    if type(obj) in _PLAIN:
+        return obj
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, float):
@@ -33,12 +42,14 @@ def canonical(obj):
     if isinstance(obj, str):
         return obj
     if isinstance(obj, dict):
-        return {str(k): canonical(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
+        # Stable sort on the key text; plain values are kept without a call.
+        items = sorted(((str(k), v) for k, v in obj.items()), key=itemgetter(0))
+        return {k: v if type(v) in _PLAIN else canonical(v) for k, v in items}
     if isinstance(obj, (list, tuple, set, frozenset)):
         items = list(obj)
         if isinstance(obj, (set, frozenset)):
             items = sorted(items, key=repr)
-        return [canonical(v) for v in items]
+        return [v if type(v) in _PLAIN else canonical(v) for v in items]
     if hasattr(obj, "to_json"):
         return canonical(obj.to_json())
     if hasattr(obj, "elements"):
@@ -48,8 +59,13 @@ def canonical(obj):
     return repr(obj)
 
 
+def dumps_canonical(data) -> str:
+    """Compact JSON, keys sorted, of the output of ``canonical``."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 def stable_dumps(obj) -> str:
-    return json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
+    return dumps_canonical(canonical(obj))
 
 
 @dataclass
@@ -65,6 +81,7 @@ class ClaimRecord:
     note: str = ""
 
     def to_json(self) -> dict:
+        """The record's canonical JSON data; ``run_suite`` stores it as is."""
         return {
             "claim": self.claim,
             "class": self.klass,

@@ -6,7 +6,9 @@ with the library is always the library's problem.  Sizes are kept small by
 the callers.
 """
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
 
@@ -15,6 +17,15 @@ def subsets(items):
     items = sorted(items)
     for size in range(len(items) + 1):
         yield from combinations(items, size)
+
+
+def _total(items, modulus=None):
+    """Sum of ints, of residues mod ``modulus``, or of equal-length int tuples."""
+    items = list(items)
+    if items and isinstance(items[0], tuple):
+        return tuple(sum(coord) for coord in zip(*items))
+    value = sum(items)
+    return value if modulus is None else value % modulus
 
 
 def naive_sumset(xs, ys):
@@ -57,26 +68,28 @@ def naive_relation(xs, k, modulus=None):
     return None
 
 
-def naive_dim_k1(xs):
+def naive_dim_k1(xs, modulus=None):
     """Largest subset with pairwise-distinct subset sums, by full DFS.
 
     The dissociated family is downward closed, so a depth-first walk that
     extends every valid subset visits all of them; no bounding is applied.
+    Elements are ints, residues mod ``modulus``, or equal-length int tuples.
     """
     xs = sorted(xs)
     best = 0
+    zero = (0,) * len(xs[0]) if xs and isinstance(xs[0], tuple) else 0
 
     def walk(idx, sums, depth):
         nonlocal best
         best = max(best, depth)
         for j in range(idx, len(xs)):
             x = xs[j]
-            shifted = {s + x for s in sums}
+            shifted = {_total((s, x), modulus) for s in sums}
             if shifted & sums:
                 continue
             walk(j + 1, sums | shifted, depth + 1)
 
-    walk(0, {0}, 0)
+    walk(0, {zero}, 0)
     return best
 
 
@@ -97,13 +110,41 @@ def naive_span(xs, k):
     return sorted(out)
 
 
-def naive_tk(xs, k):
-    """T_k by enumerating all 2k-tuples."""
-    count = 0
-    for tup in product(xs, repeat=2 * k):
-        if sum(tup[:k]) == sum(tup[k:]):
-            count += 1
-    return count
+def naive_tk(xs, k, modulus=None):
+    """T_k: ordered pairs of k-tuples with equal sums.
+
+    Every k-tuple is enumerated and the tuples are grouped by their sum, so
+    a group of c tuples gives c^2 pairs.  Elements are ints, residues mod
+    ``modulus``, or equal-length int tuples.
+    """
+    sums = Counter(_total(tup, modulus) for tup in product(xs, repeat=k))
+    return sum(c * c for c in sums.values())
+
+
+@lru_cache(maxsize=None)
+def _energies_and_dims(xs, k, modulus):
+    """(subset, T_k, dim_1) for every nonempty subset, in (size, elements) order."""
+    return [
+        (sub, naive_tk(sub, k, modulus), naive_dim_k1(sub, modulus))
+        for sub in subsets(xs)
+        if sub
+    ]
+
+
+def naive_dim_alpha(xs, alpha, k, modulus=None):
+    """(dim_{alpha,k}, witness) by enumerating every nonempty subset.
+
+    The value is the least dim_1(B) over subsets B with T_k(B) >= alpha *
+    T_k(A); the witness is the first such B of least dimension in (size,
+    sorted elements) order.
+    """
+    xs = tuple(sorted(xs))
+    total = naive_tk(xs, k, modulus)
+    best = None
+    for sub, energy, dim in _energies_and_dims(xs, k, modulus):
+        if energy >= Fraction(alpha) * total and (best is None or dim < best[0]):
+            best = (dim, sub)
+    return best
 
 
 def naive_energy(xs, ys):

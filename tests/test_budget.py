@@ -85,13 +85,59 @@ def test_claims_spend_only_the_claim_budget(meters):
     assert 50_000 in limits
 
 
-def test_dim_alpha_budget_exhaustion_is_a_skip():
-    a = integers([1, 2, 4, 8, 16, 32, 64, 128, 256, 3])
-    for b in (1_060, 1_100, 1_200):
+# dim_alpha_k(DIM_ALPHA_SET, 1/2, k=2) reads 20 247 representation entries in
+# its energy search; the greedy and exact dimension searches after it bring
+# the call to 20 634 states.
+DIM_ALPHA_SET = [1, 2, 4, 8, 16, 32, 64, 128, 256, 3]
+DIM_ALPHA_ENERGY_STATES = 20_247
+DIM_ALPHA_STATES = 20_634
+
+
+@pytest.fixture
+def dimension_searches(monkeypatch):
+    """Names of the dimension searches dim_alpha_k starts, in order."""
+    import adlab.energy as energy
+
+    started = []
+    for name in ("dim_k_exact", "max_dissociated_greedy"):
+        search = getattr(energy, name)
+
+        def logged(*args, _search=search, _name=name, **kwargs):
+            started.append(_name)
+            return _search(*args, **kwargs)
+
+        monkeypatch.setattr(energy, name, logged)
+    return started
+
+
+def test_dim_alpha_states_are_deterministic():
+    a = integers(DIM_ALPHA_SET)
+    runs = [dim_alpha_k(a, Fraction(1, 2), k=2) for _ in range(2)]
+    assert [r.states for r in runs] == [DIM_ALPHA_STATES] * 2
+    assert runs[0] == runs[1]
+
+
+def test_dim_alpha_energy_search_is_charged_before_any_dimension_search(dimension_searches):
+    a = integers(DIM_ALPHA_SET)
+    with pytest.raises(BudgetExceededError):
+        dim_alpha_k(a, Fraction(1, 2), k=2, budget=DIM_ALPHA_ENERGY_STATES - 1)
+    assert dimension_searches == []
+    assert dim_alpha_k(a, Fraction(1, 2), k=2, budget=DIM_ALPHA_STATES).value == 6
+    assert dimension_searches[0] == "dim_k_exact"
+
+
+def test_dim_alpha_budget_exhaustion_is_a_skip(dimension_searches):
+    # Each budget lets the energy search finish and runs out in the
+    # dimension searches that follow it.
+    a = integers(DIM_ALPHA_SET)
+    for b in (20_300, 20_450, 20_600):
+        assert DIM_ALPHA_ENERGY_STATES < b < DIM_ALPHA_STATES
+        dimension_searches.clear()
         with pytest.raises(BudgetExceededError):
             dim_alpha_k(a, Fraction(1, 2), k=2, budget=b)
+        assert dimension_searches
     clear_caches()
-    recs = evaluate_claim("dim_alpha_bound", a, {"generator": "literal"}, budget=1_100)
+    recs = evaluate_claim("dim_alpha_bound", a, {"generator": "literal"}, budget=20_450)
     clear_caches()
     assert len(recs) == 1
     assert recs[0].note.startswith("skipped: budget exhausted")

@@ -15,11 +15,13 @@ from adlab import (
     mult_embed,
     residues,
     rudin_ratio,
+    subgroup,
     t_k,
     t_k_multi,
+    vectors,
 )
 
-from oracles import naive_dim_k1, naive_energy, naive_tk, subsets
+from oracles import naive_dim_alpha, naive_energy, naive_tk, subsets
 
 
 # ---------------------------------------------------------------------------
@@ -190,19 +192,6 @@ def test_multi_empty_part_gives_zero():
 # Energy-threshold dimension
 
 
-def _oracle_dim_alpha(xs, alpha, k):
-    total = naive_tk(xs, k)
-    best = None
-    for sub in subsets(xs):
-        if not sub:
-            continue
-        if Fraction(naive_tk(sub, k)) >= Fraction(alpha) * total:
-            d = naive_dim_k1(sub)
-            if best is None or d < best:
-                best = d
-    return best
-
-
 def test_dim_alpha_full_threshold_is_dim():
     a = integers(range(1, 5))
     res = dim_alpha_k(a, 1, k=2)
@@ -216,7 +205,46 @@ def test_dim_alpha_matches_oracle_small():
         for alpha in (Fraction(1, 2), Fraction(3, 4), 1):
             res = dim_alpha_k(integers(xs), alpha, k=2)
             assert res.exact
-            assert res.value == _oracle_dim_alpha(xs, alpha, 2)
+            assert (res.value, res.lower_witness.elements) == naive_dim_alpha(xs, alpha, 2)
+
+
+def _alpha_cases():
+    rng = random.Random(17)
+    for i in range(6):
+        xs = rng.sample(range(-9, 10), rng.randint(2, 7))
+        if i % 2:
+            xs = sorted(set(xs) | {0})
+        yield f"int{i}", integers(xs), None
+    for p in (7, 13, 31):
+        for t in range(1, 13):
+            if (p - 1) % t == 0:
+                yield f"subgroup({p},{t})", subgroup(p, t).members, p
+    for i in range(4):
+        yield f"mod101_{i}", residues(rng.sample(range(101), rng.randint(2, 7)), 101), 101
+    for i in range(4):
+        pts = {(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(2, 6))}
+        yield f"z2_{i}", vectors(pts, 2), None
+
+
+@pytest.mark.parametrize("a, modulus", [c[1:] for c in _alpha_cases()], ids=[c[0] for c in _alpha_cases()])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dim_alpha_value_and_witness_match_full_enumeration(a, modulus, k):
+    xs = a.elements
+    for alpha in (Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(1)):
+        res = dim_alpha_k(a, alpha, k=k)
+        assert res.exact
+        got = (res.value, res.lower_witness.elements)
+        assert got == naive_dim_alpha(xs, alpha, k, modulus), (alpha, got)
+
+
+def test_dim_alpha_zero_beats_an_earlier_singleton():
+    # At alpha * T_k(A) <= 1 every singleton qualifies; {0} has dimension 0
+    # even though (-2,) comes first in (size, elements) order.
+    xs = [-2, 0, 3]
+    a = integers(xs)
+    alpha = Fraction(1, t_k(a, 2).value)
+    res = dim_alpha_k(a, alpha, k=2)
+    assert (res.value, res.lower_witness.elements) == (0, (0,)) == naive_dim_alpha(xs, alpha, 2)
 
 
 def test_dim_alpha_witness_retains_energy():
