@@ -30,6 +30,8 @@ from .groundset import (
     GroundSet,
     IntegerLattice,
     Residues,
+    _decoded,
+    _int_view,
     by_magnitude,
     combination,
 )
@@ -439,11 +441,15 @@ def span_k(s: GroundSet, k: int, size_cap: int | None = None) -> GroundSet:
             stage="span_k",
         )
     amb = s.ambient
-    cur = {amb.zero}
-    for x in s.elements:
-        steps = {c: amb.scale(c, x) for c in range(-k, k + 1)}
-        cur = {amb.add(v, d) for v in cur for d in steps.values()}
-    return GroundSet(amb, tuple(sorted(cur)))
+    steps = [[amb.scale(c, x) for c in range(-k, k + 1)] for x in s.elements]
+    codes, n, decode = _int_view(amb, [(part, "+") for part in steps])
+    cur = {0}
+    for part in codes:
+        if n is None:
+            cur = {v + d for v in cur for d in part}
+        else:
+            cur = {(v + d) % n for v in cur for d in part}
+    return GroundSet(amb, _decoded(sorted(cur), decode))
 
 
 def _min_size_for_span(count: int, k: int) -> int:

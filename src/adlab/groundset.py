@@ -4,15 +4,26 @@ Elements are plain ints (rank-1 integer lattice and residue rings) or tuples
 of ints (lattices of rank >= 2).  All counts are exact Python integers; the
 only floating point in this module is none at all.
 
-Lattice coordinates are kept inside the signed 64-bit range and every
-arithmetic step is checked, because a silently wrapped coordinate would
-corrupt dissociativity verdicts downstream.
+Lattice coordinates are kept inside the signed 64-bit range, because a
+silently wrapped coordinate would corrupt dissociativity verdicts
+downstream.  Single ambient operations check their result.  Bulk sums
+(``sumset``, ``rep_fn``, ``translate``, ``span_k``) add plain ints instead:
+``_int_view`` maps each part of a signed sum onto ints (elements on the
+line, residues mod N, mixed-radix packed vectors on Z^r) and checks int64
+once, on the per-coordinate extremes of every prefix of the parts, before
+any sum is formed.  Each partial sum lies between those extremes and both
+extremes are reached, so the check raises exactly when checking every
+partial sum would.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from operator import add, mul
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -238,21 +249,127 @@ def by_magnitude(ambient: Ambient, elems: Iterable[Element], descending: bool = 
 # Set algebra
 
 
+def _int_view(ambient: Ambient, parts: Sequence[tuple[Sequence[Element], str]]):
+    """Plain-int codes for the parts of a signed sum, and their decoder.
+
+    ``parts`` holds nonempty (elements, sign) pairs.  Returns (codes,
+    modulus, decode): codes[j] holds the ints of part j in its element
+    order, with its sign applied.  One code from every part, added (mod
+    ``modulus`` when it is not None), is the code of the ambient sum, and
+    ``decode`` maps a list of such codes back to their sums; None means the
+    codes are the elements themselves.
+
+    On the line a code is the signed element, and mod N the signed residue.
+    On Z^r a vector v of part j packs to sum_i (v_i - lo_ji) * W_i (Kronecker
+    substitution), where lo_ji is coordinate i's minimum over part j, and the
+    mixed-radix weights are W_{r-1} = 1 and W_{i-1} = W_i * (s_i + 1), with
+    s_i the spread of coordinate i over the sums of all parts.  No digit
+    carries, so the packing is injective on those sums and orders them as
+    tuples.
+
+    Before returning, int64 is checked on every prefix of the parts: the
+    sums of its per-coordinate minima, then of its maxima.  The first one
+    outside the range is the value the error names.
+    """
+    if isinstance(ambient, Residues):
+        n = ambient.modulus
+        return [e if s == "+" else [-y % n for y in e] for e, s in parts], n, None
+    if ambient.rank == 1:
+        codes = [e if s == "+" else [-y for y in e] for e, s in parts]
+        lo = hi = 0
+        for part in codes:
+            lo += min(part)
+            hi += max(part)
+            if lo < INT64_MIN or hi > INT64_MAX:
+                _check64(lo)
+                _check64(hi)
+        return codes, None, None
+    signed = [e if s == "+" else [tuple(-v for v in y) for y in e] for e, s in parts]
+    lows = [tuple(map(min, zip(*part))) for part in signed]
+    lo_sum = hi_sum = (0,) * ambient.rank
+    for part, lo in zip(signed, lows):
+        lo_sum = tuple(map(add, lo_sum, lo))
+        hi_sum = tuple(map(add, hi_sum, map(max, zip(*part))))
+        if min(lo_sum) < INT64_MIN or max(hi_sum) > INT64_MAX:
+            for value in lo_sum + hi_sum:
+                _check64(value)
+    weights = [1]
+    for lo, hi in zip(lo_sum[:0:-1], hi_sum[:0:-1]):
+        weights.append(weights[-1] * (hi - lo + 1))
+    weights.reverse()
+    codes = []
+    for part, lo in zip(signed, lows):
+        shift = sum(map(mul, lo, weights))
+        codes.append([sum(map(mul, y, weights)) - shift for y in part])
+
+    def decode(codes: list) -> list:
+        columns = []
+        for w, lo in zip(weights[:-1], lo_sum):
+            columns.append([c // w + lo for c in codes])
+            codes = [c % w for c in codes]
+        columns.append([c + lo_sum[-1] for c in codes])
+        return list(zip(*columns))
+
+    return codes, None, decode
+
+
+def _decoded(codes: list, decode) -> tuple:
+    return tuple(codes if decode is None else decode(codes))
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _set_bits(bits: int, base: int) -> list:
+    """base + i for every set bit i of ``bits``, ascending."""
+    flags = bin(bits)[:1:-1].encode().translate(_BIT_BYTES)
+    return list(compress(range(base, base + len(flags)), flags))
+
+
 def sumset(a: GroundSet, b: GroundSet, sign: str = "+", size_cap: int | None = None) -> GroundSet:
-    """A + B or A - B as a ground set."""
+    """A + B or A - B as a ground set.
+
+    With at least one pair per four slots of the sums' index range (at
+    most ``DENSE_RANGE_LIMIT`` slots), B's shifts of A's bitset are OR-ed;
+    otherwise the sums of each row of A are collected, checking the cap
+    after every row.  Either way the cap raises iff |A +- B| > cap.
+    """
     amb = _require_same_ambient(a, b)
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    op = amb.add if sign == "+" else amb.sub
-    out = set()
-    for x in a.elements:
-        for y in b.elements:
-            out.add(op(x, y))
-        if size_cap is not None and len(out) > size_cap:
+    if not a.elements or not b.elements:
+        return GroundSet(amb, ())
+    (xs, ys), n, decode = _int_view(amb, [(a.elements, "+"), (b.elements, sign)])
+    lo_x = lo_y = 0
+    if n is None:
+        lo_x, lo_y = min(xs), min(ys)
+        span = max(xs) - lo_x + max(ys) - lo_y + 1
+    else:
+        span = n
+    if span <= DENSE_RANGE_LIMIT and len(xs) * len(ys) * 4 >= span:
+        row = 0
+        for x in xs:
+            row |= 1 << (x - lo_x)
+        bits = 0
+        for y in ys:
+            bits |= row << (y - lo_y)
+        if n is not None:
+            bits = (bits & ((1 << n) - 1)) | (bits >> n)
+        if size_cap is not None and bits.bit_count() > size_cap:
             raise SizeCapExceededError(
                 f"sumset exceeds cap {size_cap}", cap=size_cap, stage="sumset"
             )
-    return GroundSet(amb, tuple(sorted(out)))
+        codes = _set_bits(bits, lo_x + lo_y)
+    else:
+        out: set = set()
+        for x in xs:
+            out.update([x + y for y in ys] if n is None else [(x + y) % n for y in ys])
+            if size_cap is not None and len(out) > size_cap:
+                raise SizeCapExceededError(
+                    f"sumset exceeds cap {size_cap}", cap=size_cap, stage="sumset"
+                )
+        codes = sorted(out)
+    return GroundSet(amb, _decoded(codes, decode))
 
 
 def dilate(a: GroundSet, lam: int) -> GroundSet:
@@ -266,7 +383,11 @@ def translate(a: GroundSet, x: Element) -> GroundSet:
     """A + x elementwise."""
     amb = a.ambient
     x = amb.validate(x)
-    return GroundSet.of(amb, (amb.add(e, x) for e in a.elements))
+    if not a.elements:
+        return GroundSet(amb, ())
+    (es, (d,)), n, decode = _int_view(amb, [(a.elements, "+"), ((x,), "+")])
+    codes = sorted([e + d for e in es] if n is None else [(e + d) % n for e in es])
+    return GroundSet(amb, _decoded(codes, decode))
 
 
 def iterated_sumset(
@@ -307,58 +428,65 @@ class RepFn:
         return sum(c * c for c in self.entries.values())
 
 
-def _convolve_dict(entries: dict, part: GroundSet, sign: str) -> dict:
-    amb = part.ambient
-    op = amb.add if sign == "+" else amb.sub
-    out: dict = {}
+# Array typecodes for the packed counts of a dense convolution, narrowest first.
+_COUNT_TYPES = [(code, array(code).itemsize) for code in "BHIQ"]
+
+# Below this many pairs, setting up the packed arrays costs more than
+# adding the pairs into a dict.
+PACKED_MIN_PAIRS = 256
+
+
+def _packed_product(entries: dict, ints: list, modulus: int | None) -> dict | None:
+    """``_convolve``'s counts by one big-integer product, or None where a dict is better.
+
+    The product needs at least ``PACKED_MIN_PAIRS`` pairs, at least two
+    pairs per slot of the sums' index range, at most ``DENSE_RANGE_LIMIT``
+    slots, and max(counts) * len(ints) below 2^64.  The counts are packed
+    into fixed-width slots of one big integer and multiplied by the
+    indicator of ``ints`` packed the same way; no slot carries, because no
+    count of the product exceeds that bound.
+    """
+    pairs = len(entries) * len(ints)
+    if pairs < PACKED_MIN_PAIRS:
+        return None
+    lo_e, lo_y = (min(entries), min(ints)) if modulus is None else (0, 0)
+    width = max(entries) - lo_e + 1
+    reach = max(ints) - lo_y + 1
+    span = width + reach - 1 if modulus is None else modulus
+    if span > DENSE_RANGE_LIMIT or pairs < 2 * span:
+        return None
+    bits = (max(entries.values()) * len(ints)).bit_length()
+    if bits > 64:
+        return None
+    code, size = next(t for t in _COUNT_TYPES if bits <= 8 * t[1])
+    row = array(code, bytes(size * width))
     for x, c in entries.items():
-        for y in part.elements:
-            z = op(x, y)
-            out[z] = out.get(z, 0) + c
-    return out
+        row[x - lo_e] = c
+    part = array(code, bytes(size * reach))
+    for y in ints:
+        part[y - lo_y] = 1
+    product = int.from_bytes(row.tobytes(), sys.byteorder) * int.from_bytes(
+        part.tobytes(), sys.byteorder
+    )
+    counts = array(code, product.to_bytes(size * (width + reach - 1), sys.byteorder)).tolist()
+    if modulus is None:
+        base = lo_e + lo_y
+        return {base + i: c for i, c in enumerate(counts) if c}
+    high = counts[modulus:]
+    counts = counts[:modulus]
+    counts[: len(high)] = map(add, counts, high)
+    return {i: c for i, c in enumerate(counts) if c}
 
 
-def _convolve_dense_line(entries: dict, part: GroundSet, sign: str) -> dict:
-    """Dense rank-1 convolution over an integer index range."""
-    lo_e = min(entries)
-    hi_e = max(entries)
-    deltas = [y if sign == "+" else -y for y in part.elements]
-    lo = lo_e + min(deltas)
-    hi = hi_e + max(deltas)
-    table = [0] * (hi - lo + 1)
-    for x, c in entries.items():
-        for d in deltas:
-            table[x + d - lo] += c
-    return {lo + i: c for i, c in enumerate(table) if c}
-
-
-def _convolve_dense_cyclic(entries: dict, part: GroundSet, sign: str) -> dict:
-    n = part.ambient.modulus
-    deltas = [y if sign == "+" else n - y for y in part.elements]
-    table = [0] * n
-    for x, c in entries.items():
-        for d in deltas:
-            table[(x + d) % n] += c
-    return {i: c for i, c in enumerate(table) if c}
-
-
-def _convolve(entries: dict, part: GroundSet, sign: str, size_cap: int | None) -> dict:
-    amb = part.ambient
-    if not entries or not part.elements:
-        return {}
-    if isinstance(amb, Residues):
-        if amb.modulus <= DENSE_RANGE_LIMIT and len(entries) * 8 >= amb.modulus:
-            out = _convolve_dense_cyclic(entries, part, sign)
-        else:
-            out = _convolve_dict(entries, part, sign)
-    elif amb.rank == 1:
-        span = max(entries) - min(entries) + part.elements[-1] - part.elements[0] + 1
-        if span <= DENSE_RANGE_LIMIT and len(entries) * 8 >= span:
-            out = _convolve_dense_line(entries, part, sign)
-        else:
-            out = _convolve_dict(entries, part, sign)
-    else:
-        out = _convolve_dict(entries, part, sign)
+def _convolve(entries: dict, ints: list, modulus: int | None, size_cap: int | None) -> dict:
+    """Counts of x + y (mod ``modulus``) over x in ``entries``, with its count, and y in ``ints``."""
+    out = _packed_product(entries, ints, modulus)
+    if out is None:
+        out = {}
+        for x, c in entries.items():
+            for y in ints:
+                z = x + y if modulus is None else (x + y) % modulus
+                out[z] = out.get(z, 0) + c
     if size_cap is not None and len(out) > size_cap:
         raise SizeCapExceededError(
             f"representation support exceeds cap {size_cap}", cap=size_cap, stage="rep_fn"
@@ -380,9 +508,20 @@ def rep_fn(parts: Sequence[tuple[GroundSet, str]], size_cap: int | None = None) 
             raise AmbientMismatchError("rep_fn parts live in different ambients")
         if sign not in ("+", "-"):
             raise ValueError("signs must be '+' or '-'")
-    entries = {amb.zero: 1}
+    # Sums reach only the parts before the first empty one.
+    formed = []
     for gs, sign in parts:
-        entries = _convolve(entries, gs, sign, size_cap)
+        if not gs.elements:
+            break
+        formed.append((gs.elements, sign))
+    codes, n, decode = _int_view(amb, formed)
+    if len(formed) < len(parts):
+        return RepFn(amb, {})
+    entries = {0: 1}
+    for ints in codes:
+        entries = _convolve(entries, ints, n, size_cap)
+    if decode is not None:
+        entries = dict(zip(decode(list(entries)), entries.values()))
     return RepFn(amb, entries)
 
 

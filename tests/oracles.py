@@ -28,8 +28,25 @@ def _total(items, modulus=None):
     return value if modulus is None else value % modulus
 
 
-def naive_sumset(xs, ys):
-    return sorted({x + y for x in xs for y in ys})
+def naive_neg(xs, modulus=None):
+    """-x for each x: ints, residues mod ``modulus``, or int tuples."""
+    return [
+        tuple(-c for c in x) if isinstance(x, tuple) else _total([-x], modulus) for x in xs
+    ]
+
+
+def naive_sumset(xs, ys, modulus=None):
+    """Sorted distinct x + y: ints, residues mod ``modulus``, or int tuples."""
+    return sorted({_total((x, y), modulus) for x in xs for y in ys})
+
+
+def naive_rep(parts, modulus=None):
+    """x -> #tuples with signed sum x, by enumerating every tuple.
+
+    ``parts`` holds (elements, sign) pairs with sign "+" or "-".
+    """
+    signed = [xs if sign == "+" else naive_neg(xs, modulus) for xs, sign in parts]
+    return dict(Counter(_total(tup, modulus) for tup in product(*signed)))
 
 
 def naive_iterated(xs, n, m=0):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adlab import (
+    CoordinateOverflowError,
     PreconditionError,
     SizeCapExceededError,
     additive_energy,
@@ -26,6 +27,13 @@ from oracles import naive_dim_alpha, naive_energy, naive_tk, subsets
 
 # ---------------------------------------------------------------------------
 # T_k against the tuple-counting oracle
+
+
+def test_tk_raises_when_k_fold_sums_leave_int64():
+    # Dense or sparse, sums that leave int64 raise.
+    for xs in ([2**62, 2**62 + 1], [2**62, 2**62 + 10**9]):
+        with pytest.raises(CoordinateOverflowError, match="^coordinate 9223372036854775808 outside"):
+            t_k(integers(xs), 2)
 
 
 def test_tk_frozen_values():

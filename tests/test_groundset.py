@@ -23,12 +23,13 @@ from adlab import (
     residues,
     save_set,
     sigma_k,
+    span_k,
     sumset,
     translate,
     vectors,
 )
 
-from oracles import naive_iterated, naive_sigma, naive_sumset
+from oracles import naive_iterated, naive_neg, naive_rep, naive_sigma, naive_sumset, naive_tk
 
 small_int_sets = st.sets(st.integers(-50, 50), min_size=1, max_size=8)
 
@@ -53,8 +54,55 @@ def test_ambient_mismatch_raises():
 def test_overflow_guard():
     with pytest.raises(CoordinateOverflowError):
         integers([2**63])
-    with pytest.raises(CoordinateOverflowError):
+    with pytest.raises(CoordinateOverflowError, match="^coordinate 9223372036854775808 outside"):
         sumset(integers([2**62]), integers([2**62]))
+
+
+MAX64 = 2**63 - 1
+MIN64 = -(2**63)
+
+
+def test_sums_at_the_int64_bounds_pass_and_one_step_beyond_raises():
+    top = integers([2**62])
+    assert sumset(top, integers([2**62 - 1])).elements == (MAX64,)
+    assert sumset(top, integers([-(2**62) + 1]), "-").elements == (MAX64,)
+    assert rep_fn([(top, "+"), (integers([2**62 - 1]), "+")]).entries == {MAX64: 1}
+    assert translate(top, 2**62 - 1).elements == (MAX64,)
+    bottom = integers([-(2**62)])
+    assert sumset(bottom, bottom).elements == (MIN64,)
+    assert rep_fn([(bottom, "+"), (integers([2**62]), "-")]).entries == {MIN64: 1}
+    assert span_k(integers([2**62 - 1]), 2).elements[-1] == 2**63 - 2
+    corner = translate(vectors([(2**62, -(2**62))], 2), (2**62 - 1, -(2**62)))
+    assert corner.elements == ((MAX64, MIN64),)
+    beyond = [
+        lambda: sumset(top, top),
+        lambda: sumset(top, integers([-(2**62)]), "-"),
+        lambda: sumset(bottom, integers([-(2**62) - 1])),
+        lambda: sumset(bottom, integers([2**62 + 1]), "-"),
+        lambda: rep_fn([(top, "+"), (top, "+")]),
+        lambda: rep_fn([(bottom, "+"), (integers([2**62 + 1]), "-")]),
+        lambda: translate(top, 2**62),
+        lambda: translate(vectors([(0, -(2**62))], 2), (0, -(2**62) - 1)),
+        lambda: span_k(integers([2**62]), 2),
+        lambda: span_k(vectors([(1, 2**62)], 2), 2),
+        # t_k(A, 2) on two adjacent elements, a dense range
+        lambda: rep_fn([(integers([2**62, 2**62 + 1]), "+")] * 2),
+    ]
+    for call in beyond:
+        with pytest.raises(CoordinateOverflowError):
+            call()
+
+
+def test_an_overflowing_prefix_raises_even_when_the_whole_sum_fits():
+    top = integers([2**62])
+    # 2^62 + 2^62 - 2^62 fits, but its first two parts already leave int64.
+    with pytest.raises(CoordinateOverflowError, match="^coordinate 9223372036854775808 outside"):
+        rep_fn([(top, "+"), (top, "+"), (top, "-")])
+    assert rep_fn([(top, "+"), (top, "-"), (top, "+")]).entries == {2**62: 1}
+    # No sum reaches a part after an empty one, but the parts before it are summed.
+    assert rep_fn([(top, "+"), (integers([]), "+"), (top, "+")]).entries == {}
+    with pytest.raises(CoordinateOverflowError):
+        rep_fn([(top, "+"), (top, "+"), (integers([]), "+")])
 
 
 @settings(max_examples=60, deadline=None)
@@ -63,6 +111,78 @@ def test_sumset_matches_naive(xs, ys):
     a, b = integers(xs), integers(ys)
     assert list(sumset(a, b).elements) == naive_sumset(xs, ys)
     assert list(sumset(a, b, "-").elements) == naive_sumset(xs, [-y for y in ys])
+
+
+AMBIENT_KINDS = ("line", "mod", "z2", "z3")
+
+
+@st.composite
+def ambient_sets(draw, kind, count, max_size):
+    """``count`` nonempty sets in one ambient of the kind, and its modulus."""
+    if kind == "line":
+        amb, elem, modulus = IntegerLattice(1), st.integers(-12, 12), None
+    elif kind == "mod":
+        modulus = draw(st.integers(2, 13))
+        amb, elem = Residues(modulus), st.integers(0, modulus - 1)
+    else:
+        rank = int(kind[1])
+        amb, elem, modulus = IntegerLattice(rank), st.tuples(*[st.integers(-3, 3)] * rank), None
+    sets = [
+        GroundSet.of(amb, draw(st.lists(elem, min_size=1, max_size=max_size)))
+        for _ in range(count)
+    ]
+    return sets, modulus
+
+
+@pytest.mark.parametrize("kind", AMBIENT_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sumset_matches_naive_in_every_ambient(kind, data):
+    (a, b), modulus = data.draw(ambient_sets(kind, 2, 12))
+    xs, ys = a.elements, b.elements
+    assert list(sumset(a, b).elements) == naive_sumset(xs, ys, modulus)
+    assert list(sumset(a, b, "-").elements) == naive_sumset(xs, naive_neg(ys, modulus), modulus)
+
+
+@pytest.mark.parametrize("kind", AMBIENT_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_size_cap_raises_iff_the_sumset_exceeds_it(kind, data):
+    (a, b), modulus = data.draw(ambient_sets(kind, 2, 12))
+    sign = data.draw(st.sampled_from("+-"))
+    cap = data.draw(st.integers(0, 60))
+    ys = b.elements if sign == "+" else naive_neg(b.elements, modulus)
+    size = len(naive_sumset(a.elements, ys, modulus))
+    if size > cap:
+        with pytest.raises(SizeCapExceededError):
+            sumset(a, b, sign, size_cap=cap)
+    else:
+        assert len(sumset(a, b, sign, size_cap=cap)) == size
+
+
+@pytest.mark.parametrize("kind", AMBIENT_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rep_fn_matches_naive_in_every_ambient(kind, data):
+    count = data.draw(st.integers(1, 4))
+    sets, modulus = data.draw(ambient_sets(kind, count, 6))
+    signs = data.draw(st.lists(st.sampled_from("+-"), min_size=count, max_size=count))
+    parts = list(zip(sets, signs))
+    want = naive_rep([(gs.elements, sign) for gs, sign in parts], modulus)
+    assert rep_fn(parts).entries == want
+    a = sets[0]
+    assert rep_fn([(a, "+")] * count).square_sum() == naive_tk(a.elements, count, modulus)
+
+
+def test_sumset_dense_and_sparse_paths_agree():
+    # 60 residues mod 1009 and an interval take the bitset; a wide set the rows.
+    cyc = residues(range(0, 1009, 17), 1009)
+    line = integers(range(-40, 41, 3))
+    wide = integers([1, 10**6, 3 * 10**6])
+    plane = vectors([(x, y) for x in range(-3, 4) for y in range(-2, 3)], 2)
+    for a, modulus in ((cyc, 1009), (line, None), (wide, None), (plane, None)):
+        for sign, ys in (("+", a.elements), ("-", naive_neg(a.elements, modulus))):
+            assert list(sumset(a, a, sign).elements) == naive_sumset(a.elements, ys, modulus)
 
 
 @settings(max_examples=30, deadline=None)
@@ -89,6 +209,8 @@ def test_dilate_translate():
     assert dilate(a, 3).elements == (3, 6, 12)
     assert dilate(a, -1).elements == (-4, -2, -1)
     assert translate(a, 10).elements == (11, 12, 14)
+    assert translate(residues([1, 5], 7), 3).elements == (1, 4)
+    assert translate(vectors([(0, 1), (1, -1)], 2), (-1, 2)).elements == ((-1, 3), (0, 1))
     with pytest.raises(Exception):
         dilate(a, 0)
 
@@ -119,6 +241,22 @@ def test_rep_fn_counts():
     assert r.entries == {0: 1, 1: 2, 2: 1}
     r2 = rep_fn([(a, "+"), (a, "-")])
     assert r2.entries == {-1: 1, 0: 2, 1: 1}
+
+
+def test_rep_fn_counts_past_64_bits():
+    # Counts widen from one byte to 64 bits per packed slot, then leave the
+    # packed product for the dict once they could pass 2^64.
+    parts = 20
+    coeffs = [1]
+    for _ in range(parts):
+        coeffs = [
+            sum(coeffs[i - d] for d in range(16) if 0 <= i - d < len(coeffs))
+            for i in range(len(coeffs) + 15)
+        ]
+    assert max(coeffs) > 2**64
+    assert rep_fn([(integers(range(16)), "+")] * parts).entries == dict(enumerate(coeffs))
+    group = residues(range(31), 31)
+    assert rep_fn([(group, "+")] * 14).entries == {r: 31**13 for r in range(31)}
 
 
 def test_mult_embed_roundtrip():
