@@ -32,6 +32,7 @@ from .groundset import (
     GroundSet,
     IntegerLattice,
     RepFn,
+    _int_view,
     by_magnitude,
     mult_embed,
     rep_fn,
@@ -605,13 +606,11 @@ def dec_tk(
 # Sidon-type extraction
 
 
-def _h_fold_ok(elems: Sequence, h: int, amb) -> bool:
-    """True when all h-multiset sums over elems are distinct."""
+def _h_fold_ok(codes: Sequence[int], h: int, modulus: Optional[int]) -> bool:
+    """True when all h-multiset sums of the int codes are distinct (mod modulus)."""
     seen = set()
-    for tup in combinations_with_replacement(elems, h):
-        total = tup[0]
-        for x in tup[1:]:
-            total = amb.add(total, x)
+    for tup in combinations_with_replacement(codes, h):
+        total = sum(tup) if modulus is None else sum(tup) % modulus
         if total in seen:
             return False
         seen.add(total)
@@ -632,7 +631,9 @@ def sidon_extract(
     prime-exponent embedding.  Exact mode performs a depth-first search
     over the (downward-closed) family of B_h[1] subsets and is limited to
     |A| <= 20; greedy mode inserts elements in ascending order and keeps
-    an element whenever it does not break the property.
+    an element whenever it does not break the property.  The sums are
+    formed on ``_int_view`` codes, so int64 is checked once, on the h-fold
+    extremes, before the search starts.
     """
     if h < 2:
         raise PreconditionError("h must be at least 2")
@@ -653,14 +654,18 @@ def sidon_extract(
     amb = a.ambient
     meter = as_meter(budget)
     elems = by_magnitude(amb, a.elements)
+    if not elems:
+        return a
+    part_codes, n, _decode = _int_view(amb, [(elems, "+")] * h)
+    codes = part_codes[0]  # the h parts are identical, and so are their codes
 
     if mode == "greedy":
         kept: list = []
-        for x in elems:
+        for i, code in enumerate(codes):
             meter.tick(len(kept) ** (h - 1) + 1)
-            if _h_fold_ok(kept + [x], h, amb):
-                kept.append(x)
-        return GroundSet.of(amb, kept)
+            if _h_fold_ok([codes[j] for j in kept] + [code], h, n):
+                kept.append(i)
+        return GroundSet.of(amb, [elems[i] for i in kept])
 
     best: list = []
 
@@ -672,13 +677,13 @@ def sidon_extract(
         if len(chosen) + (len(elems) - start) <= len(best):
             return
         for i in range(start, len(elems)):
-            cand = chosen + [elems[i]]
+            cand = chosen + [i]
             meter.tick(len(cand) ** h // max(1, h) + 1)
-            if _h_fold_ok(cand, h, amb):
+            if _h_fold_ok([codes[j] for j in cand], h, n):
                 dfs(i + 1, cand)
 
     dfs(0, [])
-    return GroundSet.of(amb, best)
+    return GroundSet.of(amb, [elems[i] for i in best])
 
 
 # ---------------------------------------------------------------------------

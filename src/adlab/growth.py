@@ -27,6 +27,7 @@ from .groundset import (
     GroundSet,
     IntegerLattice,
     Residues,
+    _check64,
     by_magnitude,
     iterated_sumset,
     sumset,
@@ -487,7 +488,8 @@ def freiman_model(
     if m0 < 2:
         raise PreconditionError("modulus must be at least 2")
     max_abs = max((abs(x) for x in a.elements), default=0)
-    p = int(sympy.nextprime(2 * l * max_abs + l + 1))
+    # The model lives mod p, so p is held to the 64-bit range of every coordinate.
+    p = _check64(int(sympy.nextprime(2 * l * max_abs + l + 1)))
     width = -(-p // l)  # ceil(p / l)
     rng = random.Random(seed)
     lams = list(range(1, p))

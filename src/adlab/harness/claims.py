@@ -7,10 +7,16 @@ come from asymptotic statements whose absolute constants are unspecified;
 they are never pass/fail, the suite just measures the constant each
 instance implies and aggregates.
 
-Every evaluator degrades politely outside its feasible envelope (the
-default desk scale: energies up to |A| = 64, exact dimension work up to
-|A| = 24, subgroup sweeps up to p = 10^4) by emitting a record whose note
-starts with "skipped:".
+``evaluate_claim`` owns the rules every claim shares.  The empty set, a
+sumset or product set above SUMSET_CAP (200 000) elements, an exhausted
+budget and a coordinate outside the signed 64-bit range each give one
+record noted "skipped: ..."; a certificate, witness or partition that fails
+its re-verification gives one violated hard record, whatever the claim's
+class.  An evaluator words only the skips of its own envelope: energies up
+to |A| = 64, amplified-order dimensions on compact sets (|A| <= 32 with
+diameter or modulus <= 5 000, |A| <= 20 on Z^r), subset-sum cube searches
+of 400 000 states, subgroup sweeps up to p = 10 000, and the bounds its
+skip notes name.
 """
 
 from __future__ import annotations
@@ -61,7 +67,6 @@ from ..modular import fourier_max, subgroup_growth_experiment, verify_dirichlet_
 from ..records import ClaimRecord
 
 MAX_ENERGY_SIZE = 64
-MAX_EXACT_DIM_SIZE = 24
 MAX_SUBGROUP_P = 10_000
 SUMSET_CAP = 200_000
 # Line-bitset states cost memory proportional to k * sum|a|, so claims that
@@ -108,17 +113,7 @@ def _retag(claim: Claim, instance, inner_records, only_prefix: str, exact: bool 
         measured = dict(r.measured)
         if r.claim != claim.id:
             measured["variant"] = r.claim
-        out.append(
-            ClaimRecord(
-                claim=claim.id,
-                klass=claim.klass,
-                instance=instance,
-                measured=measured,
-                fitted_constant=r.fitted_constant,
-                violated=r.violated,
-                note=r.note,
-            )
-        )
+        out.append(_rec(claim, instance, measured, r.fitted_constant, r.violated, r.note))
     return out
 
 
@@ -203,12 +198,7 @@ def clear_caches() -> None:
 
 
 def _ev_growth_monotone(claim, a, inst, budget):
-    if not a:
-        return _skip(claim, inst, "empty set")
-    try:
-        sizes = [len(_fact(_nA, a, n)) for n in range(1, 5)]
-    except SizeCapExceededError:
-        return _skip(claim, inst, "iterated sumset exceeds the size cap")
+    sizes = [len(_fact(_nA, a, n)) for n in range(1, 5)]
     ok = all(sizes[i] <= sizes[i + 1] for i in range(len(sizes) - 1))
     measured = {"sizes": sizes}
     if isinstance(a.ambient, IntegerLattice):
@@ -221,15 +211,10 @@ def _ev_growth_monotone(claim, a, inst, budget):
 
 
 def _ev_pluennecke(claim, a, inst, budget):
-    if not a:
-        return _skip(claim, inst, "empty set")
-    try:
-        two = _fact(_nA, a, 2)
-        three = _fact(_nA, a, 3)
-        diff = sumset(a, a, "-", size_cap=SUMSET_CAP)
-        two_minus_one = sumset(two, a, "-", size_cap=SUMSET_CAP)
-    except SizeCapExceededError:
-        return _skip(claim, inst, "sumsets exceed the size cap")
+    two = _fact(_nA, a, 2)
+    three = _fact(_nA, a, 3)
+    diff = sumset(a, a, "-", size_cap=SUMSET_CAP)
+    two_minus_one = sumset(two, a, "-", size_cap=SUMSET_CAP)
     s1, s2, s3 = len(a), len(two), len(three)
     checks = {
         # |nA| <= (|2A|/|A|)^n |A|, cross-multiplied to stay in integers
@@ -246,18 +231,13 @@ def _ev_pluennecke(claim, a, inst, budget):
 
 
 def _ev_sigma_cover(claim, a, inst, budget):
-    if not a:
-        return _skip(claim, inst, "empty set")
     if len(a) > 48:
         return _skip(claim, inst, "set too large for the layered subset-sum scan")
     k = min(3, len(a))
-    try:
-        sig = sigma_k(a, k, size_cap=SUMSET_CAP)
-        a0 = a.union(GroundSet.of(a.ambient, [a.ambient.zero]))
-        cover = _fact(_nA, a0, k)
-        ka = _fact(_nA, a, k)
-    except SizeCapExceededError:
-        return _skip(claim, inst, "sumsets exceed the size cap")
+    sig = sigma_k(a, k, size_cap=SUMSET_CAP)
+    a0 = a.union(GroundSet.of(a.ambient, [a.ambient.zero]))
+    cover = _fact(_nA, a0, k)
+    ka = _fact(_nA, a, k)
     checks = {
         "inside_k_fold_cover": set(sig.elements) <= set(cover.elements),
         "at_least_singletons": len(sig) >= len(a),
@@ -268,16 +248,11 @@ def _ev_sigma_cover(claim, a, inst, budget):
 
 
 def _ev_hoelder(claim, a, inst, budget):
-    if not a:
-        return _skip(claim, inst, "empty set")
     if len(a) > MAX_ENERGY_SIZE:
         return _skip(claim, inst, f"energies are capped at |A| = {MAX_ENERGY_SIZE}")
     t1, t2, t3 = len(a), _fact(t_k, a, 2, "+").value, _fact(t_k, a, 3, "+").value
-    try:
-        two = _fact(_nA, a, 2)
-        three = _fact(_nA, a, 3)
-    except SizeCapExceededError:
-        return _skip(claim, inst, "sumsets exceed the size cap")
+    two = _fact(_nA, a, 2)
+    three = _fact(_nA, a, 3)
     checks = {
         "log_convex_2": t2 * t2 <= t1 * t3,
         "cauchy_schwarz_2": t1 ** 4 <= len(two) * t2,
@@ -294,8 +269,6 @@ def _ev_hoelder(claim, a, inst, budget):
 
 
 def _ev_dim_chain(claim, a, inst, budget):
-    if not a:
-        return _skip(claim, inst, "empty set")
     # The greedy maximal witness W is 1-dissociated, so it bounds dim from
     # below and feeds the d* counting bound; it also spans A with
     # coefficients in [-1,1] (every rejected element closed a relation), so
@@ -332,8 +305,6 @@ def _ev_dim_chain(claim, a, inst, budget):
 
 
 def _ev_dim_counting(claim, a, inst, budget):
-    if not a:
-        return _skip(claim, inst, "empty set")
     db1 = _fact(dim_bounds, a, 1, budget=budget)
     d1 = _dim_used(db1)
     checks = {"box_k1": 3**d1 >= len(a)}
@@ -368,8 +339,6 @@ def _ev_dim_counting(claim, a, inst, budget):
 
 
 def _ev_energy_dim_lower(claim, a, inst, budget):
-    if not a:
-        return _skip(claim, inst, "empty set")
     if len(a) > MAX_ENERGY_SIZE:
         return _skip(claim, inst, f"energies are capped at |A| = {MAX_ENERGY_SIZE}")
     db = _fact(dim_bounds, a, 1, budget=budget)
@@ -390,50 +359,42 @@ def _ev_dirichlet(claim, a, inst, budget):
         modulus = 101
     else:
         return _skip(claim, inst, "needs residues or rank-1 integers")
-    if not a:
-        return _skip(claim, inst, "empty set")
     rep = _fact(verify_dirichlet_dim, a, s=2, modulus=modulus, budget=budget)
     return _retag(claim, inst, rep.records, "dirichlet_dim_lower", exact=True) or _skip(
         claim, inst, "bound degenerate on this instance"
     )
 
 
-def _ev_split_block(claim, a, inst, budget):
-    if not a:
-        return _skip(claim, inst, "empty set")
-    if not _compact_for_amplified_k(a):
-        return _skip(claim, inst, "set too wide for amplified-order dimension work")
-    try:
+def _ev_growth_bounds(prefix: str, degenerate: str = "window degenerate at this size"):
+    """Records of the instance's growth-bounds experiment whose claim starts with prefix."""
+
+    def ev(claim, a, inst, budget):
+        if not _compact_for_amplified_k(a):
+            return _skip(claim, inst, "set too wide for amplified-order dimension work")
         rep = _fact(verify_growth_bounds, a, n_max=4, k=1, budget=budget)
-    except SizeCapExceededError as exc:
-        return _skip(claim, inst, f"size cap: {exc}")
-    recs = _retag(claim, inst, rep.records, "split_block_growth")
-    if not recs:
-        return _skip(claim, inst, "certified dimension below 4; no eligible (n, m)")
-    return recs
+        return _retag(claim, inst, rep.records, prefix) or _skip(claim, inst, degenerate)
+
+    return ev
 
 
-def _shift_experiment(a: GroundSet, budget):
-    """The one shift experiment per instance; zero is always its first shift."""
-    amb = a.ambient
-    if isinstance(amb, Residues):
-        shifts = tuple(dict.fromkeys(x % amb.modulus for x in (0, 1, 2, amb.modulus - 1)))
-    elif amb.rank == 1:
-        shifts = (0, 1, -1, 7)
-    else:
-        shifts = (amb.zero, tuple(1 if i == 0 else 0 for i in range(amb.rank)))
-    return _fact(dim_shift_ratio, a, shifts, k=1, budget=budget)
+def _ev_shift(prefix: str):
+    """Records of the one shift experiment per instance; zero is always its first shift."""
 
+    def ev(claim, a, inst, budget):
+        amb = a.ambient
+        if isinstance(amb, Residues):
+            shifts = tuple(dict.fromkeys(x % amb.modulus for x in (0, 1, 2, amb.modulus - 1)))
+        elif amb.rank == 1:
+            shifts = (0, 1, -1, 7)
+        else:
+            shifts = (amb.zero, tuple(1 if i == 0 else 0 for i in range(amb.rank)))
+        rep = _fact(dim_shift_ratio, a, shifts, k=1, budget=budget)
+        return _retag(claim, inst, rep.records, prefix)
 
-def _ev_shift_zero(claim, a, inst, budget):
-    if not a:
-        return _skip(claim, inst, "empty set")
-    return _retag(claim, inst, _shift_experiment(a, budget).records, "shift_zero_fixed")
+    return ev
 
 
 def _ev_witness_reverify(claim, a, inst, budget):
-    if not a:
-        return _skip(claim, inst, "empty set")
     checks = {}
     measured = {}
     w = _fact(max_dissociated_greedy, a, 1, budget=budget)
@@ -461,7 +422,7 @@ def _ev_witness_reverify(claim, a, inst, budget):
 def _ev_freiman(claim, a, inst, budget):
     if not _is_rank1_ints(a):
         return _skip(claim, inst, "needs rank-1 integers")
-    if not a or len(a) > 10:
+    if len(a) > 10:
         return _skip(claim, inst, "model search is kept to |A| <= 10")
     if a.diameter() and max(abs(x) for x in a.elements) > 50:
         return _skip(claim, inst, "elements too large for the dilation sweep")
@@ -492,25 +453,18 @@ def _ev_freiman(claim, a, inst, budget):
 def _ev_ratio_box_inclusion(claim, a, inst, budget):
     if not _is_rank1_ints(a):
         return _skip(claim, inst, "needs rank-1 integers")
-    if not a or len(a) > 24:
+    if len(a) > 24:
         return _skip(claim, inst, "pair scan is kept to |A| <= 24")
     rb = _fact(ratio_box, a)
     mags = sorted({abs(x - y) for x in a.elements for y in a.elements if x != y})
     ratios = {Fraction(d1, d2) for d1 in mags for d2 in mags}
-    ok = True
-    for y in range(1, rb.n + 1):
-        for x in range(1, rb.n + 1):
-            if Fraction(x, y) not in ratios:
-                ok = False
-    if rb.missing is not None and rb.missing in ratios:
-        ok = False
+    box = range(1, rb.n + 1)
+    ok = all(Fraction(x, y) in ratios for y in box for x in box) and rb.missing not in ratios
     measured = {"n": rb.n, "missing": rb.missing, "ratio_count": rb.ratio_count}
     return [_rec(claim, inst, measured, violated=not ok)]
 
 
 def _ev_sidon_property(claim, a, inst, budget):
-    if not a:
-        return _skip(claim, inst, "empty set")
     if isinstance(a.ambient, IntegerLattice) and a.ambient.rank > 1:
         return _skip(claim, inst, "kept to rank-1 and residue sets")
     b = _fact(sidon_extract, a, h=2, budget=budget)
@@ -529,9 +483,7 @@ def _ev_sidon_property(claim, a, inst, budget):
 
 
 def _ev_decomposition(claim, a, inst, budget):
-    if not _is_rank1_ints(a):
-        return _skip(claim, inst, "needs rank-1 positive integers")
-    if not a or any(x < 1 for x in a.elements):
+    if not _is_rank1_ints(a) or any(x < 1 for x in a.elements):
         return _skip(claim, inst, "needs rank-1 positive integers")
     if len(a) > 32 or max(a.elements) > 10**6:
         return _skip(claim, inst, "decomposition sweep is kept to |A| <= 32, values <= 10^6")
@@ -572,38 +524,19 @@ def _ev_decomposition(claim, a, inst, budget):
 # Fitted claims
 
 
-def _ev_growth_stage(prefix: str):
-    def ev(claim, a, inst, budget):
-        if not a:
-            return _skip(claim, inst, "empty set")
-        if not _compact_for_amplified_k(a):
-            return _skip(claim, inst, "set too wide for amplified-order dimension work")
-        try:
-            rep = _fact(verify_growth_bounds, a, n_max=4, k=1, budget=budget)
-        except SizeCapExceededError as exc:
-            return _skip(claim, inst, f"size cap: {exc}")
-        recs = _retag(claim, inst, rep.records, prefix)
-        return recs or _skip(claim, inst, "window degenerate at this size")
-
-    return ev
-
-
 def _ev_poly_growth(claim, a, inst, budget):
-    if not a or len(a) < 2:
+    if len(a) < 2:
         return _skip(claim, inst, "needs at least two elements")
     if not _compact_for_amplified_k(a):
         return _skip(claim, inst, "set too wide for the growth sweep")
-    try:
-        rep = _fact(polynomial_growth_fit, a, n_max=5, budget=budget)
-    except SizeCapExceededError:
-        return _skip(claim, inst, "iterated sumset exceeds the size cap")
+    rep = _fact(polynomial_growth_fit, a, n_max=5, budget=budget)
     return _retag(claim, inst, rep.records, "poly_growth") or _skip(
         claim, inst, "window degenerate at this size"
     )
 
 
 def _ev_dim_compare(claim, a, inst, budget):
-    if not a or len(a) > 16:
+    if len(a) > 16:
         return _skip(claim, inst, "exact two-parameter dimensions are kept to |A| <= 16")
     d1 = _fact(dim_bounds, a, 1, budget=budget)
     d2 = _fact(dim_bounds, a, 2, budget=budget)
@@ -623,22 +556,27 @@ def _ev_dim_compare(claim, a, inst, budget):
     return out
 
 
+def _amplified_dim(a: GroundSet, budget):
+    """((d, k*, dim bounds at min(k*, 64)), None) for d = dim_1's lower end and
+    k* = round(d log d); (None, the skip reason) when d < 2."""
+    d = _fact(dim_bounds, a, 1, budget=budget).lower
+    if d < 2:
+        return None, "dimension too small for the amplified order"
+    k_star = max(1, round(d * math.log(d)))
+    return (d, k_star, _fact(dim_bounds, a, min(k_star, 64), budget=budget)), None
+
+
 def _ev_small_doubling_dim(claim, a, inst, budget):
-    if not a or len(a) < 4:
+    if len(a) < 4:
         return _skip(claim, inst, "needs |A| >= 4")
     if not _compact_for_amplified_k(a):
         return _skip(claim, inst, "set too wide for amplified-order dimension work")
-    try:
-        two = _fact(_nA, a, 2)
-    except SizeCapExceededError:
-        return _skip(claim, inst, "sumset exceeds the size cap")
+    two = _fact(_nA, a, 2)
     kk = len(two) / len(a)
-    db = _fact(dim_bounds, a, 1, budget=budget)
-    d = db.lower
-    if d < 2:
-        return _skip(claim, inst, "dimension too small for the amplified order")
-    k_star = max(1, round(d * math.log(d)))
-    dks = _fact(dim_bounds, a, min(k_star, 64), budget=budget)
+    amplified, why = _amplified_dim(a, budget)
+    if amplified is None:
+        return _skip(claim, inst, why)
+    d, k_star, dks = amplified
     lnln_a = math.log(max(math.log(len(a)), 1.0001))
     rhs = math.log(len(a)) / lnln_a + kk * math.log(2 * kk) ** 6 * math.log(
         math.log(4 * kk)
@@ -653,41 +591,43 @@ def _ev_small_doubling_dim(claim, a, inst, budget):
 
 
 def _ev_bounded_growth_dim(claim, a, inst, budget):
-    if not a or len(a) < 3:
+    if len(a) < 3:
         return _skip(claim, inst, "needs |A| >= 3")
     if not _compact_for_amplified_k(a):
         return _skip(claim, inst, "set too wide for amplified-order dimension work")
-    try:
-        sizes = [len(_fact(_nA, a, n)) for n in range(1, 5)]
-    except SizeCapExceededError:
-        return _skip(claim, inst, "iterated sumset exceeds the size cap")
+    sizes = [len(_fact(_nA, a, n)) for n in range(1, 5)]
     log_a = math.log(len(a))
     kk = max(math.log(s) / log_a for s in sizes)
     inner = kk * log_a
     if inner <= 1:
         return _skip(claim, inst, "growth exponent degenerate")
-    db = _fact(dim_bounds, a, 1, budget=budget)
-    d = db.lower
-    if d < 2:
-        return _skip(claim, inst, "dimension too small for the amplified order")
-    k_star = max(1, round(d * math.log(d)))
-    dks = _fact(dim_bounds, a, min(k_star, 64), budget=budget)
+    amplified, why = _amplified_dim(a, budget)
+    if amplified is None:
+        return _skip(claim, inst, why)
+    _d, k_star, dks = amplified
     rhs = kk * log_a / math.log(inner)
     measured = {"growth_exponent": kk, "k_star": k_star, "dim_at_k_star": dks.lower}
     return [_rec(claim, inst, measured, fitted=dks.lower / rhs)]
 
 
+def _witness_cube(a: GroundSet, k: int, budget, min_size: int):
+    """(L, Sigma(L), dim_1 bounds of Sigma(L)) for L the 8 largest elements of
+    the greedy k-dissociated witness; None when L has fewer than min_size."""
+    lam = _largest(_fact(max_dissociated_greedy, a, k, budget=budget), 8)
+    if len(lam) < min_size:
+        return None
+    q, _proper = cube(lam)
+    return lam, q, _fact(dim_bounds, q, 1, budget=CUBE_DIM_BUDGET)
+
+
 def _ev_sigma_dim(claim, a, inst, budget):
-    if not a:
-        return _skip(claim, inst, "empty set")
     if not _compact_for_amplified_k(a):
         return _skip(claim, inst, "set too wide for order-2 dissociation states")
-    lam = _largest(_fact(max_dissociated_greedy, a, 2, budget=budget), 8)
-    n = len(lam)
-    if n < 2:
+    witness_cube = _witness_cube(a, 2, budget, min_size=2)
+    if witness_cube is None:
         return _skip(claim, inst, "no 2-dissociated pair to build the subset-sum set")
-    q, _proper = cube(lam)
-    dq = _fact(dim_bounds, q, 1, budget=CUBE_DIM_BUDGET)
+    lam, q, dq = witness_cube
+    n = len(lam)
     upper_ratio = dq.upper / (n * math.log(n))
     lower_ratio = dq.lower / min(n * math.log(n), 2.0)
     measured = {
@@ -701,8 +641,6 @@ def _ev_sigma_dim(claim, a, inst, budget):
 
 
 def _ev_cube_dim_ratio(claim, a, inst, budget):
-    if not a:
-        return _skip(claim, inst, "empty set")
     if not _compact_for_amplified_k(a):
         return _skip(claim, inst, "set too wide for amplified-order dimension work")
     db = _fact(dim_bounds, a, 1, budget=budget)
@@ -710,11 +648,10 @@ def _ev_cube_dim_ratio(claim, a, inst, budget):
     if d < 2:
         return _skip(claim, inst, "needs dimension at least 2")
     k_star = min(64, max(1, round(d * math.log(d))))
-    lam = _largest(_fact(max_dissociated_greedy, a, k_star, budget=budget), 8)
-    if len(lam) < 1:
+    witness_cube = _witness_cube(a, k_star, budget, min_size=1)
+    if witness_cube is None:
         return _skip(claim, inst, "no high-order dissociated subset")
-    q, _proper = cube(lam)
-    dq = _fact(dim_bounds, q, 1, budget=CUBE_DIM_BUDGET)
+    lam, q, dq = witness_cube
     if dq.lower == 0:
         return _skip(claim, inst, "degenerate subset-sum set")
     big_k = dq.upper / d
@@ -729,14 +666,8 @@ def _ev_cube_dim_ratio(claim, a, inst, budget):
     return [_rec(claim, inst, measured, fitted=len(lam) / denom)]
 
 
-def _ev_shift_ratio(claim, a, inst, budget):
-    if not a:
-        return _skip(claim, inst, "empty set")
-    return _retag(claim, inst, _shift_experiment(a, budget).records, "shift_dim_ratio")
-
-
 def _ev_dim_alpha(claim, a, inst, budget):
-    if not a or len(a) > 10:
+    if len(a) > 10:
         return _skip(claim, inst, "exact relative dimension is kept to |A| <= 10")
     k = 2
     alpha = Fraction(1, 2)
@@ -751,8 +682,6 @@ def _ev_dim_alpha(claim, a, inst, budget):
 
 
 def _ev_rudin(claim, a, inst, budget):
-    if not a:
-        return _skip(claim, inst, "empty set")
     lam = _largest(_fact(max_dissociated_greedy, a, 1, budget=budget), 12)
     if len(lam) < 2:
         return _skip(claim, inst, "no dissociated pair")
@@ -778,8 +707,6 @@ def _ev_fourier_dim(claim, a, inst, budget):
 
     if amb.modulus > 4096 or not sympy.isprime(amb.modulus):
         return _skip(claim, inst, "needs a prime modulus <= 4096")
-    if not a:
-        return _skip(claim, inst, "empty set")
     peak = fourier_max(a)
     hyp = peak.max_abs <= len(a) / 4
     measured = {
@@ -797,7 +724,7 @@ def _ev_fourier_dim(claim, a, inst, budget):
 
 
 def _ev_product_set_energy(claim, a, inst, budget):
-    if not _is_rank1_ints(a) or not a or any(x < 1 for x in a.elements):
+    if not _is_rank1_ints(a) or any(x < 1 for x in a.elements):
         return _skip(claim, inst, "needs rank-1 positive integers")
     if len(a) > 48 or max(a.elements) > 10**6:
         return _skip(claim, inst, "product set sweep is kept to |A| <= 48, values <= 10^6")
@@ -817,7 +744,7 @@ def _ev_product_set_energy(claim, a, inst, budget):
 def _ev_product_doubling_dim(claim, a, inst, budget):
     if not isinstance(a.ambient, Residues):
         return _skip(claim, inst, "needs a residue ambient")
-    if not a or 0 in a:
+    if 0 in a:
         return _skip(claim, inst, "needs 0 outside A")
     # The same fact as _ev_dirichlet's on residues.
     rep = _fact(verify_dirichlet_dim, a, s=2, modulus=None, budget=budget)
@@ -826,7 +753,7 @@ def _ev_product_doubling_dim(claim, a, inst, budget):
     )
 
 
-def _mult_dim_lower(a: GroundSet, budget) -> tuple[int, int]:
+def _mult_dim_lower(a: GroundSet, budget) -> int:
     """Certified lower bound for the multiplicative dimension.
 
     Works on a compact subset of the prime-exponent image so the subset-sum
@@ -834,7 +761,7 @@ def _mult_dim_lower(a: GroundSet, budget) -> tuple[int, int]:
     """
     emb = mult_embed(a)
     greedy = _fact(max_dissociated_greedy, _largest(emb.image, 14), 1, budget=budget)
-    return len(greedy), len(emb.primes)
+    return len(greedy)
 
 
 def _ev_sum_product_doubling(claim, a, inst, budget):
@@ -843,15 +770,12 @@ def _ev_sum_product_doubling(claim, a, inst, budget):
     if len(a) > 48 or max(a.elements) > 10**6:
         return _skip(claim, inst, "kept to |A| <= 48, values <= 10^6")
     log_a = math.log(len(a))
-    try:
-        two = _fact(_nA, a, 2)
-        aa = _fact(product_set, a, a, size_cap=SUMSET_CAP)
-    except SizeCapExceededError:
-        return _skip(claim, inst, "sumset or product set exceeds the size cap")
+    two = _fact(_nA, a, 2)
+    aa = _fact(product_set, a, a, size_cap=SUMSET_CAP)
     k_add = len(two) / len(a)
     k_mul = len(aa) / len(a)
     dim_plus = _fact(dim_bounds, a, 1, budget=budget).lower
-    dim_times, _rank = _fact(_mult_dim_lower, a, budget)
+    dim_times = _fact(_mult_dim_lower, a, budget)
     out = []
     if 0 < math.log(k_mul) and math.log(k_mul) < log_a:
         window = log_a * math.log(log_a / math.log(k_mul))
@@ -900,7 +824,7 @@ def _ev_sum_product_dim(claim, a, inst, budget):
     if logloglog <= 0:
         return _skip(claim, inst, "triple logarithm nonpositive")
     dim_plus = _fact(dim_bounds, a, 1, budget=budget).lower
-    dim_times, _rank = _fact(_mult_dim_lower, a, budget)
+    dim_times = _fact(_mult_dim_lower, a, budget)
     denom = log_a * math.sqrt(loglog / logloglog)
     measured = {"dim_plus": dim_plus, "dim_times": dim_times}
     return [
@@ -938,10 +862,7 @@ def _ev_ratio_box_growth(claim, a, inst, budget):
     if len(a) > 24:
         return _skip(claim, inst, "pair scan is kept to |A| <= 24")
     rb = _fact(ratio_box, a)
-    try:
-        two = _fact(_nA, a, 2)
-    except SizeCapExceededError:
-        return _skip(claim, inst, "sumset exceeds the size cap")
+    two = _fact(_nA, a, 2)
     kk = len(two) / len(a)
     if rb.n < 1 or kk <= 1:
         return [
@@ -963,15 +884,22 @@ def _subgroup_params(inst) -> Optional[tuple[int, int]]:
     return None
 
 
+def _subgroup_sweep(inst, budget):
+    """(the subgroup experiment, None) for a subgroup instance, else (None, the skip reason)."""
+    pt = _subgroup_params(inst)
+    if pt is None:
+        return None, "needs a multiplicative subgroup instance"
+    p, t = pt
+    if p is None or p > MAX_SUBGROUP_P:
+        return None, f"subgroup sweeps are capped at p <= {MAX_SUBGROUP_P}"
+    return _fact(subgroup_growth_experiment, p, t, n_max=4, k_max=3, budget=budget), None
+
+
 def _ev_subgroup(prefix: str):
     def ev(claim, a, inst, budget):
-        pt = _subgroup_params(inst)
-        if pt is None:
-            return _skip(claim, inst, "needs a multiplicative subgroup instance")
-        p, t = pt
-        if p is None or p > MAX_SUBGROUP_P:
-            return _skip(claim, inst, f"subgroup sweeps are capped at p <= {MAX_SUBGROUP_P}")
-        rep = _fact(subgroup_growth_experiment, p, t, n_max=4, k_max=3, budget=budget)
+        rep, why = _subgroup_sweep(inst, budget)
+        if rep is None:
+            return _skip(claim, inst, why)
         return _retag(claim, inst, rep.records, prefix) or _skip(
             claim, inst, "degenerate at this size"
         )
@@ -980,13 +908,10 @@ def _ev_subgroup(prefix: str):
 
 
 def _ev_subgroup_coverage(claim, a, inst, budget):
-    pt = _subgroup_params(inst)
-    if pt is None:
-        return _skip(claim, inst, "needs a multiplicative subgroup instance")
-    p, t = pt
-    if p is None or p > MAX_SUBGROUP_P:
-        return _skip(claim, inst, f"subgroup sweeps are capped at p <= {MAX_SUBGROUP_P}")
-    rep = _fact(subgroup_growth_experiment, p, t, n_max=4, k_max=3, budget=budget)
+    rep, why = _subgroup_sweep(inst, budget)
+    if rep is None:
+        return _skip(claim, inst, why)
+    p, t = rep.params["p"], rep.params["t"]
     import sympy
 
     half_cover = rep.measured["half_cover_n"]
@@ -1067,24 +992,24 @@ def _claims() -> dict[str, Claim]:
         ("dim_counting_lower", "hard", "none", "|A| and |kA| against (2k+1)^dim boxes (gcd-corrected at k = 2)", _ev_dim_counting),
         ("energy_dim_lower", "hard", "none", "T_k(A) (2k+1)^dim >= |A|^{2k}", _ev_energy_dim_lower),
         ("dirichlet_dim_lower", "hard", "none", "dim >= s log(N-1)/log(dim * |A|/D) for the Dirichlet minimum D", _ev_dirichlet),
-        ("split_block_growth", "hard", "none", "|nS| (2^n n!)^m >= prod k^n |L_j|^n for split dissociated blocks", _ev_split_block),
-        ("shift_zero_fixed", "hard", "none", "shifting by 0 fixes the set and its dimension bounds", _ev_shift_zero),
+        ("split_block_growth", "hard", "none", "|nS| (2^n n!)^m >= prod k^n |L_j|^n for split dissociated blocks", _ev_growth_bounds("split_block_growth", "certified dimension below 4; no eligible (n, m)")),
+        ("shift_zero_fixed", "hard", "none", "shifting by 0 fixes the set and its dimension bounds", _ev_shift("shift_zero_fixed")),
         ("witness_reverify", "hard", "none", "certificates and witnesses re-verify through their own module", _ev_witness_reverify),
         ("freiman_isomorphism", "hard", "none", "the modular model is a verified Freiman 2-isomorphism", _ev_freiman),
         ("ratio_box_inclusion", "hard", "none", "the reported ratio box is fully realized and the missing ratio is real", _ev_ratio_box_inclusion),
         ("sidon_property", "hard", "none", "extracted B_2[1] subsets have all pair sums distinct", _ev_sidon_property),
         ("decomposition_energy", "hard", "none", "additive/multiplicative split partitions A with matching traced energies", _ev_decomposition),
         # fitted
-        ("growth_stage1", "fitted", "upper", "first growth window: |nA| >= |A| (dim/(C log|A|))^{n-1}", _ev_growth_stage("growth_stage1")),
-        ("growth_stage2", "fitted", "upper", "second growth window: |nA| >= (dim/(C n))^{n-1}", _ev_growth_stage("growth_stage2")),
-        ("growth_stage3", "fitted", "upper", "third growth window at amplified dissociation order", _ev_growth_stage("growth_stage3")),
+        ("growth_stage1", "fitted", "upper", "first growth window: |nA| >= |A| (dim/(C log|A|))^{n-1}", _ev_growth_bounds("growth_stage1")),
+        ("growth_stage2", "fitted", "upper", "second growth window: |nA| >= (dim/(C n))^{n-1}", _ev_growth_bounds("growth_stage2")),
+        ("growth_stage3", "fitted", "upper", "third growth window at amplified dissociation order", _ev_growth_bounds("growth_stage3")),
         ("poly_growth", "fitted", "upper", "polynomial growth exponent against dim_k log dim_k", _ev_poly_growth),
         ("dim_compare", "fitted", "upper", "dim_l against dim_k log_{l+1}(k dim_k)", _ev_dim_compare),
         ("small_doubling_dim", "fitted", "upper", "amplified dim against log|A|/loglog|A| + K log^6(2K) loglog(4K)", _ev_small_doubling_dim),
         ("bounded_growth_dim", "fitted", "upper", "amplified dim against K log|A|/log(K log|A|)", _ev_bounded_growth_dim),
         ("sigma_dissociated_dim", "fitted", "upper", "dim of the subset-sum set of a dissociated block vs n log n", _ev_sigma_dim),
         ("cube_dim_ratio", "fitted", "upper", "dim_k at amplified k against K dim/log dim via the subset-sum cube", _ev_cube_dim_ratio),
-        ("shift_dim_ratio", "fitted", "upper", "worst two-sided dimension ratio under translation", _ev_shift_ratio),
+        ("shift_dim_ratio", "fitted", "upper", "worst two-sided dimension ratio under translation", _ev_shift("shift_dim_ratio")),
         ("dim_alpha_bound", "fitted", "upper", "relative dimension against k/kappa at alpha = 1/2", _ev_dim_alpha),
         ("rudin_constant", "fitted", "upper", "T_k(L)^{1/k}/(k |L|) over verified dissociated sets", _ev_rudin),
         ("fourier_dim", "fitted", "lower", "dim against log p under a flat Fourier spectrum", _ev_fourier_dim),
@@ -1121,24 +1046,22 @@ def get_claim(claim_id: str) -> Claim:
 
 
 def evaluate_claim(claim_id: str, a: GroundSet, instance, budget=None) -> list[ClaimRecord]:
-    """Evaluate one claim on one realized instance.
+    """Evaluate one claim on one realized instance, under the skip rules above.
 
     Calls on the same (set, budget) share stored facts; a call on another
-    one drops them first.  A certificate, witness or partition that fails
-    its re-verification comes back as one violated hard record, whatever
-    the claim's class: a broken certificate fails the run.  An exhausted
-    budget, a coordinate leaving the 64-bit range, or a size cap the
-    evaluator did not handle comes back as one skipped record naming it.
+    one drops them first.  The empty set skips before any evaluator runs.
     """
     global _facts_scope
     claim = get_claim(claim_id)
+    if not a:
+        return _skip(claim, instance, "empty set")
     if _facts_scope != (a, budget):
         _facts.clear()
         _facts_scope = (a, budget)
     try:
         return claim.evaluate(claim, a, instance, budget)
     except BudgetExceededError as exc:
-        return [_rec(claim, instance, {}, note=f"skipped: budget exhausted ({exc})")]
+        return _skip(claim, instance, f"budget exhausted ({exc})")
     except (CoordinateOverflowError, SizeCapExceededError) as exc:
         return _skip(claim, instance, f"{type(exc).__name__}: {exc}")
     except VerificationFailedError as exc:

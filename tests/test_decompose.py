@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from adlab import (
+    CoordinateOverflowError,
     PreconditionError,
     additive_energy,
     beta_decomposition,
@@ -19,6 +20,7 @@ from adlab import (
     sidon_extract,
     sumset,
     t_k,
+    vectors,
 )
 
 from oracles import naive_ratio_box, naive_relation, naive_sidon_max
@@ -209,8 +211,14 @@ def test_dec_tk_records_iterations():
 # Sidon extraction
 
 
-def _is_sidon(xs, h):
-    sums = [sum(t) for t in combinations_with_replacement(sorted(xs), h)]
+def _is_sidon(a, h):
+    """Whether the h-multiset sums of a's elements, added in its ambient, are distinct."""
+    sums = []
+    for tup in combinations_with_replacement(a.elements, h):
+        total = tup[0]
+        for x in tup[1:]:
+            total = a.ambient.add(total, x)
+        sums.append(total)
     return len(sums) == len(set(sums))
 
 
@@ -227,7 +235,7 @@ def test_sidon_exact_matches_oracle():
         for h in (2, 3):
             got = sidon_extract(integers(xs), h)
             assert set(got.elements) <= set(xs)
-            assert _is_sidon(got.elements, h)
+            assert _is_sidon(got, h)
             assert len(got) == naive_sidon_max(xs, h)
 
 
@@ -235,7 +243,49 @@ def test_sidon_greedy_mode_gives_valid_subset():
     xs = sorted(random.Random(23).sample(range(1, 500), 30))
     got = sidon_extract(integers(xs), 2, mode="greedy")
     assert set(got.elements) <= set(xs)
-    assert _is_sidon(got.elements, 2)
+    assert _is_sidon(got, 2)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        integers([-9, -4, 0, 2, 3, 11]),
+        residues([0, 1, 3, 7, 12, 20], 31),
+        residues([1, 2, 3, 4, 5, 6], 7),
+        vectors([(0, 0), (1, 0), (0, 1), (1, 1), (2, -1), (-1, 3)], 2),
+    ],
+)
+def test_sidon_exact_and_greedy_in_every_ambient(a):
+    for h in (2, 3):
+        best = max(
+            r for r in range(len(a) + 1)
+            for sub in combinations(a.elements, r) if _is_sidon(a.restrict(sub), h)
+        )
+        exact = sidon_extract(a, h)
+        assert set(exact.elements) <= set(a.elements) and _is_sidon(exact, h)
+        assert len(exact) == best
+        greedy = sidon_extract(a, h, mode="greedy")
+        assert _is_sidon(greedy, h)
+        # maximal: every element left out breaks the property
+        for x in set(a.elements) - set(greedy.elements):
+            assert not _is_sidon(greedy.union(a.restrict([x])), h)
+
+
+def test_sidon_int64_bounds_and_empty_input():
+    assert sidon_extract(integers([]), 2).elements == ()
+    assert sidon_extract(integers([]), 2, op="*").elements == ()
+    # 2 * (2^62 - 1) and 2 * -2^62 fit in int64; their 3-fold sums do not.
+    assert sidon_extract(integers([1, 2**62 - 1]), 2).elements == (1, 2**62 - 1)
+    assert sidon_extract(integers([-(2**62), 5]), 2).elements == (-(2**62), 5)
+    with pytest.raises(CoordinateOverflowError, match="^coordinate 13835058055282163709 "):
+        sidon_extract(integers([1, 2**62 - 1]), 3)
+    with pytest.raises(CoordinateOverflowError, match="^coordinate -13835058055282163712 "):
+        sidon_extract(integers([-(2**62), 5]), 3)
+    with pytest.raises(CoordinateOverflowError):
+        sidon_extract(integers([1, 2**62]), 2)
+    assert len(sidon_extract(vectors([(0, 2**62 - 1), (1, 0)], 2), 2)) == 2
+    with pytest.raises(CoordinateOverflowError):
+        sidon_extract(vectors([(0, 2**62), (1, 0)], 2), 2)
 
 
 # ---------------------------------------------------------------------------

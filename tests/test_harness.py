@@ -2,6 +2,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import adlab.harness.claims as claims
 from adlab import (
@@ -11,6 +12,7 @@ from adlab import (
     d_k_exact,
     integers,
     residues,
+    vectors,
 )
 from adlab.harness import (
     CORE_INSTANCES,
@@ -291,6 +293,73 @@ def test_claims_skip_on_coordinate_overflow():
     assert [r.note for r in recs] == [
         "skipped: CoordinateOverflowError: coordinate 9223372036854775808 outside signed 64-bit range"
     ]
+
+
+# A modulus above 2^22, where the dissociation search keeps frozenset states.
+WIDE_MODULUS = (1 << 22) + 15
+
+
+@pytest.mark.parametrize(
+    "empty", [integers([]), residues([], 31), residues([], WIDE_MODULUS), vectors([], 2)]
+)
+def test_empty_set_is_one_skip_for_every_claim(empty):
+    for cid in REGISTRY:
+        recs = evaluate_claim(cid, empty, {"generator": "literal"}, budget=20_000)
+        assert [r.note for r in recs] == ["skipped: empty set"], cid
+
+
+@st.composite
+def any_ambient_set(draw):
+    """A set of 0-6 elements on the line, mod N or in Z^2 / Z^3.
+
+    Z^3 coordinates stay in [-1, 1]: wider ones make the frozenset
+    dissociation states take tens of seconds per claim.
+    """
+    kind = draw(st.sampled_from(("line", "mod", "wide_mod", "z2", "z3")))
+    size = dict(max_size=6)
+    if kind == "line":
+        near = st.integers(2**62 - 256, 2**62 + 256)
+        elem = st.one_of(st.integers(-20, 20), near, near.map(lambda x: -x))
+        return integers(draw(st.lists(elem, **size)))
+    if kind in ("mod", "wide_mod"):
+        n = draw(st.integers(2, 64)) if kind == "mod" else WIDE_MODULUS
+        return residues(draw(st.lists(st.integers(0, n - 1), **size)), n)
+    rank, c = (2, 4) if kind == "z2" else (3, 1)
+    return vectors(draw(st.lists(st.tuples(*[st.integers(-c, c)] * rank), **size)), rank)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_ambient_set())
+def test_every_claim_returns_records_in_every_ambient(a):
+    for cid in REGISTRY:
+        recs = evaluate_claim(cid, a, {"generator": "literal"}, budget=20_000)
+        assert recs, cid
+        assert not any(r.violated and r.klass == "hard" for r in recs), (cid, recs)
+        if not a:
+            assert [r.note for r in recs] == ["skipped: empty set"], cid
+
+
+def test_size_cap_is_one_central_skip(monkeypatch):
+    # Every sumset cap reads the same, whichever claim meets it; the three
+    # claims that keep a partial record when a cap is hit still measure.
+    monkeypatch.setattr(claims, "SUMSET_CAP", 20)
+    a = integers(range(1, 13))
+    inst = {"generator": "literal"}
+    clear_caches()
+    try:
+        for cid in (
+            "growth_monotone", "pluennecke_doubling", "sigma_subset_cover",
+            "hoelder_energy_chain", "small_doubling_dim", "bounded_growth_dim",
+            "product_set_energy", "sum_product_doubling", "ratio_box_growth",
+        ):
+            recs = evaluate_claim(cid, a, inst, budget=50_000)
+            assert len(recs) == 1, cid
+            assert recs[0].note.startswith("skipped: SizeCapExceededError:"), (cid, recs[0].note)
+        for cid in ("dim_counting_lower", "witness_reverify", "sidon_extremal"):
+            recs = evaluate_claim(cid, a, inst, budget=50_000)
+            assert recs and not any(r.note.startswith("skipped") for r in recs), cid
+    finally:
+        clear_caches()
 
 
 def test_small_modulus_has_one_zero_shift_record():
