@@ -6,12 +6,15 @@ the prime-exponent embedding, which is an exact isomorphism onto vector
 addition.  All values are unbounded Python integers.
 
 dim_{alpha,k}(A), the least dim(B) over B subset of A with T_k(B) >= alpha *
-T_k(A), is exact up to ``EXACT_ALPHA_THRESHOLD`` elements: a depth-first
-search over index-increasing subsets, carrying each subset's
-representation functions and stopping at the first subset that
-qualifies, finds the minimal qualifying subsets, and ``dim_k_exact``
-searches them in (size, elements) order.  One meter state is one
-representation entry read by that search.
+T_k(A), is exact up to ``EXACT_ALPHA_THRESHOLD`` elements.  A depth-first
+search over index-increasing subsets carries each subset's representation
+functions, adding one element per step, and stops at the first subset that
+qualifies.  It also carries the functions of B together with every later
+element, removing one element per step, and returns from a node once even
+that superset falls short of the threshold.  ``dim_k_exact`` then searches
+the minimal qualifying subsets in (size, elements) order, skipping a subset
+that holds a dissociated set already found of the best size or more.  One
+meter state is one representation entry read by an add or remove step.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .dissociation import (
     max_dissociated_greedy,
 )
 from .errors import BudgetExceededError, PreconditionError
-from .groundset import GroundSet, mult_embed, rep_fn
+from .groundset import GroundSet, _int_view, mult_embed, rep_fn
 
 # dim_alpha_k searches the minimal qualifying subsets exactly up to this
 # size, and probes energy-heavy subsets beyond it.
@@ -130,15 +133,20 @@ def dim_alpha_k(
     Exact up to ``EXACT_ALPHA_THRESHOLD`` elements.  T_k and dim both grow
     with B, so the minimum is reached on a minimal qualifying B, and a
     depth-first search over index-increasing subsets that stops extending a
-    subset once it qualifies reaches every such B (see
+    subset once it qualifies reaches every such B.  The search skips every
+    subtree whose superset B + (later elements) misses the threshold (see
     ``_qualifying_subsets``).  Candidates are then taken in (size, sorted
     elements) order and searched with ``dim_k_exact`` unless dim(B) >=
-    ceil(log_3 |B|) or a greedy dissociated subset of B already shows that
-    B cannot beat the best so far.  The witness is the first subset in that
-    order whose dimension is the minimum.
+    ceil(log_3 |B|), or a dissociated set of the best size or more that an
+    earlier greedy or exact search returned lies inside B, or a greedy
+    dissociated subset of B shows that B cannot beat the best so far.  A
+    candidate replaces the best only with a strictly smaller dimension, and
+    a subset precedes its supersets in that order, so the witness is the
+    first minimal qualifying subset whose dimension is the minimum.
 
-    The meter counts one state per representation-function entry the
-    energy search reads, then the states of the greedy and exact dimension
+    The meter counts one state per representation-function entry an add
+    or remove step of the energy search reads, building A's functions
+    included, then the states of the greedy and exact dimension
     searches.  Beyond the threshold a sound upper bound is produced by
     probing energy-heavy subsets obtained from block peeling, with the
     threshold inequality re-checked exactly.
@@ -158,13 +166,23 @@ def dim_alpha_k(
         best_witness: GroundSet | None = None
         candidates = _qualifying_subsets(a, k, alpha.numerator * total, alpha.denominator, meter)
         candidates.sort(key=lambda elems: (len(elems), elems))
+        # Dissociated subsets the searches below have found.  One of size
+        # >= best inside B shows that B cannot beat the current optimum.
+        known: list = []
         for elems in candidates:
-            if best is not None and _floor_log(len(elems), 3) + 1 > best:
-                # dim(B) >= ceil(log_3 |B|) cannot beat the current optimum.
-                continue
+            if best is not None:
+                if _floor_log(len(elems), 3) + 1 > best:
+                    # dim(B) >= ceil(log_3 |B|) cannot beat the current optimum.
+                    continue
+                inside = set(elems)
+                if any(len(d) >= best and d <= inside for d in known):
+                    continue
             sub = GroundSet(a.ambient, elems)
-            if best is not None and len(max_dissociated_greedy(sub, 1, budget=meter)) >= best:
-                continue
+            if best is not None:
+                greedy = frozenset(max_dissociated_greedy(sub, 1, budget=meter).elements)
+                known.append(greedy)
+                if len(greedy) >= best:
+                    continue
             db = dim_k_exact(sub, 1, budget=meter)
             if not db.exact:
                 # The subsets' searches share one meter: a truncated one spent it.
@@ -173,6 +191,7 @@ def dim_alpha_k(
                     budget=meter.limit,
                     states=meter.states,
                 )
+            known.append(frozenset(db.lower_witness.elements))
             if best is None or db.value < best:
                 best = db.value
                 best_witness = sub
@@ -223,60 +242,85 @@ def _qualifying_subsets(a: GroundSet, k: int, need: int, den: int, meter) -> lis
     A subset that qualifies is recorded and not extended.  T_k grows with
     B, so every proper prefix of a minimal qualifying subset fails and the
     search reaches it.  Each node carries r_j, the j-fold representation
-    function of B, for j = 0..k, and T_k(B) = sum r_k(x)^2.  Adding y gives
-    r_j(B + y) = sum_i C(j, i) * r_{j-i}(B) shifted by i*y, so a node costs
-    O(k^2 |support|) and not a k-fold convolution.  The meter is ticked
-    once per entry of B's functions that forming a child reads, before the
-    child is formed.
+    function of B, for j = 0..k, and T_k(B) = sum r_k(x)^2; adding y gives
+    r_j(B + y) = sum_i C(j, i) * r_{j-i}(B) shifted by i*y (see ``step``).
+
+    A node also carries the functions and T_k of U = B + elems[idx:], the
+    largest set any child from index idx on, or any of its descendants,
+    can reach.  Once T_k(U) * den < need none of them qualifies, and the
+    node returns.  After each child, y = elems[idx] leaves U by the remove
+    step, and the child starts from the parent's U at its own index.
+
+    The walk adds ``_int_view`` codes, so int64 is checked once, on the
+    k-fold extremes; on Z^r the codes are Kronecker codes.  The meter is
+    ticked once per representation entry a step reads, before the step,
+    and building A's functions at the root is charged the same way.
     """
-    amb = a.ambient
-    add = amb.add
     elems = a.elements
     n = len(elems)
+    part_codes, modulus, _decode = _int_view(a.ambient, [(elems, "+")] * k)
     binom = [[math.comb(j, i) for i in range(j + 1)] for j in range(k + 1)]
-    shifts = [[amb.scale(i, y) for i in range(k + 1)] for y in elems]
+    shifts = []
+    for y in part_codes[0]:  # the k parts are identical, and so are their codes
+        row = [i * y for i in range(k + 1)]
+        shifts.append(row if modulus is None else [d % modulus for d in row])
     found: list = []
     chosen: list = []
 
-    def walk(start: int, reps: list, energy: int) -> None:
-        # A child's r_j copies r_j(B) and shifts r_{j-i}(B) for i = 1..j.
-        sizes = [len(r) for r in reps]
-        cost = sum(sum(sizes[: j + 1]) for j in range(1, k + 1))
-        for idx in range(start, n):
-            meter.tick(cost)
-            shift = shifts[idx]
-            child = [reps[0]]
-            for j in range(1, k):
-                out = dict(reps[j])
-                for i in range(1, j + 1):
-                    c = binom[j][i]
-                    d = shift[i]
-                    for x, v in reps[j - i].items():
-                        z = add(x, d)
-                        out[z] = out.get(z, 0) + c * v
-                child.append(out)
-            # r_k also updates the energy: an entry going from v to v + w
-            # adds w * (2v + w) to the sum of squares.
-            out = dict(reps[k])
-            child_energy = energy
-            for i in range(1, k + 1):
-                c = binom[k][i]
-                d = shift[i]
-                for x, v in reps[k - i].items():
-                    z = add(x, d)
-                    old = out.get(z, 0)
+    def step(reps: list, energy: int, shift: list, sign: int) -> tuple:
+        """The functions and T_k of X + y (sign 1) or X - y (sign -1).
+
+        Adding reads X's functions: r_j(X + y) = r_j(X) + sum_{i>=1}
+        C(j, i) * r_{j-i}(X) shifted by i*y.  Removing reads the ones it
+        has already formed, for ascending j: r_j(X - y) = r_j(X) - sum_{i>=1}
+        C(j, i) * r_{j-i}(X - y) shifted by i*y.  An entry going from v to
+        v + w changes T_k by w * (2v + w), and one that reaches 0 is dropped.
+        """
+        out = [reps[0]]
+        src = reps if sign > 0 else out
+        for j in range(1, k + 1):
+            meter.tick(len(reps[j]) + sum(map(len, src[:j])))
+            cur = dict(reps[j])
+            get = cur.get
+            for i in range(1, j + 1):
+                c = sign * binom[j][i]
+                rep = src[j - i]
+                zs = map(shift[i].__add__, rep)
+                if modulus is not None:
+                    zs = map(modulus.__rmod__, zs)
+                for z, v in zip(zs, rep.values()):
+                    old = get(z, 0)
                     w = c * v
-                    out[z] = old + w
-                    child_energy += w * (2 * old + w)
-            child.append(out)
+                    new = old + w
+                    if new:
+                        cur[z] = new
+                    else:
+                        del cur[z]
+                    if j == k:
+                        energy += w * (old + new)
+            out.append(cur)
+        return out, energy
+
+    def walk(start: int, reps: list, energy: int, u_reps: list, u_energy: int) -> None:
+        for idx in range(start, n):
+            if u_energy * den < need:
+                return
+            shift = shifts[idx]
+            child, child_energy = step(reps, energy, shift, 1)
             chosen.append(elems[idx])
             if child_energy * den >= need:
                 found.append(tuple(chosen))
             else:
-                walk(idx + 1, child, child_energy)
+                walk(idx + 1, child, child_energy, u_reps, u_energy)
             chosen.pop()
+            if idx + 1 < n:
+                u_reps, u_energy = step(u_reps, u_energy, shift, -1)
 
-    walk(0, [{amb.zero: 1}] + [{} for _ in range(k)], 0)
+    empty = [{0: 1}] + [{} for _ in range(k)]
+    whole, whole_energy = empty, 0
+    for shift in shifts:
+        whole, whole_energy = step(whole, whole_energy, shift, 1)
+    walk(0, empty, 0, whole, whole_energy)
     return found
 
 

@@ -164,6 +164,18 @@ def naive_dim_alpha(xs, alpha, k, modulus=None):
     return best
 
 
+def naive_minimal_qualifying(xs, alpha, k, modulus=None):
+    """[(B, dim_1(B))] for the subsets B with T_k(B) >= alpha * T_k(A) whose
+    B minus its last element falls short, in (size, sorted elements) order.
+    """
+    xs = tuple(sorted(xs))
+    need = Fraction(alpha) * naive_tk(xs, k, modulus)
+    rows = _energies_and_dims(xs, k, modulus)
+    energy = {sub: e for sub, e, _ in rows}
+    energy[()] = 0
+    return [(sub, dim) for sub, e, dim in rows if e >= need > energy[sub[:-1]]]
+
+
 def naive_energy(xs, ys):
     """E(A,B): quadruples with a - b = a' - b'."""
     count = 0

@@ -85,12 +85,12 @@ def test_claims_spend_only_the_claim_budget(meters):
     assert 50_000 in limits
 
 
-# dim_alpha_k(DIM_ALPHA_SET, 1/2, k=2) reads 20 247 representation entries in
+# dim_alpha_k(DIM_ALPHA_SET, 1/2, k=2) reads 11 813 representation entries in
 # its energy search; the greedy and exact dimension searches after it bring
-# the call to 20 634 states.
+# the call to 12 112 states.
 DIM_ALPHA_SET = [1, 2, 4, 8, 16, 32, 64, 128, 256, 3]
-DIM_ALPHA_ENERGY_STATES = 20_247
-DIM_ALPHA_STATES = 20_634
+DIM_ALPHA_ENERGY_STATES = 11_813
+DIM_ALPHA_STATES = 12_112
 
 
 @pytest.fixture
@@ -130,14 +130,14 @@ def test_dim_alpha_budget_exhaustion_is_a_skip(dimension_searches):
     # Each budget lets the energy search finish and runs out in the
     # dimension searches that follow it.
     a = integers(DIM_ALPHA_SET)
-    for b in (20_300, 20_450, 20_600):
+    for b in (11_850, 11_950, 12_050):
         assert DIM_ALPHA_ENERGY_STATES < b < DIM_ALPHA_STATES
         dimension_searches.clear()
         with pytest.raises(BudgetExceededError):
             dim_alpha_k(a, Fraction(1, 2), k=2, budget=b)
         assert dimension_searches
     clear_caches()
-    recs = evaluate_claim("dim_alpha_bound", a, {"generator": "literal"}, budget=20_450)
+    recs = evaluate_claim("dim_alpha_bound", a, {"generator": "literal"}, budget=11_950)
     clear_caches()
     assert len(recs) == 1
     assert recs[0].note.startswith("skipped: budget exhausted")

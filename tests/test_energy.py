@@ -22,7 +22,9 @@ from adlab import (
     vectors,
 )
 
-from oracles import naive_dim_alpha, naive_energy, naive_tk, subsets
+from adlab.budget import WorkMeter
+from adlab.energy import _qualifying_subsets
+from oracles import naive_dim_alpha, naive_energy, naive_minimal_qualifying, naive_tk, subsets
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +225,15 @@ def _alpha_cases():
         if i % 2:
             xs = sorted(set(xs) | {0})
         yield f"int{i}", integers(xs), None
-    for p in (7, 13, 31):
+    for n in (2, 3):
+        yield f"mod{n}", residues(range(n), n), n
+    for p in (2, 3, 7, 13, 31):
         for t in range(1, 13):
             if (p - 1) % t == 0:
                 yield f"subgroup({p},{t})", subgroup(p, t).members, p
+    # Here a larger candidate beats the best of the smaller ones.
+    yield "mod61_later_best", residues([12, 13, 31, 43, 48], 61), 61
+    yield "int_later_best", integers([-9, -6, -1, 8, 17, 23]), None
     for i in range(4):
         yield f"mod101_{i}", residues(rng.sample(range(101), rng.randint(2, 7)), 101), 101
     for i in range(4):
@@ -237,12 +244,32 @@ def _alpha_cases():
 @pytest.mark.parametrize("a, modulus", [c[1:] for c in _alpha_cases()], ids=[c[0] for c in _alpha_cases()])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_dim_alpha_value_and_witness_match_full_enumeration(a, modulus, k):
+    # The walk's candidates are the subsets that qualify while the subset
+    # without their last element does not; the witness is the first of
+    # them, in (size, elements) order, at the least dimension.
     xs = a.elements
+    total = t_k(a, k).value
     for alpha in (Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(1)):
+        family = naive_minimal_qualifying(xs, alpha, k, modulus)
+        walked = _qualifying_subsets(a, k, alpha.numerator * total, alpha.denominator, WorkMeter(None))
+        assert set(walked) == {sub for sub, _ in family}, alpha
         res = dim_alpha_k(a, alpha, k=k)
         assert res.exact
         got = (res.value, res.lower_witness.elements)
         assert got == naive_dim_alpha(xs, alpha, k, modulus), (alpha, got)
+        assert got[1] == next(sub for sub, dim in family if dim == got[0]), (alpha, got)
+
+
+@pytest.mark.parametrize(
+    "a", [integers([2**62, 2**62 + 1]), integers([-(2**62), -(2**62) - 1]), vectors([(0, 2**62), (1, 2**62 + 1)], 2)]
+)
+def test_qualifying_subsets_raise_when_k_fold_sums_leave_int64(a):
+    # The 2-fold sums leave int64; the elements and the 1-fold sums do not.
+    with pytest.raises(CoordinateOverflowError):
+        _qualifying_subsets(a, 2, 1, 1, WorkMeter(None))
+    with pytest.raises(CoordinateOverflowError):
+        dim_alpha_k(a, Fraction(1, 2), k=2)
+    assert _qualifying_subsets(a, 1, 1, 1, WorkMeter(None)) == [(a.elements[0],), (a.elements[1],)]
 
 
 def test_dim_alpha_zero_beats_an_earlier_singleton():

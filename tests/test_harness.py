@@ -362,6 +362,19 @@ def test_size_cap_is_one_central_skip(monkeypatch):
         clear_caches()
 
 
+def test_freiman_sweep_skips_large_singletons():
+    # The dilation sweep lists about 4 max|x| residues, whatever |A| is.
+    inst = {"generator": "literal"}
+    clear_caches()
+    try:
+        recs = evaluate_claim("freiman_isomorphism", integers([10**6]), inst, budget=20_000)
+        assert [r.note for r in recs] == ["skipped: elements too large for the dilation sweep"]
+        recs = evaluate_claim("freiman_isomorphism", integers([-50]), inst, budget=20_000)
+        assert len(recs) == 1 and not recs[0].violated and not recs[0].note.startswith("skipped")
+    finally:
+        clear_caches()
+
+
 def test_small_modulus_has_one_zero_shift_record():
     # The residue shifts 0, 1, 2, N-1 collide mod 2 and mod 3.
     for n in (2, 3):
