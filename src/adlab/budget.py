@@ -7,6 +7,13 @@ once, at the top of the call, from an int (``None`` means
 ``DEFAULT_BUDGET``), and every sub-search of the call spends that meter.
 A budget therefore bounds the total work of a call, not the work of each
 sub-call; passing a meter in shares it with the caller.
+
+States are charged through ``WorkMeter.tick`` everywhere but in one place:
+the node loop of ``dissociation.dim_k_exact`` counts its own ticks and
+adds them to ``states`` when it returns.  When it runs out it charges the
+ticks that fit and calls ``tick`` for the next one, so the meter raises
+at the same tick, with the same states, as if every tick had gone through
+``tick``.
 """
 
 from .errors import BudgetExceededError

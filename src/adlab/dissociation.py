@@ -10,6 +10,13 @@ elsewhere) and reject an element as soon as two sums meet.
 All searches are deterministic: elements are processed in a fixed order and
 witnesses are the lexicographically smallest among optimal ones (subsets are
 compared as sorted tuples).
+
+Budget contract: every search charges one tick of its node weight per
+tried candidate, in the order it tries them and before that candidate's
+``extend``.  ``dim_k_exact`` counts its ticks inline rather than through
+``WorkMeter.tick``, but raises at the tick and with the states where
+``WorkMeter.tick`` would, so bounds, witnesses and state counts depend on
+the input and the budget alone, also when the budget truncates a search.
 """
 
 from __future__ import annotations
@@ -114,46 +121,52 @@ class DimensionBounds:
 # Distinct-sum search states
 
 
-def _extender(ambient: Ambient, k: int):
-    """Root state and child step of the distinct-sums search.
+def _extender(ambient: Ambient, k: int, elems: list):
+    """Root state, child step and per-element steps of the distinct-sums search.
 
     A state at depth t holds the (k+1)^t sums with coefficients in [0, k]
-    of the chosen elements.  ``extend(state, x, count)``, where count is
-    that number of sums, returns the state with x added, or None when two
-    sums meet.  On the line the state is a bitset of the sums; a negative x
-    only translates the set, so the bitset depends on |x| alone.  Mod
-    N <= 2^22 it is a bitset of length N whose shifts wrap around;
-    elsewhere it is a frozenset of sums.
+    of the chosen elements.  ``extend(state, step, count)``, where step is
+    ``steps[j]`` for the element ``elems[j]`` and count is the number of
+    sums in the state, returns the state with that element added, or None
+    when two sums meet.  On the line the state is a bitset of the sums; a
+    negative x only translates the set, so the bitset depends on |x| alone
+    and the step is |x|.  Mod N <= 2^22 it is a bitset of length N whose
+    shifts wrap around; elsewhere it is a frozenset of sums.  In both the
+    step is x itself.  Steps are computed once per call.
+
+    Callers charge one meter tick per tried element, in index order, before
+    its ``extend``; ``dim_k_exact`` counts those ticks inline and raises
+    where ``WorkMeter.tick`` would.
     """
+    kp1 = k + 1
     if isinstance(ambient, Residues) and ambient.modulus <= (1 << 22):
         n = ambient.modulus
         mask = (1 << n) - 1
 
         def extend(bits: int, x: int, count: int):
             spread = bits
-            for c in range(1, k + 1):
+            for c in range(1, kp1):
                 spread |= bits << (c * x % n)
             combined = (spread & mask) | (spread >> n)
-            return combined if combined.bit_count() == (k + 1) * count else None
+            return combined if combined.bit_count() == kp1 * count else None
 
-        return 1, extend
+        return 1, extend, elems
     if isinstance(ambient, IntegerLattice) and ambient.rank == 1:
         if k == 1:
 
-            def extend(bits: int, x: int, count: int):
-                shifted = bits << abs(x)
+            def extend(bits: int, step: int, count: int):
+                shifted = bits << step
                 return None if bits & shifted else bits | shifted
 
         else:
 
-            def extend(bits: int, x: int, count: int):
-                step = abs(x)
+            def extend(bits: int, step: int, count: int):
                 combined = bits
-                for c in range(1, k + 1):
+                for c in range(1, kp1):
                     combined |= bits << (c * step)
-                return combined if combined.bit_count() == (k + 1) * count else None
+                return combined if combined.bit_count() == kp1 * count else None
 
-        return 1, extend
+        return 1, extend, [abs(x) for x in elems]
     add = ambient.add
 
     def extend(sums: frozenset, x, count: int):
@@ -162,9 +175,9 @@ def _extender(ambient: Ambient, k: int):
         for _ in range(k):
             shifted = {add(s, x) for s in shifted}
             combined |= shifted
-        return frozenset(combined) if len(combined) == (k + 1) * count else None
+        return frozenset(combined) if len(combined) == kp1 * count else None
 
-    return frozenset([ambient.zero]), extend
+    return frozenset([ambient.zero]), extend, elems
 
 
 def _state_weight(ambient: Ambient, elems, k: int) -> int:
@@ -283,12 +296,12 @@ def max_dissociated_greedy(lam: GroundSet, k: int = 1, budget: int | None = None
     meter = as_meter(budget)
     elems = by_magnitude(amb, [x for x in lam.elements if x != amb.zero], descending=True)
     weight = _state_weight(amb, elems, k)
-    state, extend = _extender(amb, k)
+    state, extend, steps = _extender(amb, k, elems)
     count = 1
     chosen = []
-    for x in elems:
+    for x, step in zip(elems, steps):
         meter.tick(weight)
-        child = extend(state, x, count)
+        child = extend(state, step, count)
         if child is not None:
             state = child
             count *= k + 1
@@ -300,28 +313,17 @@ def max_dissociated_greedy(lam: GroundSet, k: int = 1, budget: int | None = None
 # Exact dimension by branch and bound
 
 
-def _counting_allowance(
-    k: int, powers: list, cur: int, chosen_abs: int, prefix: list, rem: int, modulus: int | None, rank: int
-) -> int:
-    """Max further elements any extension could add, by combination counting.
-
-    Coefficient-[0,k] sums of a k-dissociated set are distinct, so
-    powers[t] = (k+1)^t must fit inside the reachable box: the group mod N,
-    else k*(sum of magnitudes)+1 values per coordinate (magnitudes are
-    max-norms in Z^rank).  prefix[m] is the sum of the m largest magnitudes
-    over the whole input, which upper-bounds any m remaining candidates.
-    """
-    best = 0
-    for m in range(rem + 1):
-        if modulus is not None:
-            box = modulus
-        else:
-            box = (k * (chosen_abs + prefix[m]) + 1) ** rank
-        if powers[cur + m] <= box:
-            best = m
-        else:
+def _ceil_root(p: int, r: int) -> int:
+    """Least b >= 0 with b^r >= p, for p >= 0 and r >= 1."""
+    if r == 1 or p <= 1:
+        return p
+    x = 1 << -(-p.bit_length() // r)  # x^r >= 2^bit_length > p
+    while True:
+        y = ((r - 1) * x + p // x ** (r - 1)) // r
+        if y >= x:
             break
-    return best
+        x = y
+    return x if x**r >= p else x + 1
 
 
 def dim_k_exact(lam: GroundSet, k: int = 1, budget: int | None = None) -> DimensionBounds:
@@ -330,6 +332,22 @@ def dim_k_exact(lam: GroundSet, k: int = 1, budget: int | None = None) -> Dimens
     Elements are scanned in ascending order, so the first witness found at
     the optimum is the lexicographically smallest one.  On budget exhaustion
     the result degrades to certified bounds with ``exact=False``.
+
+    Visit order: after the greedy pre-pass, a node tries its candidates in
+    ascending index order and charges one tick of the node weight per tried
+    candidate, before that candidate's ``extend``.  The loop counts its
+    ticks itself and writes them back to the meter when it returns; once
+    the budget is spent it charges the meter, which raises at the tick and
+    with the states where ``WorkMeter.tick`` would.  Bounds, witness, note
+    and states are therefore fixed by the input and the budget alone.
+
+    A node is pruned by counting: the (k+1)^t sums of a k-dissociated set
+    of size t are distinct, so they must fit in the box the set can reach.
+    That box is the group mod N, else k*(sum of magnitudes)+1 values per
+    coordinate (magnitudes are max-norms in Z^rank).  ``need[t]`` is the
+    least such k*(sum)+1 that holds (k+1)^t sums, and ``reach[m]``, k times
+    the sum of the m largest magnitudes of the input, bounds what m more
+    candidates add to the box.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -341,55 +359,80 @@ def dim_k_exact(lam: GroundSet, k: int = 1, budget: int | None = None) -> Dimens
         return DimensionBounds("dim_k", k, 0, 0, True, empty, None, 0)
     meter = as_meter(budget)
     weight = _state_weight(amb, elems, k)
-    mags = sorted((amb.magnitude(x) for x in elems), reverse=True)
-    prefix = [0]
-    for m in mags:
-        prefix.append(prefix[-1] + m)
+    kmag = [k * amb.magnitude(x) for x in elems]
+    reach = [0]
+    for m in sorted(kmag, reverse=True):
+        reach.append(reach[-1] + m)
     modulus = amb.modulus if isinstance(amb, Residues) else None
     rank = amb.rank
-    # (k+1)^t for every depth t the search can reach: no box below exceeds
-    # top, and the allowance stops at the first power above its box.
-    top = modulus if modulus is not None else (2 * k * prefix[n] + 1) ** rank
-    powers = [1]
-    while len(powers) <= n and powers[-1] <= top:
-        powers.append(powers[-1] * (k + 1))
+    # need[t] for every depth t the search can reach: no box below exceeds
+    # top, and every check stops at the first need above its box.  Mod N
+    # every box holds N sums, so need[t] is 0 or past every box.
+    top = 2 * reach[n] + 1
+    kp1 = k + 1
+    need = []
+    power = 1
+    while len(need) <= n:
+        if modulus is not None:
+            need.append(0 if power <= modulus else top + 1)
+        else:
+            need.append(_ceil_root(power, rank))
+        if need[-1] > top:
+            break
+        power *= kp1
 
     greedy = max_dissociated_greedy(lam, k, budget=meter)
     best = len(greedy) - 1
     witness: tuple | None = None
-    root_cap = _counting_allowance(k, powers, 0, 0, prefix, n, modulus, rank)
+    root_cap = 0
+    while root_cap < n and need[root_cap + 1] <= reach[root_cap + 1] + 1:
+        root_cap += 1
 
-    abs_of = [amb.magnitude(x) for x in elems]
-    root, extend = _extender(amb, k)
-    tick = meter.tick
+    root, extend, steps = _extender(amb, k, elems)
+    path = [None] * n
+    spare = max(0, (meter.limit - meter.states) // weight)  # ticks that fit
 
-    def dfs(i: int, chosen: list, chosen_abs: int, state) -> None:
+    def dfs(i: int, depth: int, box: int, state, count: int, left: int) -> int:
+        """Search below a node with ``left`` ticks to spend; return those not spent.
+
+        box = k*(sum of the chosen magnitudes)+1 and count = (k+1)^depth.
+        """
         nonlocal best, witness
-        depth = len(chosen)
         if depth > best:
             best = depth
-            witness = tuple(chosen)
-        rem = n - i
-        if depth + rem <= best:
-            return
-        cap = _counting_allowance(k, powers, depth, chosen_abs, prefix, rem, modulus, rank)
-        if depth + cap <= best:
-            return
-        count = powers[depth]
+            witness = tuple(path[:depth])
+        stop = n + depth - best  # a candidate at j >= stop cannot beat best
+        if i >= stop:
+            return left
+        # Prune unless m more elements fit for every m up to best - depth + 1.
+        for m in range(best - depth + 2):
+            if need[depth + m] > box + reach[m]:
+                return left
+        dead = i + left  # the candidate at index dead finds no tick left
+        end = stop if stop < dead else dead
+        child_count = count * kp1
         for j in range(i, n):
-            if depth + (n - j) <= best:
+            if j >= end:
                 break
-            tick(weight)
-            x = elems[j]
-            child = extend(state, x, count)
+            child = extend(state, steps[j], count)
             if child is not None:
-                chosen.append(x)
-                dfs(j + 1, chosen, chosen_abs + abs_of[j], child)
-                chosen.pop()
+                path[depth] = elems[j]
+                left = dfs(j + 1, depth + 1, box + kmag[j], child, child_count, dead - j - 1)
+                dead = j + 1 + left
+                stop = n + depth - best
+                end = stop if stop < dead else dead
+        else:
+            j = n
+        if end < stop:
+            # The candidate at index end needs a tick the budget lacks.
+            meter.states += spare * weight
+            meter.tick(weight)
+        return dead - j
 
     truncated = False
     try:
-        dfs(0, [], 0, root)
+        left = dfs(0, 0, 1, root, 1, spare)
+        meter.states += (spare - left) * weight
     except BudgetExceededError:
         truncated = True
 

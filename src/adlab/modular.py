@@ -135,12 +135,18 @@ def dirichlet_min(
     best_num: Optional[int] = None
     best_float = math.inf
     best_q = 0
+    # A full scan reads (N ||r/N||)^s from a table of the N residues, built
+    # once; an explicit q_range may come with N past DIRICHLET_SCAN_CAP.
+    table = [min(r, n - r) ** si for r in range(n)] if exact and q_range is None else None
     for q in qs:
         if exact:
-            total = 0
-            for x in elems:
-                r = q * x % n
-                total += min(r, n - r) ** si
+            if table is not None:
+                total = sum([table[q * x % n] for x in elems])
+            else:
+                total = 0
+                for x in elems:
+                    r = q * x % n
+                    total += min(r, n - r) ** si
             if best_num is None or total < best_num:
                 best_num, best_q = total, q
         else:

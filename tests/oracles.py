@@ -10,6 +10,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
+from math import gcd
 
 
 def subsets(items):
@@ -110,6 +111,117 @@ def naive_dim_k1(xs, modulus=None):
     return best
 
 
+class _OutOfBudget(Exception):
+    pass
+
+
+def reference_dim_bounds(xs, k, budget, modulus=None, spent=0):
+    """(lower, upper, exact, states, witness, note) of ``dim_bounds``, by a
+    plain copy of its search.
+
+    Elements are ints, residues mod ``modulus`` or equal-length int tuples.
+    States start at ``spent`` and every tried element costs one node weight,
+    first in the greedy pre-pass (largest magnitude first), then in the
+    depth-first search (ascending order, each node's candidates tried before
+    it looks at the next).  A tick that takes the states past ``budget``
+    stops the walk: in the pre-pass the result is [0, n] with note
+    "budget"; in the search, the best subset found so far against the
+    counting allowance of the root.  Sum sets are plain sets; a node is
+    pruned when the (k+1)^t distinct sums cannot fit in the box its
+    elements reach.
+    """
+    zero = (0,) * len(xs[0]) if xs and isinstance(xs[0], tuple) else 0
+    rank = len(zero) if isinstance(zero, tuple) else 1
+    elems = sorted(x for x in xs if x != zero)
+    n = len(elems)
+    if n == 0:
+        return 0, 0, True, 0, (), ""
+
+    def magnitude(x):
+        if modulus is not None:
+            return min(x, modulus - x)
+        return max(abs(c) for c in x) if rank > 1 else abs(x)
+
+    def add(s, x, c):
+        if rank > 1:
+            return tuple(a + c * b for a, b in zip(s, x))
+        return (s + c * x) % modulus if modulus is not None else s + c * x
+
+    def extended(sums, x):
+        out = {add(s, x, c) for s in sums for c in range(k + 1)}
+        return out if len(out) == (k + 1) * len(sums) else None
+
+    if modulus is not None:
+        span = modulus
+    elif rank == 1:
+        span = k * sum(abs(x) for x in elems) + 1
+    else:
+        span = n * n + 1
+    weight = max(1, span >> 14)
+    states = spent
+
+    def tick():
+        nonlocal states
+        states += weight
+        if states > budget:
+            raise _OutOfBudget
+
+    greedy, sums = [], {zero}
+    try:
+        for x in sorted(elems, key=lambda e: (-magnitude(e), e)):
+            tick()
+            grown = extended(sums, x)
+            if grown is not None:
+                greedy.append(x)
+                sums = grown
+    except _OutOfBudget:
+        return 0, n, False, states, (), "budget"
+
+    mags = sorted((magnitude(x) for x in elems), reverse=True)
+    prefix = [sum(mags[:m]) for m in range(n + 1)]
+
+    def allowance(depth, chosen_mag, rem):
+        best_m = 0
+        for m in range(rem + 1):
+            box = modulus if modulus is not None else (k * (chosen_mag + prefix[m]) + 1) ** rank
+            if (k + 1) ** (depth + m) > box:
+                break
+            best_m = m
+        return best_m
+
+    best, witness = len(greedy) - 1, None
+
+    def dfs(i, chosen, chosen_mag, sums):
+        nonlocal best, witness
+        depth = len(chosen)
+        if depth > best:
+            best, witness = depth, tuple(chosen)
+        if depth + n - i <= best:
+            return
+        if depth + allowance(depth, chosen_mag, n - i) <= best:
+            return
+        for j in range(i, n):
+            if depth + n - j <= best:
+                break
+            tick()
+            grown = extended(sums, elems[j])
+            if grown is not None:
+                dfs(j + 1, chosen + [elems[j]], chosen_mag + magnitude(elems[j]), grown)
+
+    lower_set = tuple(sorted(greedy))
+    try:
+        dfs(0, [], 0, {zero})
+    except _OutOfBudget:
+        if witness is not None:
+            lower_set = witness
+        lower = len(lower_set)
+        upper = max(lower, min(n, allowance(0, 0, n)))
+        return lower, upper, lower == upper, states, lower_set, "search truncated by budget"
+    if witness is not None:
+        lower_set = witness
+    return len(lower_set), len(lower_set), True, states, lower_set, ""
+
+
 def naive_dim_k(xs, k, modulus=None):
     """Largest k-dissociated subset via per-subset relation search."""
     best = 0
@@ -186,17 +298,23 @@ def naive_energy(xs, ys):
     return count
 
 
+def _lowest_terms(num, den):
+    """The fraction num/den of positive ints as its gcd-reduced pair."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def naive_ratio_box(xs):
     """Largest n with every x/y (1 <= x, y <= n) among difference ratios."""
     mags = sorted({abs(x - y) for x in xs for y in xs if x != y})
     if not mags:
         return 0
-    ratios = {Fraction(d1, d2) for d1 in mags for d2 in mags}
+    ratios = {_lowest_terms(d1, d2) for d1 in mags for d2 in mags}
     n = 0
     while True:
         cand = n + 1
         ok = all(
-            Fraction(x, y) in ratios
+            _lowest_terms(x, y) in ratios
             for x in range(1, cand + 1)
             for y in range(1, cand + 1)
         )

@@ -1,11 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adlab import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     PreconditionError,
+    WorkMeter,
     cube,
     d_k_exact,
     d_star_bounds,
@@ -21,8 +23,16 @@ from adlab import (
     vectors,
 )
 from adlab.dissociation import coin_weighing_dissociated
+from adlab.groundset import Residues
 
-from oracles import naive_dim_k, naive_dim_k1, naive_relation, naive_span, subsets
+from oracles import (
+    naive_dim_k,
+    naive_dim_k1,
+    naive_relation,
+    naive_span,
+    reference_dim_bounds,
+    subsets,
+)
 
 
 def test_certificate_agrees_with_naive_small():
@@ -131,6 +141,52 @@ def test_truncated_searches_spend_the_same_states():
         db = dim_k_exact(cube(integers(gens))[0], 1, budget=400_000)
         assert (db.lower, db.upper, db.exact, db.states, db.lower_witness.elements) == expected
         assert db.note == "search truncated by budget"
+
+
+def _search_sets():
+    """Small sets on the line (negatives too, and crowded), mod N (past the
+    bitset limit too), in Z^2 and in Z^3."""
+    line = st.lists(st.integers(-40, 40), max_size=9).map(integers)
+    # Many small magnitudes: the root's counting allowance falls below n.
+    crowded = st.lists(st.integers(-12, 12), min_size=6, max_size=10).map(integers)
+    mod = st.sampled_from([2, 3, 6, 8, 12, 30, 97, (1 << 22) + 1]).flatmap(
+        lambda n: st.lists(st.integers(0, n - 1), max_size=7).map(lambda xs: residues(xs, n))
+    )
+    z2 = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=6)
+    z3 = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)), max_size=5)
+    return st.one_of(
+        line, crowded, mod, z2.map(lambda xs: vectors(xs, 2)), z3.map(lambda xs: vectors(xs, 3))
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _search_sets(),
+    st.integers(1, 3),
+    st.sampled_from([None, 8, 50, 300, 2000]),
+    st.sampled_from([0, 3]),
+)
+# Truncated with the allowance of the root, 4, as the upper end.
+@example(integers([-12, -9, -6, 0, 1, 2, 3, 7, 8, 11]), 2, 12, 0)
+def test_search_matches_the_reference_loop(a, k, budget, spent):
+    # Bounds, witness, note and states, tick for tick, also when a budget
+    # truncates the search or a shared meter has already been charged.
+    amb = a.ambient
+    modulus = amb.modulus if isinstance(amb, Residues) else None
+    limit = DEFAULT_BUDGET if budget is None else budget
+    expected = reference_dim_bounds(list(a.elements), k, limit, modulus, spent)
+
+    def meter():
+        m = WorkMeter(budget)
+        if spent:
+            m.tick(spent)
+        return m
+
+    db = dim_bounds(a, k, meter())
+    got = (db.lower, db.upper, db.exact, db.states, db.lower_witness.elements, db.note)
+    assert got == expected
+    if db.note != "budget":
+        assert dim_k_exact(a, k, meter()) == db
 
 
 def test_dim_frozen_values():

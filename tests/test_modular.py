@@ -13,6 +13,7 @@ from adlab import (
     dirichlet_min,
     fourier_max,
     fourier_spectrum,
+    integers,
     random_cover,
     residues,
     subgroup,
@@ -103,6 +104,24 @@ def test_dirichlet_restricted_q_range():
     assert only.value == full.value
     worse = dirichlet_min(a, s=2, q_range=[5])
     assert worse.value >= full.value
+
+
+def test_dirichlet_full_scan_keeps_the_first_minimiser():
+    # The full scan reads a residue table; an explicit q_range computes
+    # each term.  Both keep the first q that reaches the minimum.
+    rng = random.Random(29)
+    for _ in range(20):
+        n = rng.choice([7, 12, 31, 101])
+        xs = rng.sample(range(n), rng.randint(1, min(6, n - 1)))
+        for s in (1, 2, 3):
+            full = dirichlet_min(residues(xs, n), s=s)
+            listed = dirichlet_min(residues(xs, n), s=s, q_range=range(1, n))
+            assert (full.value, full.argmin_q) == (listed.value, listed.argmin_q)
+            first = min(range(1, n), key=lambda q: _dirichlet_at(xs, q, s, n))
+            assert full.argmin_q == first
+    # Integers with negatives, reduced mod an explicit N.
+    ints = dirichlet_min(integers([-3, 4, 10]), s=2, modulus=101)
+    assert ints.argmin_q == min(range(1, 101), key=lambda q: _dirichlet_at([-3, 4, 10], q, 2, 101))
 
 
 def test_dirichlet_fractional_s_inexact():
