@@ -138,21 +138,18 @@ def dissociated_peeling(
 # dyadic level sets
 
 
-def level_set(r: RepFn, base: Fraction | int = 1) -> list[tuple[Fraction, GroundSet]]:
+def level_set(r: RepFn) -> list[tuple[Fraction, GroundSet]]:
     """Partition the support of r into dyadic bands (Delta, 2*Delta].
 
-    Band labels are the lower endpoints Delta = base * 2^i (i may be
-    negative); every positive count lands in exactly one band, so the
+    Band labels are the lower endpoints Delta = 2^i (i may be negative),
+    as Fractions; every positive count lands in exactly one band, so the
     bands partition the support.  Returned in increasing Delta order.
     """
-    base = Fraction(base)
-    if base <= 0:
-        raise PreconditionError("dyadic base must be positive")
     bands: dict[Fraction, list] = {}
     for x, c in r.entries.items():
         if c <= 0:
             continue
-        delta = base / 2
+        delta = Fraction(1, 2)
         while c > 2 * delta:
             delta *= 2
         while c <= delta:
@@ -162,6 +159,18 @@ def level_set(r: RepFn, base: Fraction | int = 1) -> list[tuple[Fraction, Ground
     for delta in sorted(bands):
         out.append((delta, GroundSet.of(r.ambient, bands[delta])))
     return out
+
+
+def _heaviest_band(bands: list[tuple[Fraction, GroundSet]], weight, meter: WorkMeter):
+    """The band (Delta, P) with the largest (weight(Delta, P), Delta),
+    charging |P| states per band before its weight is computed."""
+
+    def key(band):
+        delta, p_delta = band
+        meter.tick(len(p_delta))
+        return weight(delta, p_delta), delta
+
+    return max(bands, key=key)
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +247,9 @@ def _bsg_core(
 
     # Dyadic level set of r_{2^{j-1} B}, weighted toward popular bands.
     r_level = reps[j - 1]
-    bands = level_set(r_level)
-    best_band = None
-    best_weight = None
-    for delta, p_delta in bands:
-        meter.tick(len(p_delta))
-        weight = delta**4 * additive_energy(p_delta, p_delta).value
-        if best_weight is None or (weight, delta) > (best_weight, best_band[0]):
-            best_weight, best_band = weight, (delta, p_delta)
-    assert best_band is not None
-    delta, p = best_band
+    delta, p = _heaviest_band(
+        level_set(r_level), lambda d, pd: d**4 * additive_energy(pd, pd).value, meter
+    )
 
     # Popular-difference graph on P: d is popular when r_{P-P}(d) clears
     # half the average energy per pair.
@@ -361,18 +363,18 @@ class BetaDecomposition:
 def beta_decomposition(
     a: GroundSet,
     k: int = 2,
-    big_k: Optional[Fraction] = None,
     budget: Optional[int] = None,
 ) -> BetaDecomposition:
     """Find A* ⊆ A that is dense and additively structured.
 
     The energy chain T_2, ..., T_k of A is scanned for the largest j with
-    T_j >= |A|^2 T_{j-1} / K, where K defaults to the value determined by
-    T_k(A) = |A|^{2k-1} K^{1-k} (the default test is carried out in
+    T_j >= |A|^2 T_{j-1} / K, where K is the value determined by
+    T_k(A) = |A|^{2k-1} K^{1-k} (the test is carried out in
     cross-multiplied integer form, so no irrational K is ever computed).
-    The level set of r_{(j-1)A} at the most energetic dyadic band feeds
-    the BSG pipeline, and A* = A ∩ (H + x).  If the chain test never
-    fires the theorem gives nothing and A itself is returned with a note.
+    The level set of r_{(j-1)A}, built within ``REP_SUPPORT_CAP``
+    elements, at the most energetic dyadic band feeds the BSG pipeline,
+    and A* = A ∩ (H + x).  If the chain test never fires the theorem
+    gives nothing and A itself is returned with a note.
     """
     if k < 2:
         raise PreconditionError("k must be at least 2")
@@ -388,12 +390,7 @@ def beta_decomposition(
     fired = None
     for j in range(k, 1, -1):
         t_j, t_jm1 = energies[j], energies[j - 1]
-        if big_k is not None:
-            kk = Fraction(big_k)
-            ok = t_j * kk.numerator >= size**2 * t_jm1 * kk.denominator
-        else:
-            ok = t_j ** (k - 1) * size ** (2 * k - 1) >= t_k_val * size ** (2 * (k - 1)) * t_jm1 ** (k - 1)
-        if ok:
+        if t_j ** (k - 1) * size ** (2 * k - 1) >= t_k_val * size ** (2 * (k - 1)) * t_jm1 ** (k - 1):
             fired = j
             break
     stats: dict = {
@@ -401,8 +398,6 @@ def beta_decomposition(
         "energies": {str(i): energies[i] for i in range(1, k + 1)},
         "size": size,
     }
-    if big_k is not None:
-        stats["big_k"] = Fraction(big_k)
     if fired is None:
         stats["chain_fired"] = None
         return BetaDecomposition(
@@ -412,16 +407,9 @@ def beta_decomposition(
     stats["chain_fired"] = j
 
     r = rep_fn([(a, "+")] * (j - 1), size_cap=REP_SUPPORT_CAP)
-    bands = level_set(r)
-    best = None
-    best_weight = None
-    for delta, p_delta in bands:
-        meter.tick(len(p_delta))
-        weight = delta**2 * additive_energy(p_delta, a).value
-        if best_weight is None or (weight, delta) > (best_weight, best[0]):
-            best_weight, best = weight, (delta, p_delta)
-    assert best is not None
-    delta, p = best
+    delta, p = _heaviest_band(
+        level_set(r), lambda d, pd: d**2 * additive_energy(pd, a).value, meter
+    )
     stats["delta"] = delta
     stats["p_size"] = len(p)
 
@@ -492,7 +480,6 @@ def dec_tk(
     s: int = 2,
     q: Optional[int] = None,
     big_k: Optional[Fraction] = None,
-    max_iter: Optional[int] = None,
     budget: Optional[int] = None,
 ) -> DecompositionResult:
     """Split a set of positive integers into B ⊔ C with T_s^x(C) small.
@@ -503,8 +490,8 @@ def dec_tk(
     it into B; multiplicatively structured pieces are additively spread,
     which is what keeps T_q^+(B) low.  K defaults to max(2, |A|^{1/4})
     rounded; asymptotic choices of K degenerate at desk sizes.  The loop
-    always terminates: a peel that fails to shrink C stops it (flagged),
-    as does max_iter (default |A| + 1).
+    always terminates: a peel that takes all of C stops it (flagged), as
+    does the iteration cap |A| + 1.
     """
     amb = a.ambient
     if not isinstance(amb, IntegerLattice) or amb.rank != 1:
@@ -524,7 +511,7 @@ def dec_tk(
     if kk <= 1:
         raise PreconditionError("K must exceed 1")
     threshold = Fraction(size ** (2 * s - 1)) / kk ** (s - 1)
-    max_iter = size + 1 if max_iter is None else max_iter
+    max_iter = size + 1
 
     desk_note = None
     if size >= 3:
@@ -567,17 +554,14 @@ def dec_tk(
         row["small_piece"] = len(piece) ** 2 < size
         if len(piece) ** 2 < size:
             flags.append(f"iteration {it}: extracted piece smaller than sqrt|A|")
-        if len(piece) == len(c):
-            iterations.append(row)
-            flags.append(f"iteration {it}: peel did not shrink C; stopping early")
-            b_elems |= set(piece.elements)
-            c = c.without(piece)
-            peels += 1
-            break
+        took_all = len(piece) == len(c)
         b_elems |= set(piece.elements)
         c = c.without(piece)
         peels += 1
         iterations.append(row)
+        if took_all:
+            flags.append(f"iteration {it}: peel did not shrink C; stopping early")
+            break
     else:
         flags.append(f"iteration cap {max_iter} reached with C above threshold")
 
@@ -699,20 +683,21 @@ class RatioBoxResult:
     ratio_count: int
 
 
-def ratio_box(a: GroundSet, cap: int = RATIO_SET_CAP) -> RatioBoxResult:
+def ratio_box(a: GroundSet) -> RatioBoxResult:
     """Measure how much of the box [n]/[n] the ratios of A - A cover.
 
     D is the nonzero part of A - A (symmetric, so positive ratios come
     from the magnitudes).  The scan grows n while every reduced a/b with
     1 <= a, b <= n is a ratio of two differences; it reports the first
     missing fraction one step past the answer.  Singletons have no nonzero
-    differences and return n = 0.
+    differences and return n = 0.  Sets of more than ``RATIO_SET_CAP``
+    elements are refused with SizeCapExceededError.
     """
     amb = a.ambient
     if not isinstance(amb, IntegerLattice) or amb.rank != 1:
         raise PreconditionError("ratio box is defined for rank-1 integer sets")
-    if len(a) > cap:
-        raise SizeCapExceededError("too many elements for the pair scan", cap=cap, stage="ratio-box")
+    if len(a) > RATIO_SET_CAP:
+        raise SizeCapExceededError("too many elements for the pair scan", cap=RATIO_SET_CAP, stage="ratio-box")
     mags = sorted({abs(x - y) for x in a.elements for y in a.elements if x != y})
     if not mags:
         return RatioBoxResult(n=0, missing=Fraction(1), ratio_count=0)

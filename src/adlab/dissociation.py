@@ -355,8 +355,9 @@ def dim_k_exact(lam: GroundSet, k: int = 1, budget: int | None = None) -> Dimens
     elems = [x for x in lam.elements if x != amb.zero]
     n = len(elems)
     if n == 0:
-        empty = GroundSet.of(amb, ())
-        return DimensionBounds("dim_k", k, 0, 0, True, empty, None, 0)
+        # no search runs, so a shared meter reports what it holds so far
+        spent = budget.states if isinstance(budget, WorkMeter) else 0
+        return DimensionBounds("dim_k", k, 0, 0, True, GroundSet.of(amb, ()), None, spent)
     meter = as_meter(budget)
     weight = _state_weight(amb, elems, k)
     kmag = [k * amb.magnitude(x) for x in elems]
@@ -514,7 +515,8 @@ def d_k_exact(a: GroundSet, k: int = 1, budget: int | None = None) -> DimensionB
     need = set(elems)
     empty = GroundSet.of(amb, ())
     if not need or need == {amb.zero}:
-        return DimensionBounds("d_k", k, 0, 0, True, None, empty, 0)
+        spent = budget.states if isinstance(budget, WorkMeter) else 0
+        return DimensionBounds("d_k", k, 0, 0, True, None, empty, spent)
     meter = as_meter(budget)
 
     # A maximal 1-dissociated subset spans A with coefficients in [-1, 1],

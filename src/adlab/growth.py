@@ -102,10 +102,10 @@ def verify_growth_bounds(
     n_max: int = 4,
     k: int = 1,
     budget: Optional[int] = None,
-    size_cap: int = DEFAULT_GROWTH_CAP,
 ) -> ExperimentReport:
     """Measure the growth curve of A and compare it against the windows
-    implied by its dimension.
+    implied by its dimension.  Every sumset is capped at
+    ``DEFAULT_GROWTH_CAP`` elements.
 
     Three stages are recorded as fitted constants (the leading constant in
     each window is not pinned down by theory, so we report the constant the
@@ -128,7 +128,7 @@ def verify_growth_bounds(
     if not a.elements:
         raise PreconditionError("growth bounds need a nonempty set")
     meter = as_meter(budget)
-    curve = growth_sequence(a, n_max, size_cap=size_cap)
+    curve = growth_sequence(a, n_max)
     db = dim_bounds(a, k, budget=meter)
     d = db.lower  # certified even when the search was truncated
     records: list[ClaimRecord] = []
@@ -178,7 +178,7 @@ def verify_growth_bounds(
         if e >= 2:
             n3 = e * e * max(1, math.ceil(math.log2(e)))
             if n3 <= 64:
-                curve3 = growth_sequence(a, n3, size_cap=size_cap)
+                curve3 = growth_sequence(a, n3)
                 if curve3.truncated_at is None and len(curve3.sizes) >= n3:
                     size_n3 = curve3.sizes[n3 - 1]
                     if size_n3 > 1:
@@ -218,8 +218,8 @@ def verify_growth_bounds(
             s = parts[0]
             try:
                 for part in parts[1:]:
-                    s = sumset(s, part, size_cap=size_cap)
-                ns = iterated_sumset(s, n, size_cap=size_cap)
+                    s = sumset(s, part, size_cap=DEFAULT_GROWTH_CAP)
+                ns = iterated_sumset(s, n, size_cap=DEFAULT_GROWTH_CAP)
             except SizeCapExceededError:
                 continue
             lhs = len(ns) * (2**n * math.factorial(n)) ** m
@@ -240,7 +240,7 @@ def verify_growth_bounds(
     return ExperimentReport(
         name="growth_bounds",
         instance=a.describe(),
-        params={"n_max": n_max, "k": k, "size_cap": size_cap},
+        params={"n_max": n_max, "k": k, "size_cap": DEFAULT_GROWTH_CAP},
         measured=measured,
         records=records,
     )
@@ -279,7 +279,7 @@ class BetaEstimate:
         }
 
 
-def _beta_candidates(a: GroundSet, interval_len_max: Optional[int]) -> list[tuple[str, GroundSet]]:
+def _beta_candidates(a: GroundSet) -> list[tuple[str, GroundSet]]:
     amb = a.ambient
     cands: list[tuple[str, GroundSet]] = [("zero", GroundSet.of(amb, [amb.zero]))]
     cands.append(("self", a))
@@ -290,37 +290,22 @@ def _beta_candidates(a: GroundSet, interval_len_max: Optional[int]) -> list[tupl
         except SizeCapExceededError:
             break
         cands.append((f"sum{h}", h_set))
-    if isinstance(amb, IntegerLattice) and amb.rank == 1:
-        limit = interval_len_max if interval_len_max is not None else max(2, a.diameter())
-        m = 2
-        lengths = []
-        while m < limit:
-            lengths.append(m)
-            m *= 2
-        lengths.append(limit)
-        for length in lengths:
-            cands.append((f"interval{length}", GroundSet.of(amb, range(length))))
-    elif isinstance(amb, Residues):
-        limit = interval_len_max if interval_len_max is not None else amb.modulus - 1
-        limit = min(limit, amb.modulus)
-        m = 2
-        lengths = []
-        while m < limit:
-            lengths.append(m)
-            m *= 2
-        if limit >= 2:
-            lengths.append(limit)
-        for length in lengths:
-            cands.append((f"interval{length}", GroundSet.of(amb, range(length))))
+    if isinstance(amb, Residues):
+        limit = a.diameter()  # N - 1, so Z_2 gets no interval
+    elif amb.rank == 1:
+        limit = max(2, a.diameter())
+    else:
+        return cands
+    m = 2
+    while m < limit:
+        cands.append((f"interval{m}", GroundSet.of(amb, range(m))))
+        m *= 2
+    if limit >= 2:
+        cands.append((f"interval{limit}", GroundSet.of(amb, range(limit))))
     return cands
 
 
-def beta_hat(
-    a: GroundSet,
-    interval_len_max: Optional[int] = None,
-    extra_candidates: Sequence[tuple[str, GroundSet]] = (),
-    size_cap: int = DEFAULT_GROWTH_CAP,
-) -> BetaEstimate:
+def beta_hat(a: GroundSet) -> BetaEstimate:
     """Minimize |A+X+Y| / sqrt(|X| |Y|) over a small structured family of
     candidate pairs (X, Y).
 
@@ -328,20 +313,21 @@ def beta_hat(
     reports a certified upper bound for it, which is what the dimension
     comparisons need.  Candidates are the zero singleton, A itself, a few
     iterated sumsets of A, and initial intervals with power-of-two lengths
-    (intervals only apply to rank-1 integer and modular ambients).
+    up to the diameter of A (intervals only apply to rank-1 integer and
+    modular ambients).  Sumsets are capped at ``DEFAULT_GROWTH_CAP``
+    elements; a pair whose A+X+Y passes the cap is skipped.
     """
     if not a.elements:
         raise PreconditionError("beta statistic needs a nonempty set")
-    cands = _beta_candidates(a, interval_len_max)
-    cands.extend(extra_candidates)
+    cands = _beta_candidates(a)
     best: Optional[tuple[Fraction, str, str, int, int, int]] = None
     tried = 0
     for xi, (xl, xs) in enumerate(cands):
-        ax = sumset(a, xs, size_cap=size_cap)
+        ax = sumset(a, xs, size_cap=DEFAULT_GROWTH_CAP)
         for yl, ys in cands[xi:]:
             tried += 1
             try:
-                axy = sumset(ax, ys, size_cap=size_cap)
+                axy = sumset(ax, ys, size_cap=DEFAULT_GROWTH_CAP)
             except SizeCapExceededError:
                 continue
             val = Fraction(len(axy) ** 2, len(xs) * len(ys))
@@ -360,19 +346,17 @@ def beta_hat(
 
 
 def polynomial_growth_fit(
-    a: GroundSet,
-    n_max: int = 5,
-    size_cap: int = DEFAULT_GROWTH_CAP,
-    budget: Optional[int] = None,
+    a: GroundSet, n_max: int = 5, budget: Optional[int] = None
 ) -> ExperimentReport:
     """Fit |nA| ~ |A| * n^d and compare the exponent with the dimension.
 
-    The fitted exponent is d_fit = max_n log(|nA|/|A|) / log n.  Sets of
-    bounded dimension grow polynomially, with the exponent controlled by
-    dim_k up to logarithmic factors; both directions are reported as fitted
+    The fitted exponent is d_fit = max_n log(|nA|/|A|) / log n, over the
+    iterates within ``DEFAULT_GROWTH_CAP`` elements.  Sets of bounded
+    dimension grow polynomially, with the exponent controlled by dim_k up
+    to logarithmic factors; both directions are reported as fitted
     constants.
     """
-    curve = growth_sequence(a, n_max, size_cap=size_cap)
+    curve = growth_sequence(a, n_max)
     size_a = curve.sizes[0]
     d_fit = 0.0
     per_n = []
@@ -401,7 +385,7 @@ def polynomial_growth_fit(
     return ExperimentReport(
         name="polynomial_growth",
         instance=a.describe(),
-        params={"n_max": n_max, "size_cap": size_cap},
+        params={"n_max": n_max, "size_cap": DEFAULT_GROWTH_CAP},
         measured={"curve": canonical(curve), "d_fit": d_fit, "per_n": per_n},
         records=records,
     )
@@ -457,19 +441,18 @@ def freiman_model(
     l: int = 2,
     trials: int = 64,
     seed: int = 0,
-    modulus: Optional[int] = None,
-    size_cap: int = DEFAULT_GROWTH_CAP,
 ) -> FreimanModel:
     """Build a verified l-isomorphic modular model of a dense subset of A.
 
     Standard rectification: pick a prime p larger than all l-fold sums can
     reach, dilate by a unit lambda mod p, keep the elements landing in the
     most popular of l intervals (at least |A|/l of them), and read the
-    result mod m, where m defaults to |lA - lA| (as tight as the doubling
-    allows).  Candidates are verified exhaustively before being returned.
+    result mod m, starting from m = |lA - lA| (at least 2; as tight as the
+    doubling allows, and built within ``DEFAULT_GROWTH_CAP`` elements).
+    Candidates are verified exhaustively before being returned.
     Dilations are tried in a seed-shuffled order covering every unit when
-    trials permits; if no dilation works at the default modulus, m is
-    escalated a little (flagged in the result via modulus > default).
+    trials permits; if no dilation works at that modulus, m is escalated
+    by up to 8 (visible in the result as a larger modulus).
     """
     import random
 
@@ -483,10 +466,8 @@ def freiman_model(
     if not a.elements:
         raise PreconditionError("cannot model the empty set")
 
-    diff = iterated_sumset(a, l, l, size_cap=size_cap)
-    m0 = modulus if modulus is not None else max(len(diff), 2)
-    if m0 < 2:
-        raise PreconditionError("modulus must be at least 2")
+    diff = iterated_sumset(a, l, l, size_cap=DEFAULT_GROWTH_CAP)
+    m0 = max(len(diff), 2)
     max_abs = max((abs(x) for x in a.elements), default=0)
     # The model lives mod p, so p is held to the 64-bit range of every coordinate.
     p = _check64(int(sympy.nextprime(2 * l * max_abs + l + 1)))
@@ -496,10 +477,9 @@ def freiman_model(
     rng.shuffle(lams)
     lams = lams[: max(1, trials)]
     min_keep = -(-len(a) // l)
-    moduli = [m0] if modulus is not None else list(range(m0, m0 + 9))
 
     attempts = 0
-    for m in moduli:
+    for m in range(m0, m0 + 9):
         for lam in lams:
             attempts += 1
             buckets: dict[int, list[int]] = {}
@@ -524,10 +504,7 @@ def freiman_model(
                     attempts=attempts,
                     verified=True,
                 )
-    raise TrialsExhaustedError(
-        f"no verified {l}-isomorphic model near modulus {m0} in {attempts} attempts"
-        + ("" if modulus is None else " (requested modulus may be too small)")
-    )
+    raise TrialsExhaustedError(f"no verified {l}-isomorphic model near modulus {m0} in {attempts} attempts")
 
 
 def dim_shift_ratio(

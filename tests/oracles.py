@@ -135,7 +135,7 @@ def reference_dim_bounds(xs, k, budget, modulus=None, spent=0):
     elems = sorted(x for x in xs if x != zero)
     n = len(elems)
     if n == 0:
-        return 0, 0, True, 0, (), ""
+        return 0, 0, True, spent, (), ""
 
     def magnitude(x):
         if modulus is not None:

@@ -22,6 +22,7 @@ from adlab import (
     t_k,
     vectors,
 )
+from adlab.decompose import SIDON_EXACT_LIMIT
 
 from oracles import naive_ratio_box, naive_relation, naive_sidon_max
 
@@ -99,13 +100,6 @@ def test_level_set_partitions_support():
             # the multiplicity sits inside (band, 2*band]
             assert band < r.entries[x] <= 2 * band
     assert seen == support
-
-
-def test_level_set_respects_base():
-    a = integers(range(1, 5))
-    r = rep_fn([(a, "+"), (a, "+")])
-    doubled = level_set(r, base=2)
-    assert [band for band, _ in doubled] == [Fraction(1, 2), Fraction(1), Fraction(2)]
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +238,23 @@ def test_sidon_greedy_mode_gives_valid_subset():
     got = sidon_extract(integers(xs), 2, mode="greedy")
     assert set(got.elements) <= set(xs)
     assert _is_sidon(got, 2)
+
+
+def test_sidon_switches_to_greedy_past_the_exact_limit():
+    # 0 comes first by magnitude and blocks every other power of two
+    # (0 + 2x = x + x), so greedy keeps 0 and half the powers while the
+    # largest B_2[1] subset drops 0 and keeps them all.
+    for n in (SIDON_EXACT_LIMIT, SIDON_EXACT_LIMIT + 1):
+        xs = [0] + [-(2**i) for i in range(n - 1)]
+        a = integers(xs)
+        got = sidon_extract(a, 2)
+        greedy = sidon_extract(a, 2, mode="greedy")
+        best = naive_sidon_max(xs, 2)
+        assert len(greedy) < best
+        if n <= SIDON_EXACT_LIMIT:
+            assert _is_sidon(got, 2) and len(got) == best
+        else:
+            assert got == greedy
 
 
 @pytest.mark.parametrize(

@@ -168,6 +168,8 @@ def _search_sets():
 )
 # Truncated with the allowance of the root, 4, as the upper end.
 @example(integers([-12, -9, -6, 0, 1, 2, 3, 7, 8, 11]), 2, 12, 0)
+# No search on {0}: the states already on the meter.
+@example(integers([0]), 1, 50, 3)
 def test_search_matches_the_reference_loop(a, k, budget, spent):
     # Bounds, witness, note and states, tick for tick, also when a budget
     # truncates the search or a shared meter has already been charged.
@@ -219,6 +221,21 @@ def test_dim_ignores_zero():
     a0 = integers([0, 3, 5, 9])
     assert dim_k_exact(a, 1).value == dim_k_exact(a0, 1).value
     assert dim_k_exact(a, 2).value == dim_k_exact(a0, 2).value
+
+
+def test_trivial_sets_report_the_states_of_their_meter():
+    # No search runs on {} or {0}: a shared meter reports what it already
+    # holds, as on any other set; an int or None budget reports 0.
+    m = WorkMeter(100)
+    m.tick(7)
+    assert dim_bounds(integers([0]), 1, m).states == 7
+    assert dim_bounds(integers([0, 3]), 1, m).states == 9
+    for a in (integers([]), integers([0]), residues([0], 5), vectors([(0, 0)], 2)):
+        assert dim_k_exact(a, 1, m).states == 9
+        assert d_k_exact(a, 1, m).states == 9
+        for budget in (None, 10, 0, -1):
+            assert dim_k_exact(a, 1, budget).states == 0
+            assert d_k_exact(a, 1, budget).states == 0
 
 
 def test_dim_antitone_in_k():

@@ -114,17 +114,6 @@ def test_beta_hat_beats_explicit_candidates():
     assert bh.upper_sq <= Fraction(len(aaa) ** 2, len(a) ** 2)
 
 
-def test_beta_hat_extra_candidate_can_win():
-    a = integers(range(1, 9))
-    baseline = beta_hat(a).upper_sq
-    # a much longer interval than the built-in family absorbs A almost freely
-    box = integers(range(0, 2048))
-    bh = beta_hat(a, extra_candidates=[("box", box)])
-    assert bh.x_label == bh.y_label == "box"
-    assert bh.upper_sq == Fraction(4102 ** 2, 2048 ** 2)
-    assert bh.upper_sq < baseline
-
-
 # ---------------------------------------------------------------------------
 # Polynomial growth exponent
 
