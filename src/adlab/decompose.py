@@ -560,7 +560,7 @@ def dec_tk(
         peels += 1
         iterations.append(row)
         if took_all:
-            flags.append(f"iteration {it}: peel did not shrink C; stopping early")
+            flags.append(f"iteration {it}: peel took all of C; stopping early")
             break
     else:
         flags.append(f"iteration cap {max_iter} reached with C above threshold")

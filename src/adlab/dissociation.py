@@ -4,8 +4,15 @@ A set L is k-dissociated when no nonzero coefficient vector eps with entries
 in [-k, k] satisfies sum eps_i * l_i = 0.  Equivalently, the (k+1)^|L| sums
 with coefficients in [0, k] are pairwise distinct.  The greedy and
 branch-and-bound searches add one element at a time to a state holding
-those sums (a plain-int bitset on the line and mod N <= 2^22, a frozenset
-elsewhere) and reject an element as soon as two sums meet.
+those sums and reject an element as soon as two sums meet.  The state is a
+plain-int bitset on the line and mod N <= 2^22, and a set of int codes on
+Z^r (Kronecker codes) and mod N > 2^22 (residues); see ``_extender``.  On
+Z^r each step checks the extremes of the new sums against int64 once, so
+the search raises ``CoordinateOverflowError`` exactly when one of its sums
+leaves that range.  The line's bitsets hold sums of magnitudes and never
+form a signed sum, so no int64 check is made there.  ``d_k_exact`` tests
+its candidate spans on int codes too (``_span_test``), and checks int64
+where ``span_k`` would.
 
 All searches are deterministic: elements are processed in a fixed order and
 witnesses are the lexicographically smallest among optimal ones (subsets are
@@ -24,6 +31,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import add, mul, sub
 
 from .budget import WorkMeter, as_meter
 from .errors import (
@@ -33,12 +41,15 @@ from .errors import (
     VerificationFailedError,
 )
 from .groundset import (
+    INT64_MAX,
+    INT64_MIN,
     Ambient,
     GroundSet,
-    IntegerLattice,
     Residues,
+    _check64,
     _decoded,
     _int_view,
+    _mixed_radix,
     by_magnitude,
     combination,
 )
@@ -121,6 +132,22 @@ class DimensionBounds:
 # Distinct-sum search states
 
 
+def _disjoint_union(sums: set, moves: tuple, translate):
+    """The union of sums and its translates by each move, or None when two
+    of them meet.
+
+    ``translate(sums, y)`` iterates over the sums moved by y.  Each
+    translate is tested against the union so far before it joins it, and
+    the test stops at the first sum found in both.
+    """
+    combined = sums
+    for y in moves:
+        if not combined.isdisjoint(translate(sums, y)):
+            return None
+        combined = combined.union(translate(sums, y))
+    return combined
+
+
 def _extender(ambient: Ambient, k: int, elems: list):
     """Root state, child step and per-element steps of the distinct-sums search.
 
@@ -128,11 +155,26 @@ def _extender(ambient: Ambient, k: int, elems: list):
     of the chosen elements.  ``extend(state, step, count)``, where step is
     ``steps[j]`` for the element ``elems[j]`` and count is the number of
     sums in the state, returns the state with that element added, or None
-    when two sums meet.  On the line the state is a bitset of the sums; a
-    negative x only translates the set, so the bitset depends on |x| alone
-    and the step is |x|.  Mod N <= 2^22 it is a bitset of length N whose
-    shifts wrap around; elsewhere it is a frozenset of sums.  In both the
-    step is x itself.  Steps are computed once per call.
+    when two sums meet.  Steps are computed once per call.
+
+    - On the line the state is a bitset of the sums.  A negative x only
+      translates the set, so the bitset depends on |x| alone and the step
+      is |x|.
+    - Mod N <= 2^22 it is a bitset of length N whose shifts wrap around,
+      and the step is x itself.
+    - Mod N > 2^22 it is a set of residues, and the step lists the moves
+      c*x mod N for c = 1..k.
+    - On Z^r it is a set of Kronecker codes sum_i v_i * W_i, with weights
+      from the box k*sum(min(v_i, 0)) .. k*sum(max(v_i, 0)) of the input,
+      which holds every reachable sum, so equal codes mean equal sums.  The
+      step lists the moves c*code(x) for c = 1..k.  The state also carries
+      the per-coordinate extremes of its sums, and each ``extend`` checks
+      the child's against int64 before it forms a sum.  Both extremes are
+      reached, so it raises ``CoordinateOverflowError`` exactly when one of
+      the child's sums leaves int64.
+
+    A set state grows by ``_disjoint_union``, which rejects an element at
+    the first sum it finds twice.
 
     Callers charge one meter tick per tried element, in index order, before
     its ``extend``; ``dim_k_exact`` counts those ticks inline and raises
@@ -151,7 +193,17 @@ def _extender(ambient: Ambient, k: int, elems: list):
             return combined if combined.bit_count() == kp1 * count else None
 
         return 1, extend, elems
-    if isinstance(ambient, IntegerLattice) and ambient.rank == 1:
+    if isinstance(ambient, Residues):
+        n = ambient.modulus
+
+        def translate(sums: set, y: int):
+            return map(n.__rmod__, map(y.__add__, sums))
+
+        def extend(sums: set, moves: tuple, count: int):
+            return _disjoint_union(sums, moves, translate)
+
+        return {0}, extend, [tuple(c * x % n for c in range(1, kp1)) for x in elems]
+    if ambient.rank == 1:
         if k == 1:
 
             def extend(bits: int, step: int, count: int):
@@ -167,17 +219,29 @@ def _extender(ambient: Ambient, k: int, elems: list):
                 return combined if combined.bit_count() == kp1 * count else None
 
         return 1, extend, [abs(x) for x in elems]
-    add = ambient.add
+    # Kronecker codes; a step is (moves, growth of the extremes: k * the
+    # negative parts, then k * the positive parts of x's coordinates).
+    grows = [tuple(k * min(c, 0) for c in x) + tuple(k * max(c, 0) for c in x) for x in elems]
+    rank = ambient.rank
+    box = [sum(col) for col in zip(*grows)]
+    weights = _mixed_radix([hi - lo for lo, hi in zip(box[:rank], box[rank:])])
+    codes = [sum(map(mul, x, weights)) for x in elems]
+    steps = [(tuple(c * code for c in range(1, kp1)), grow) for code, grow in zip(codes, grows)]
 
-    def extend(sums: frozenset, x, count: int):
-        combined = set(sums)
-        shifted = sums
-        for _ in range(k):
-            shifted = {add(s, x) for s in shifted}
-            combined |= shifted
-        return frozenset(combined) if len(combined) == kp1 * count else None
+    def translate(sums: set, y: int):
+        return map(y.__add__, sums)
 
-    return frozenset([ambient.zero]), extend, elems
+    def extend(state: tuple, step: tuple, count: int):
+        sums, extremes = state
+        moves, grow = step
+        extremes = tuple(map(add, extremes, grow))
+        if min(extremes) < INT64_MIN or max(extremes) > INT64_MAX:
+            for value in extremes:
+                _check64(value)
+        combined = _disjoint_union(sums, moves, translate)
+        return None if combined is None else (combined, extremes)
+
+    return ({0}, (0,) * (2 * rank)), extend, steps
 
 
 def _state_weight(ambient: Ambient, elems, k: int) -> int:
@@ -347,7 +411,12 @@ def dim_k_exact(lam: GroundSet, k: int = 1, budget: int | None = None) -> Dimens
     coordinate (magnitudes are max-norms in Z^rank).  ``need[t]`` is the
     least such k*(sum)+1 that holds (k+1)^t sums, and ``reach[m]``, k times
     the sum of the m largest magnitudes of the input, bounds what m more
-    candidates add to the box.
+    candidates add to the box.  A node at depth d survives only if m more
+    elements can fit for every m up to best - d + 1, that is if
+    ``thr[d]``, the largest need[d + m] - reach[m] over those m, is at
+    most its box.  ``thr[d]`` is computed when a node at depth d first
+    needs it and dropped whenever ``best`` improves, so a node prunes in
+    O(1) time amortized.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -389,7 +458,9 @@ def dim_k_exact(lam: GroundSet, k: int = 1, budget: int | None = None) -> Dimens
     while root_cap < n and need[root_cap + 1] <= reach[root_cap + 1] + 1:
         root_cap += 1
 
+    thr = [None] * (best + 1)  # thr[d], built when first needed after best last moved
     root, extend, steps = _extender(amb, k, elems)
+    shift_and = modulus is None and rank == 1 and k == 1  # extend inlined below
     path = [None] * n
     spare = max(0, (meter.limit - meter.states) // weight)  # ticks that fit
 
@@ -398,30 +469,41 @@ def dim_k_exact(lam: GroundSet, k: int = 1, budget: int | None = None) -> Dimens
 
         box = k*(sum of the chosen magnitudes)+1 and count = (k+1)^depth.
         """
-        nonlocal best, witness
+        nonlocal best, witness, thr
         if depth > best:
             best = depth
             witness = tuple(path[:depth])
+            thr = [None] * (best + 1)
         stop = n + depth - best  # a candidate at j >= stop cannot beat best
         if i >= stop:
             return left
-        # Prune unless m more elements fit for every m up to best - depth + 1.
-        for m in range(best - depth + 2):
-            if need[depth + m] > box + reach[m]:
-                return left
+        bound = thr[depth]
+        if bound is None:
+            # need[depth + m] - reach[m] for m up to best - depth + 1; the
+            # last need is past every box, so the slice may stop there.
+            bound = thr[depth] = max(map(sub, need[depth : best + 2], reach))
+        if bound > box:
+            return left
         dead = i + left  # the candidate at index dead finds no tick left
         end = stop if stop < dead else dead
         child_count = count * kp1
         for j in range(i, n):
             if j >= end:
                 break
-            child = extend(state, steps[j], count)
-            if child is not None:
-                path[depth] = elems[j]
-                left = dfs(j + 1, depth + 1, box + kmag[j], child, child_count, dead - j - 1)
-                dead = j + 1 + left
-                stop = n + depth - best
-                end = stop if stop < dead else dead
+            if shift_and:
+                shifted = state << steps[j]
+                if state & shifted:
+                    continue
+                child = state | shifted
+            else:
+                child = extend(state, steps[j], count)
+                if child is None:
+                    continue
+            path[depth] = elems[j]
+            left = dfs(j + 1, depth + 1, box + kmag[j], child, child_count, dead - j - 1)
+            dead = j + 1 + left
+            stop = n + depth - best
+            end = stop if stop < dead else dead
         else:
             j = n
         if end < stop:
@@ -506,8 +588,64 @@ def _min_size_for_span(count: int, k: int) -> int:
     return t
 
 
+def _span_test(a: GroundSet, k: int):
+    """``covers(cand)``: whether Span_k(cand) holds A, for cand a nonempty
+    tuple of A's elements.
+
+    Runs on int codes of A's elements and of their multiples -k..k, built
+    once: the elements themselves on the line, residues mod N, and on Z^r
+    Kronecker codes sum_i v_i * W_i whose weights come from the box
+    -k*sum|x_i| .. k*sum|x_i| over A, which holds every span.  A cand that
+    ``span_k`` refuses, because (2k+1)^|cand| exceeds ``DEFAULT_SPAN_CAP`` or
+    because k*sum|x_i| over cand leaves int64 in some coordinate, goes
+    through ``span_k`` itself and raises its error.
+    """
+    amb = a.ambient
+    elems = a.elements
+    modulus = amb.modulus if isinstance(amb, Residues) else None
+
+    def extent(xs) -> int:
+        """The largest k*sum|x_i| over the coordinates."""
+        return k * max(sum(map(abs, col)) for col in ([xs] if amb.rank == 1 else zip(*xs)))
+
+    if amb.rank == 1:
+        codes = elems
+    else:
+        weights = _mixed_radix([2 * k * sum(map(abs, col)) for col in zip(*elems)])
+        codes = [sum(map(mul, x, weights)) for x in elems]
+    coeffs = range(-k, k + 1)
+    if modulus is None:
+        mults = {x: [c * v for c in coeffs] for x, v in zip(elems, codes)}
+    else:
+        mults = {x: [c * v % modulus for c in coeffs] for x, v in zip(elems, codes)}
+    target = set(codes)
+    risky = modulus is None and extent(elems) > INT64_MAX
+
+    def covers(cand: tuple) -> bool:
+        if (2 * k + 1) ** len(cand) > DEFAULT_SPAN_CAP or (risky and extent(cand) > INT64_MAX):
+            return set(elems) <= set(span_k(GroundSet(amb, cand), k).elements)
+        cur = {0}
+        for x in cand:
+            part = mults[x]
+            if modulus is None:
+                cur = {v + d for v in cur for d in part}
+            else:
+                cur = {(v + d) % modulus for v in cur for d in part}
+        return target <= cur
+
+    return covers
+
+
 def d_k_exact(a: GroundSet, k: int = 1, budget: int | None = None) -> DimensionBounds:
-    """min |S| over S subset of A with A inside Span_k(S), by size-ordered search."""
+    """min |S| over S subset of A with A inside Span_k(S), by size-ordered search.
+
+    Candidates are tried by size, then in ``itertools.combinations`` order;
+    each costs (2k+1)^|S| ticks, charged before it is tested on the int
+    codes of ``_span_test``.  The search raises ``SizeCapExceededError`` or
+    ``CoordinateOverflowError`` at the first candidate ``span_k`` would
+    raise on; the greedy upper witness is checked the same way, except that
+    a witness past the span cap is replaced by A.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     amb = a.ambient
@@ -522,8 +660,9 @@ def d_k_exact(a: GroundSet, k: int = 1, budget: int | None = None) -> DimensionB
     # A maximal 1-dissociated subset spans A with coefficients in [-1, 1],
     # so it is a valid upper witness for every k >= 1.
     fallback = max_dissociated_greedy(a, 1, budget=meter)
+    covers = _span_test(a, k)
     try:
-        if not need <= set(span_k(fallback, k).elements):
+        if not covers(fallback.elements):
             fallback = a
     except SizeCapExceededError:
         fallback = a
@@ -535,11 +674,9 @@ def d_k_exact(a: GroundSet, k: int = 1, budget: int | None = None) -> DimensionB
             per_candidate = (2 * k + 1) ** t
             for cand in itertools.combinations(elems, t):
                 meter.tick(per_candidate)
-                sub = GroundSet(amb, cand)
-                span = span_k(sub, k, size_cap=None)
-                if need <= set(span.elements):
+                if covers(cand):
                     return DimensionBounds(
-                        "d_k", k, t, t, True, None, sub, meter.states
+                        "d_k", k, t, t, True, None, GroundSet(amb, cand), meter.states
                     )
             t += 1
     except BudgetExceededError:

@@ -249,6 +249,20 @@ def by_magnitude(ambient: Ambient, elems: Iterable[Element], descending: bool = 
 # Set algebra
 
 
+def _mixed_radix(spreads: list) -> list:
+    """Weights W with W[-1] = 1 and W[i-1] = W[i] * (spreads[i] + 1).
+
+    The linear code v -> sum_i v_i * W[i] is injective on any box whose
+    coordinate i takes spreads[i] + 1 consecutive values: two points of it
+    differ by at most spreads[i] in coordinate i, so no digit carries.
+    """
+    weights = [1]
+    for spread in spreads[:0:-1]:
+        weights.append(weights[-1] * (spread + 1))
+    weights.reverse()
+    return weights
+
+
 def _int_view(ambient: Ambient, parts: Sequence[tuple[Sequence[Element], str]]):
     """Plain-int codes for the parts of a signed sum, and their decoder.
 
@@ -293,10 +307,7 @@ def _int_view(ambient: Ambient, parts: Sequence[tuple[Sequence[Element], str]]):
         if min(lo_sum) < INT64_MIN or max(hi_sum) > INT64_MAX:
             for value in lo_sum + hi_sum:
                 _check64(value)
-    weights = [1]
-    for lo, hi in zip(lo_sum[:0:-1], hi_sum[:0:-1]):
-        weights.append(weights[-1] * (hi - lo + 1))
-    weights.reverse()
+    weights = _mixed_radix([hi - lo for lo, hi in zip(lo_sum, hi_sum)])
     codes = []
     for part, lo in zip(signed, lows):
         shift = sum(map(mul, lo, weights))

@@ -500,7 +500,7 @@ def _ev_decomposition(claim, a, inst, budget):
     }
     peels = dec.energies["peels"]
     stopped_early = any(
-        "cap" in f or "did not shrink" in f for f in dec.flags
+        "cap" in f or "took all of C" in f for f in dec.flags
     )
     if peels >= 1 and not stopped_early:
         checks["mult_energy_below_threshold"] = (

@@ -239,6 +239,30 @@ def naive_span(xs, k):
     return sorted(out)
 
 
+def naive_d_k(xs, k, modulus=None):
+    """The first subset whose span with coefficients in [-k, k] holds xs.
+
+    Subsets of the distinct elements are tried by size, then in
+    ``itertools.combinations`` order of the sorted elements; each span is
+    formed from every coefficient vector.  Elements are ints, residues mod
+    ``modulus`` or equal-length int tuples.
+    """
+    xs = sorted(set(xs))
+    zero = tuple(0 for _ in xs[0]) if xs and isinstance(xs[0], tuple) else 0
+    target = set(xs) - {zero}  # every span holds zero
+    for sub in subsets(xs):
+        span = set()
+        for coeffs in product(range(-k, k + 1), repeat=len(sub)):
+            terms = [
+                tuple(c * v for v in x) if isinstance(x, tuple) else c * x
+                for c, x in zip(coeffs, sub)
+            ]
+            span.add(_total(terms, modulus))
+        if target <= span:
+            return sub
+    raise AssertionError("the whole set always spans itself")
+
+
 def naive_tk(xs, k, modulus=None):
     """T_k: ordered pairs of k-tuples with equal sums.
 

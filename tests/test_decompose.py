@@ -201,6 +201,14 @@ def test_dec_tk_records_iterations():
     assert peels == sum(1 for step in res.iterations if step["above_threshold"])
 
 
+def test_dec_tk_flags_a_peel_that_takes_all_of_c():
+    res = dec_tk(integers([29, 47, 82]), s=2)
+    assert res.b.elements == (29, 47, 82)
+    assert res.c.elements == ()
+    assert res.flags == ["iteration 0: peel took all of C; stopping early"]
+    assert res.energies["peels"] == 1
+
+
 # ---------------------------------------------------------------------------
 # Sidon extraction
 

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from adlab import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    CoordinateOverflowError,
     PreconditionError,
     WorkMeter,
     cube,
@@ -26,6 +27,7 @@ from adlab.dissociation import coin_weighing_dissociated
 from adlab.groundset import Residues
 
 from oracles import (
+    naive_d_k,
     naive_dim_k,
     naive_dim_k1,
     naive_relation,
@@ -337,6 +339,114 @@ def test_restricted_cover_can_exceed_dim_at_higher_k():
 def test_d_k_antitone_in_k():
     a = integers(range(1, 7))
     assert d_k_exact(a, 1).value >= d_k_exact(a, 2).value >= d_k_exact(a, 3).value
+
+
+def _cover_sets():
+    """Small sets on the line (negatives too), mod N (past 2^22 too), in Z^2 and in Z^3."""
+    line = st.lists(st.integers(-30, 30), max_size=5).map(integers)
+    mod = st.sampled_from([2, 5, 12, 97, (1 << 22) + 1]).flatmap(
+        lambda n: st.lists(st.integers(0, n - 1), max_size=5).map(lambda xs: residues(xs, n))
+    )
+    z2 = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=5)
+    z3 = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)), max_size=5)
+    return st.one_of(line, mod, z2.map(lambda xs: vectors(xs, 2)), z3.map(lambda xs: vectors(xs, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cover_sets(), st.integers(1, 3))
+def test_d_k_finds_the_first_covering_subset(a, k):
+    amb = a.ambient
+    modulus = amb.modulus if isinstance(amb, Residues) else None
+    first = naive_d_k(list(a.elements), k, modulus)
+    db = d_k_exact(a, k)
+    assert db.exact and db.value == len(first)
+    assert db.upper_witness.elements == first
+
+
+@pytest.mark.parametrize(
+    "a, k, budget, expected",
+    [
+        (integers(range(1, 9)), 1, None, (3, 3, True, 341, (1, 2, 5), "")),
+        (integers([-7, -3, 2, 5, 11, 20]), 1, None, (4, 4, True, 843, (-7, -3, 2, 11), "")),
+        (
+            integers([-7, -3, 2, 5, 11, 20]), 2, 200,
+            (2, 4, False, 206, (-7, 5, 11, 20), "search truncated by budget"),
+        ),
+        (integers(range(-6, 9)), 1, 2000, (3, 3, True, 95, (-6, -5, -2), "")),
+        (residues([1, 5, 17, 30, 44], 97), 1, None, (4, 4, True, 446, (1, 5, 17, 30), "")),
+        (
+            residues([3, 9, 27, 81, 243], (1 << 22) + 1), 2, 3000,
+            (4, 5, False, 3430, (3, 9, 27, 81, 243), "search truncated by budget"),
+        ),
+        (
+            vectors([(1, 0), (0, 1), (1, 1), (2, -1), (-3, 2)], 2), 2, None,
+            (3, 3, True, 405, ((-3, 2), (0, 1), (1, 0)), ""),
+        ),
+        (
+            vectors([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, -1, 0), (0, 2, -2)], 3), 1, 60,
+            (
+                2, 5, False, 69, ((0, 0, 1), (0, 1, 0), (0, 2, -2), (1, 0, 0), (2, -1, 0)),
+                "search truncated by budget",
+            ),
+        ),
+        (
+            vectors([(2, -1, 1), (-2, 2, 0), (1, 1, -2), (0, -2, 2), (2, 2, 2)], 3), 3, 300,
+            (
+                2, 5, False, 334, ((-2, 2, 0), (0, -2, 2), (1, 1, -2), (2, -1, 1), (2, 2, 2)),
+                "search truncated by budget",
+            ),
+        ),
+    ],
+)
+def test_d_k_states_are_pinned(a, k, budget, expected):
+    # Tick for tick, also when the budget truncates the search.
+    db = d_k_exact(a, k, budget)
+    assert (db.lower, db.upper, db.exact, db.states, db.upper_witness.elements, db.note) == expected
+
+
+B62 = 1 << 62
+OVERFLOW = "overflow"
+
+
+@pytest.mark.parametrize(
+    "xs, k, expected",
+    [
+        # (greedy size, dim_bounds (lower, upper, states), d_k_exact (lower, upper, states))
+        ([(B62, 0), (B62 - 1, 1)], 1, (2, (2, 2, 4), (2, 2, 17))),
+        ([(B62, 0), (B62, 1)], 1, (OVERFLOW, OVERFLOW, OVERFLOW)),
+        ([(-B62, 0), (-B62, -1)], 1, (2, (2, 2, 4), OVERFLOW)),
+        ([(-B62 - 1, 0), (-B62, 3)], 1, (OVERFLOW, OVERFLOW, OVERFLOW)),
+        ([(B62 // 2, 1), (B62 // 2 - 1, -1)], 2, (2, (2, 2, 4), (2, 2, 37))),
+        ([(B62 // 2, 1), (B62 // 2 - 1, -1)], 3, (OVERFLOW, OVERFLOW, OVERFLOW)),
+        ([(1, B62 - 2, -1), (2, B62, 0), (0, 1, 2)], 1, (3, (3, 3, 6), (3, 3, 66))),
+        ([(1, B62 - 1, -1), (2, B62, 0), (0, 1, 2)], 1, (OVERFLOW, OVERFLOW, OVERFLOW)),
+        ([(3, -2, -B62), (-1, 0, -B62 + 1), (2, 2, -1)], 1, (3, (3, 3, 6), OVERFLOW)),
+        ([(3, -2, -B62 - 1), (-1, 0, -B62 + 1), (2, 2, -1)], 1, (OVERFLOW, OVERFLOW, OVERFLOW)),
+        ([(B62 // 2, 0, 1), (B62 // 2, 1, 0), (0, -1, 1)], 1, (2, (2, 2, 6), (2, 2, 21))),
+        ([(B62 // 2, 0, 1), (B62 // 2, 1, 0), (0, -1, 1)], 2, (OVERFLOW, OVERFLOW, OVERFLOW)),
+        ([(B62 // 2 - 1, 0, 1), (B62 // 2, 1, 0), (0, -1, 1)], 2, (3, (3, 3, 6), (3, 3, 218))),
+    ],
+)
+def test_lattice_searches_raise_exactly_when_a_sum_leaves_int64(xs, k, expected):
+    # Sums within a few units of +-2^63: every search raises at the first
+    # sum (or, for d_k_exact, span) outside int64, and only there.
+    a = vectors(xs, len(xs[0]))
+
+    def bounds(db):
+        return db.lower, db.upper, db.states
+
+    calls = (
+        lambda: len(max_dissociated_greedy(a, k)),
+        lambda: bounds(dim_bounds(a, k)),
+        lambda: bounds(d_k_exact(a, k)),
+    )
+    message = r"^coordinate -?\d+ outside signed 64-bit range$"
+    for call, want in zip(calls, expected):
+        if want == OVERFLOW:
+            with pytest.raises(CoordinateOverflowError, match=message):
+                call()
+        else:
+            assert call() == want
 
 
 def test_greedy_is_maximal_and_spans():

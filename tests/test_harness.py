@@ -312,8 +312,8 @@ def test_empty_set_is_one_skip_for_every_claim(empty):
 def any_ambient_set(draw):
     """A set of 0-6 elements on the line, mod N or in Z^2 / Z^3.
 
-    Z^3 coordinates stay in [-1, 1]: wider ones make the frozenset
-    dissociation states take tens of seconds per claim.
+    Lattice coordinates stay small (|c| <= 4 in Z^2, <= 2 in Z^3) so that
+    the dimension searches every claim runs stay within seconds.
     """
     kind = draw(st.sampled_from(("line", "mod", "wide_mod", "z2", "z3")))
     size = dict(max_size=6)
@@ -324,7 +324,7 @@ def any_ambient_set(draw):
     if kind in ("mod", "wide_mod"):
         n = draw(st.integers(2, 64)) if kind == "mod" else WIDE_MODULUS
         return residues(draw(st.lists(st.integers(0, n - 1), **size)), n)
-    rank, c = (2, 4) if kind == "z2" else (3, 1)
+    rank, c = (2, 4) if kind == "z2" else (3, 2)
     return vectors(draw(st.lists(st.tuples(*[st.integers(-c, c)] * rank), **size)), rank)
 
 
