@@ -28,6 +28,7 @@ from .groundset import (
     load_set,
     format_set,
     residues,
+    save_set,
 )
 from .harness import generate, run_core_suite, spec as make_spec
 from .harness.runner import report_to_json
@@ -369,15 +370,13 @@ def _cmd_gen(args) -> int:
             raise AdlabError(f"cannot parse parameter value {raw!r}") from None
     instance = make_spec(args.generator, seed=args.seed, **params)
     ground = generate(instance)
-    text = format_set(ground)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        save_set(ground, args.out)
         print(f"{instance.label}: {len(ground)} elements -> {args.out}")
     elif args.json:
         print(stable_dumps({"instance": instance, "elements": ground}))
     else:
-        print(text, end="")
+        print(format_set(ground), end="")
     return 0
 
 
@@ -404,7 +403,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except AdlabError as exc:
+    except (AdlabError, ValueError) as exc:
+        # The library rejects a bad argument value with ValueError.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -191,33 +191,24 @@ class BsgResult:
 
 
 def _energy_chain(b: GroundSet, l: int, size_cap: int) -> tuple[list[RepFn], list[int]]:
-    """r_{2^i B} and T_{2^i}(B) for i = 0..l, stopping early at the cap."""
+    """r_{2^i B} and T_{2^i}(B) for i = 0..l, stopping early at the cap.
+
+    Level i is r_{2^i B}, built by ``rep_fn``.  The chain stops before
+    level i when |supp r_{2^(i-1) B}|^2 > 8 * size_cap, and also when
+    level i's support would pass size_cap.
+    """
     reps = [rep_fn([(b, "+")])]
     energies = [reps[0].square_sum()]
-    for _ in range(l):
+    for i in range(1, l + 1):
+        if len(reps[-1].entries) ** 2 > 8 * size_cap:
+            break
         try:
-            nxt = _rep_double(reps[-1], size_cap)
+            nxt = rep_fn([(b, "+")] * 2**i, size_cap=size_cap)
         except SizeCapExceededError:
             break
         reps.append(nxt)
         energies.append(nxt.square_sum())
     return reps, energies
-
-
-def _rep_double(r: RepFn, size_cap: int) -> RepFn:
-    """Convolution of r with itself (r_{2S} from r_S, with multiplicity)."""
-    if len(r.entries) ** 2 > 8 * size_cap:
-        raise SizeCapExceededError("convolution square too large", cap=size_cap, stage="bsg-chain")
-    out: dict = {}
-    amb = r.ambient
-    items = list(r.entries.items())
-    for x, cx in items:
-        for y, cy in items:
-            z = amb.add(x, y)
-            out[z] = out.get(z, 0) + cx * cy
-    if len(out) > size_cap:
-        raise SizeCapExceededError("convolution support too large", cap=size_cap, stage="bsg-chain")
-    return RepFn(amb, out)
 
 
 def _bsg_core(

@@ -429,12 +429,6 @@ class RepFn:
     def __getitem__(self, x) -> int:
         return self.entries.get(x, 0)
 
-    def support(self) -> GroundSet:
-        return GroundSet(self.ambient, tuple(sorted(self.entries)))
-
-    def max_value(self) -> int:
-        return max(self.entries.values()) if self.entries else 0
-
     def square_sum(self) -> int:
         return sum(c * c for c in self.entries.values())
 

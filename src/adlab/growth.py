@@ -50,12 +50,6 @@ class GrowthCurve:
     sizes: tuple[int, ...]
     truncated_at: Optional[int] = None
 
-    def ratio(self, n: int) -> Fraction:
-        """|nA| / |A| as an exact fraction."""
-        if not 1 <= n <= len(self.sizes):
-            raise PreconditionError(f"curve has no entry for n={n}")
-        return Fraction(self.sizes[n - 1], self.sizes[0])
-
 
 def growth_sequence(a: GroundSet, n_max: int, size_cap: int = DEFAULT_GROWTH_CAP) -> GrowthCurve:
     """Compute |nA| for n = 1..n_max, stopping early if an iterate would
@@ -409,9 +403,6 @@ class FreimanModel:
     dilation: int
     attempts: int
     verified: bool
-
-    def image(self) -> GroundSet:
-        return GroundSet.of(Residues(self.modulus), self.mapping.values())
 
 
 def verify_span_isomorphism(

@@ -56,9 +56,6 @@ class InstanceSpec:
         tail = f"; seed={self.seed}" if self.seed else ""
         return f"{self.generator}({inner}{tail})"
 
-    def realize(self) -> GroundSet:
-        return generate(self)
-
     def to_json(self) -> dict:
         return {
             "generator": self.generator,
@@ -82,15 +79,13 @@ def _gen_ap(seed: int, start: int, step: int, length: int) -> GroundSet:
     return integers(start + i * step for i in range(length))
 
 
-def _gen_gp(seed: int, base: int, length: int, scale: int = 1) -> GroundSet:
+def _gen_gp(seed: int, base: int, length: int) -> GroundSet:
     if length < 1:
         raise PreconditionError("progression length must be >= 1")
     if base < 2:
         raise PreconditionError("geometric base must be >= 2")
-    if scale < 1:
-        raise PreconditionError("scale must be >= 1")
     # 64-bit overflow surfaces as CoordinateOverflowError from the ambient.
-    return integers(scale * base**i for i in range(length))
+    return integers(base**i for i in range(length))
 
 
 def _gen_ap_union(seed: int, aps: tuple) -> GroundSet:
@@ -179,8 +174,6 @@ GENERATORS = {
     "random_sample": (_gen_random_sample, ("n_max", "size")),
 }
 
-_OPTIONAL = {"gp": ("scale",)}
-
 
 def generate(spec: InstanceSpec) -> GroundSet:
     """Realize a spec; identical specs produce identical ground sets."""
@@ -190,9 +183,8 @@ def generate(spec: InstanceSpec) -> GroundSet:
         )
     fn, required = GENERATORS[spec.generator]
     params = spec.params_dict
-    allowed = set(required) | set(_OPTIONAL.get(spec.generator, ()))
     missing = [k for k in required if k not in params]
-    unexpected = [k for k in params if k not in allowed]
+    unexpected = [k for k in params if k not in required]
     if missing or unexpected:
         raise PreconditionError(
             f"generator {spec.generator!r}: missing {missing or 'none'}, "

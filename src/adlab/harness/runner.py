@@ -17,7 +17,7 @@ from ..errors import PreconditionError
 from ..groundset import GroundSet
 from ..records import SCHEMA_VERSION, ClaimRecord, canonical, dumps_canonical
 from .claims import REGISTRY, evaluate_claim, fit_constant, get_claim
-from .generators import InstanceSpec, spec
+from .generators import InstanceSpec, generate, spec
 
 Instance = Union[InstanceSpec, GroundSet, tuple]
 
@@ -46,7 +46,7 @@ CORE_BUDGET = 500_000
 
 def _normalize(instance: Instance) -> tuple[dict, GroundSet]:
     if isinstance(instance, InstanceSpec):
-        return instance.to_json(), instance.realize()
+        return instance.to_json(), generate(instance)
     if isinstance(instance, GroundSet):
         desc = instance.describe()
         return (

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from .budget import as_meter
 from .dissociation import dim_bounds
@@ -70,18 +70,17 @@ def subgroup(p: int, t: int) -> SubgroupSpec:
 
 @dataclass(frozen=True)
 class DirichletValue:
-    """min_q sum_{a in A} ||q a / N||^s together with the minimizing q.
+    """min_q sum_{a in A} ||q a / N||^s together with the first minimizing q.
 
-    For integer exponents s the value is an exact rational; otherwise it is
-    a float and error_bound estimates the accumulated rounding error.
+    s is a positive integer and value is the exact Fraction
+    sum_a (N ||q a / N||)^s / N^s; exact is always True.
     """
 
-    value: Union[Fraction, float]
+    value: Fraction
     argmin_q: int
-    s: Union[int, float]
+    s: int
     modulus: int
-    exact: bool
-    error_bound: float = 0.0
+    exact: bool = True
 
 
 def _dirichlet_elems(a: GroundSet, modulus: Optional[int]) -> tuple[list[int], int]:
@@ -99,76 +98,33 @@ def _dirichlet_elems(a: GroundSet, modulus: Optional[int]) -> tuple[list[int], i
     raise PreconditionError("Dirichlet minimum needs residues mod N or rank-1 integers")
 
 
-def dirichlet_min(
-    a: GroundSet,
-    s: Union[int, float] = 2,
-    q_range: Optional[Sequence[int]] = None,
-    modulus: Optional[int] = None,
-) -> DirichletValue:
-    """Minimize sum_{a in A} ||q a / N||^s over q in [1, N-1].
+def dirichlet_min(a: GroundSet, s: int = 2, modulus: Optional[int] = None) -> DirichletValue:
+    """Minimize sum_{a in A} ||q a / N||^s over q in [1, N-1], exactly.
 
-    ||x|| is the distance from x to the nearest integer.  A full scan over
-    q is refused for N > 2^20 unless an explicit q_range is supplied.
-    Integer s is evaluated exactly over the rationals; fractional s falls
-    back to floats with a reported error bound.
+    ||x|| is the distance from x to the nearest integer, and s must be a
+    positive integer.  Every q is scanned against a table of
+    (N ||r/N||)^s for the N residues r, so the value is an exact Fraction
+    and argmin_q is the first q that reaches it.  The scan is refused with
+    SizeCapExceededError for N > 2^20 (``DIRICHLET_SCAN_CAP``).
     """
-    if s <= 0:
-        raise PreconditionError("exponent s must be positive")
+    if not isinstance(s, int) or s < 1:
+        raise PreconditionError("exponent s must be a positive integer")
     if not a.elements:
         raise PreconditionError("Dirichlet minimum of the empty set is undefined")
     elems, n = _dirichlet_elems(a, modulus)
-    if q_range is None:
-        if n > DIRICHLET_SCAN_CAP:
-            raise SizeCapExceededError(
-                f"full q-scan over N={n} needs an explicit q_range",
-                cap=DIRICHLET_SCAN_CAP,
-                stage="dirichlet-scan",
-            )
-        qs: Sequence[int] = range(1, n)
-    else:
-        qs = [q for q in q_range]
-        if not qs or any(not 1 <= q <= n - 1 for q in qs):
-            raise PreconditionError("q_range must be a nonempty subset of [1, N-1]")
-
-    exact = isinstance(s, int) or (isinstance(s, float) and s.is_integer())
-    si = int(s) if exact else None
-    best_num: Optional[int] = None
-    best_float = math.inf
-    best_q = 0
-    # A full scan reads (N ||r/N||)^s from a table of the N residues, built
-    # once; an explicit q_range may come with N past DIRICHLET_SCAN_CAP.
-    table = [min(r, n - r) ** si for r in range(n)] if exact and q_range is None else None
-    for q in qs:
-        if exact:
-            if table is not None:
-                total = sum([table[q * x % n] for x in elems])
-            else:
-                total = 0
-                for x in elems:
-                    r = q * x % n
-                    total += min(r, n - r) ** si
-            if best_num is None or total < best_num:
-                best_num, best_q = total, q
-        else:
-            total_f = 0.0
-            for x in elems:
-                r = q * x % n
-                total_f += (min(r, n - r) / n) ** s
-            if total_f < best_float:
-                best_float, best_q = total_f, q
-    if exact:
-        assert best_num is not None
-        return DirichletValue(
-            value=Fraction(best_num, n**si),
-            argmin_q=best_q,
-            s=si,
-            modulus=n,
-            exact=True,
+    if n > DIRICHLET_SCAN_CAP:
+        raise SizeCapExceededError(
+            f"full q-scan over N={n} exceeds the cap",
+            cap=DIRICHLET_SCAN_CAP,
+            stage="dirichlet-scan",
         )
-    err = len(elems) * 8 * math.ulp(1.0)
-    return DirichletValue(
-        value=best_float, argmin_q=best_q, s=s, modulus=n, exact=False, error_bound=err
-    )
+    table = [min(r, n - r) ** s for r in range(n)]
+    best_num = best_q = None
+    for q in range(1, n):
+        total = sum([table[q * x % n] for x in elems])
+        if best_num is None or total < best_num:
+            best_num, best_q = total, q
+    return DirichletValue(value=Fraction(best_num, n**s), argmin_q=best_q, s=s, modulus=n)
 
 
 def verify_dirichlet_dim(
@@ -180,15 +136,16 @@ def verify_dirichlet_dim(
 ) -> ExperimentReport:
     """Check the unconditional dimension bound d >= s*log(N-1)/log(dT).
 
-    T is |A| divided by the measured Dirichlet minimum, and d is a
-    certified lower bound for dim(A); substituting the lower bound is sound
-    because the right side decreases in d.  The plain form has no hidden
-    constant and is checked as a hard record.  The variant for sets with
-    small product set, d >> s*log(N-1)/log(d k^2 D^3 T log(DT)) with
+    s is a positive integer.  T = |A| / V is an exact Fraction, V the
+    Dirichlet minimum from ``dirichlet_min`` (so N > 2^20 is refused), and
+    d is a certified lower bound for dim(A); substituting the lower bound
+    is sound because the right side decreases in d.  The plain form has no
+    hidden constant and is checked as a hard record.  The variant for sets
+    with small product set, d >> s*log(N-1)/log(d k^2 D^3 T log(DT)) with
     D = |AA|/|A|, has an unspecified constant and is only recorded as fitted.
     """
-    elems, n = _dirichlet_elems(a, modulus)
     dv = dirichlet_min(a, s, modulus=modulus)
+    n = dv.modulus
     records: list[ClaimRecord] = []
     measured: dict = {"dirichlet": dv, "modulus": n}
     meter = as_meter(budget)
@@ -208,10 +165,10 @@ def verify_dirichlet_dim(
             )
         )
     else:
-        t_cap = Fraction(len(a)) / Fraction(dv.value) if dv.exact else len(a) / dv.value
+        t_cap = len(a) / dv.value
         t_f = float(t_cap)
-        measured["T"] = t_cap if dv.exact else t_f
-        if d * t_f > 1.0 and n >= 2:
+        measured["T"] = t_cap
+        if d * t_f > 1.0:
             rhs = s * math.log(n - 1) / math.log(d * t_f)
             ok = d >= rhs - 1e-12
             records.append(

@@ -19,7 +19,7 @@ from adlab import (
 from adlab.budget import as_meter
 from adlab.cli import main
 from adlab.dissociation import coin_weighing_dissociated
-from adlab.harness import CORE_INSTANCES, REGISTRY, clear_caches, evaluate_claim
+from adlab.harness import CORE_INSTANCES, REGISTRY, clear_caches, evaluate_claim, generate
 
 
 @pytest.fixture
@@ -76,7 +76,7 @@ def test_claims_spend_only_the_claim_budget(meters):
     assert len(instances) == 2
     clear_caches()
     for inst in instances:
-        a = inst.realize()
+        a = generate(inst)
         for cid in REGISTRY:
             evaluate_claim(cid, a, inst.to_json(), budget=50_000)
     clear_caches()

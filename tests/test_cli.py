@@ -166,6 +166,24 @@ def test_bad_set_argument_errors(capsys):
     assert "error:" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "bad.txt"],
+        ["dim", "1,2,3", "--mod", "1"],
+        ["dim", "1,2,3", "--k", "0"],
+        ["span", "1,2", "--k", "-1"],
+        ["sumset", "1,2", "--n", "0"],
+    ],
+)
+def test_bad_argument_values_are_errors_not_tracebacks(capsys, tmp_path, monkeypatch, argv):
+    (tmp_path / "bad.txt").write_text("@ambient foo\n1\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_verify_unknown_suite_errors(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nope")
     assert code == 1

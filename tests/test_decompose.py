@@ -22,7 +22,7 @@ from adlab import (
     t_k,
     vectors,
 )
-from adlab.decompose import SIDON_EXACT_LIMIT
+from adlab.decompose import REP_SUPPORT_CAP, SIDON_EXACT_LIMIT, _energy_chain
 
 from oracles import naive_ratio_box, naive_relation, naive_sidon_max
 
@@ -144,6 +144,28 @@ def test_bsg_asymmetric_pair_contract():
     assert res.stats["doubling"] == Fraction(len(hh), len(res.h))
     shifted = {el + res.x for el in res.h.elements}
     assert res.stats["intersection"] == len(shifted & set(b.elements))
+
+
+# _energy_chain(b, 3, REP_SUPPORT_CAP) on sets that meet each stop rule:
+# supports of r_{2^i B} for the levels built, and T_{2^i}(B) where pinned.
+# [1, 1500] stops before level 1 and [1, 1399] before level 2, because
+# |supp|^2 > 8 * cap there; the 53 random elements stop at level 2, whose
+# support passes the cap although 1431^2 does not pass 8 * cap.
+ENERGY_CHAINS = [
+    (range(1, 1501), [1500], None),
+    (range(1, 1400), [1399, 2797], None),
+    ([3**i for i in range(12)], [12, 78, 1310, 41559], [12, 276, 386180, 6276340862180]),
+    (random.Random(5).sample(range(1, 10**9), 53), [53, 1431], [53, 5565]),
+]
+
+
+@pytest.mark.parametrize("xs, supports, energies", ENERGY_CHAINS)
+def test_energy_chain_stop_rules(xs, supports, energies):
+    reps, chain = _energy_chain(integers(xs), 3, REP_SUPPORT_CAP)
+    assert [len(r.entries) for r in reps] == supports
+    assert chain == [r.square_sum() for r in reps]
+    if energies is not None:
+        assert chain == energies
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from adlab import (
     PreconditionError,
+    SizeCapExceededError,
     SubgroupSpec,
     VerificationFailedError,
     dilate,
@@ -20,6 +21,7 @@ from adlab import (
     subgroup_growth_experiment,
     verify_dirichlet_dim,
 )
+from adlab.modular import DIRICHLET_SCAN_CAP
 
 from oracles import naive_dft_peak, naive_dirichlet
 
@@ -97,26 +99,14 @@ def test_dirichlet_invariant_under_unit_dilation():
         assert dirichlet_min(dilate(g, u), s=2).value == base
 
 
-def test_dirichlet_restricted_q_range():
-    a = residues([1, 3], 11)
-    full = dirichlet_min(a, s=2)
-    only = dirichlet_min(a, s=2, q_range=[full.argmin_q])
-    assert only.value == full.value
-    worse = dirichlet_min(a, s=2, q_range=[5])
-    assert worse.value >= full.value
-
-
 def test_dirichlet_full_scan_keeps_the_first_minimiser():
-    # The full scan reads a residue table; an explicit q_range computes
-    # each term.  Both keep the first q that reaches the minimum.
+    # The scan keeps the first q that reaches the minimum.
     rng = random.Random(29)
     for _ in range(20):
         n = rng.choice([7, 12, 31, 101])
         xs = rng.sample(range(n), rng.randint(1, min(6, n - 1)))
         for s in (1, 2, 3):
             full = dirichlet_min(residues(xs, n), s=s)
-            listed = dirichlet_min(residues(xs, n), s=s, q_range=range(1, n))
-            assert (full.value, full.argmin_q) == (listed.value, listed.argmin_q)
             first = min(range(1, n), key=lambda q: _dirichlet_at(xs, q, s, n))
             assert full.argmin_q == first
     # Integers with negatives, reduced mod an explicit N.
@@ -124,10 +114,16 @@ def test_dirichlet_full_scan_keeps_the_first_minimiser():
     assert ints.argmin_q == min(range(1, 101), key=lambda q: _dirichlet_at([-3, 4, 10], q, 2, 101))
 
 
-def test_dirichlet_fractional_s_inexact():
-    dv = dirichlet_min(subgroup(7, 3).members, s=1.5)
-    assert not dv.exact
-    assert dv.value > 0
+@pytest.mark.parametrize("s", [0, 1.5])
+def test_dirichlet_needs_a_positive_integer_s(s):
+    with pytest.raises(PreconditionError):
+        dirichlet_min(subgroup(7, 3).members, s=s)
+
+
+def test_dirichlet_scan_is_refused_past_the_cap():
+    dirichlet_min(residues([1], DIRICHLET_SCAN_CAP), s=1)
+    with pytest.raises(SizeCapExceededError):
+        dirichlet_min(residues([1], DIRICHLET_SCAN_CAP + 1), s=1)
 
 
 # ---------------------------------------------------------------------------

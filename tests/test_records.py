@@ -25,8 +25,8 @@ FIELD_SERIALIZED = [
     ),
     (SubgroupSpec(7, 3, 2, residues([1, 2, 4], 7)), '{"generator":2,"members":[1,2,4],"p":7,"t":3}'),
     (
-        DirichletValue(Fraction(2, 7), 1, 2, 7, True),
-        '{"argmin_q":1,"error_bound":0.0,"exact":true,"modulus":7,"s":2,"value":"2/7"}',
+        DirichletValue(Fraction(2, 7), 1, 2, 7),
+        '{"argmin_q":1,"exact":true,"modulus":7,"s":2,"value":"2/7"}',
     ),
     (FourierPeak(7, 3, 2 ** 0.5, 1), '{"argmax":1,"max_abs":1.41421356237,"modulus":7,"size":3}'),
     (
@@ -43,12 +43,12 @@ FIELD_SERIALIZED = [
             "e",
             "{3 elements, mod 7}",
             {"s": 2},
-            {"curve": GrowthCurve((3, 6)), "dirichlet": DirichletValue(0.125, 2, 1.5, 8, False, 1e-15)},
+            {"curve": GrowthCurve((3, 6)), "dirichlet": DirichletValue(Fraction(1, 8), 2, 1, 8)},
             [ClaimRecord("c", "hard", "{3 elements, mod 7}", {"rhs": 1.0 / 3})],
         ),
         '{"instance":"{3 elements, mod 7}","measured":{"curve":{"sizes":[3,6],"truncated_at":null},'
-        '"dirichlet":{"argmin_q":2,"error_bound":1e-15,"exact":false,"modulus":8,"s":1.5,'
-        '"value":0.125}},"name":"e","params":{"s":2},"records":[{"claim":"c","class":"hard",'
+        '"dirichlet":{"argmin_q":2,"exact":true,"modulus":8,"s":1,"value":"1/8"}},"name":"e",'
+        '"params":{"s":2},"records":[{"claim":"c","class":"hard",'
         '"fitted_constant":null,"instance":"{3 elements, mod 7}","measured":{"rhs":0.333333333333},'
         '"note":"","violated":false}]}',
     ),
