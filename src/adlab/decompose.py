@@ -670,8 +670,19 @@ class RatioBoxResult:
     """Largest n with every reduced fraction from [n]/[n] realized in D/D."""
 
     n: int
-    missing: Optional[Fraction]
+    missing: Fraction
     ratio_count: int
+
+
+def _difference_ratios(a: GroundSet) -> set[tuple[int, int]]:
+    """The ratios d1/d2 of nonzero differences of A, as reduced pairs.
+
+    The pair of d1/d2 is (d1/g, d2/g) with g = gcd(d1, d2), over the
+    magnitudes d1, d2 of A - A; reduced pairs and positive fractions are in
+    bijection, so a/b with gcd(a, b) = 1 is a ratio iff (a, b) is in the set.
+    """
+    mags = {abs(x - y) for x in a.elements for y in a.elements if x != y}
+    return {(d1 // g, d2 // g) for d1 in mags for d2 in mags for g in (math.gcd(d1, d2),)}
 
 
 def ratio_box(a: GroundSet) -> RatioBoxResult:
@@ -680,31 +691,32 @@ def ratio_box(a: GroundSet) -> RatioBoxResult:
     D is the nonzero part of A - A (symmetric, so positive ratios come
     from the magnitudes).  The scan grows n while every reduced a/b with
     1 <= a, b <= n is a ratio of two differences; it reports the first
-    missing fraction one step past the answer.  Singletons have no nonzero
-    differences and return n = 0.  Sets of more than ``RATIO_SET_CAP``
-    elements are refused with SizeCapExceededError.
+    missing fraction one step past the answer.  Ratios are tested as
+    reduced int pairs (``_difference_ratios``), and ``ratio_count`` counts
+    them.  The scan always stops: 1/(n+1) is no ratio once n+1 exceeds
+    max|D| / min|D|.  Singletons have no nonzero differences and return
+    n = 0 with missing 1.  Sets of more than ``RATIO_SET_CAP`` elements are
+    refused with SizeCapExceededError.
     """
     amb = a.ambient
     if not isinstance(amb, IntegerLattice) or amb.rank != 1:
         raise PreconditionError("ratio box is defined for rank-1 integer sets")
     if len(a) > RATIO_SET_CAP:
         raise SizeCapExceededError("too many elements for the pair scan", cap=RATIO_SET_CAP, stage="ratio-box")
-    mags = sorted({abs(x - y) for x in a.elements for y in a.elements if x != y})
-    if not mags:
+    ratios = _difference_ratios(a)
+    if not ratios:
         return RatioBoxResult(n=0, missing=Fraction(1), ratio_count=0)
-    ratios = {Fraction(d1, d2) for d1 in mags for d2 in mags}
-    max_n = max(mags) // min(mags) + 1
     n = 0
     missing: Optional[Fraction] = None
-    while missing is None and n <= max_n:
+    while missing is None:
         cand = n + 1
         for x in range(1, cand + 1):
             if math.gcd(x, cand) != 1:
                 continue
-            if Fraction(x, cand) not in ratios:
+            if (x, cand) not in ratios:
                 missing = Fraction(x, cand)
                 break
-            if Fraction(cand, x) not in ratios:
+            if (cand, x) not in ratios:
                 missing = Fraction(cand, x)
                 break
         if missing is None:

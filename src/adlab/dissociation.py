@@ -399,11 +399,15 @@ def dim_k_exact(lam: GroundSet, k: int = 1, budget: int | None = None) -> Dimens
 
     Visit order: after the greedy pre-pass, a node tries its candidates in
     ascending index order and charges one tick of the node weight per tried
-    candidate, before that candidate's ``extend``.  The loop counts its
-    ticks itself and writes them back to the meter when it returns; once
-    the budget is spent it charges the meter, which raises at the tick and
-    with the states where ``WorkMeter.tick`` would.  Bounds, witness, note
-    and states are therefore fixed by the input and the budget alone.
+    candidate, before that candidate's ``extend``.  A node picks its loop
+    once: on the line at k = 1 the shift-and test of the bitset is written
+    out in the loop, and every other state goes through ``extend``.  Either
+    loop counts its ticks by the index of the next candidate, with no
+    per-candidate charge, and the search writes them back to the meter
+    when it returns; once the budget is spent it charges the meter, which
+    raises at the tick and with the states where ``WorkMeter.tick`` would.
+    Bounds, witness, note and states are therefore fixed by the input and
+    the budget alone.
 
     A node is pruned by counting: the (k+1)^t sums of a k-dissociated set
     of size t are distinct, so they must fit in the box the set can reach.
@@ -487,25 +491,29 @@ def dim_k_exact(lam: GroundSet, k: int = 1, budget: int | None = None) -> Dimens
         dead = i + left  # the candidate at index dead finds no tick left
         end = stop if stop < dead else dead
         child_count = count * kp1
-        for j in range(i, n):
-            if j >= end:
-                break
-            if shift_and:
+        j = i  # the next candidate; each one tried spends one tick
+        if shift_and:
+            while j < end:
                 shifted = state << steps[j]
+                j += 1
                 if state & shifted:
                     continue
-                child = state | shifted
-            else:
+                path[depth] = elems[j - 1]
+                left = dfs(j, depth + 1, box + kmag[j - 1], state | shifted, child_count, dead - j)
+                dead = j + left
+                stop = n + depth - best
+                end = stop if stop < dead else dead
+        else:
+            while j < end:
                 child = extend(state, steps[j], count)
+                j += 1
                 if child is None:
                     continue
-            path[depth] = elems[j]
-            left = dfs(j + 1, depth + 1, box + kmag[j], child, child_count, dead - j - 1)
-            dead = j + 1 + left
-            stop = n + depth - best
-            end = stop if stop < dead else dead
-        else:
-            j = n
+                path[depth] = elems[j - 1]
+                left = dfs(j, depth + 1, box + kmag[j - 1], child, child_count, dead - j)
+                dead = j + left
+                stop = n + depth - best
+                end = stop if stop < dead else dead
         if end < stop:
             # The candidate at index end needs a tick the budget lacks.
             meter.states += spare * weight

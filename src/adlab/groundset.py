@@ -484,7 +484,12 @@ def _packed_product(entries: dict, ints: list, modulus: int | None) -> dict | No
 
 
 def _convolve(entries: dict, ints: list, modulus: int | None, size_cap: int | None) -> dict:
-    """Counts of x + y (mod ``modulus``) over x in ``entries``, with its count, and y in ``ints``."""
+    """Counts of x + y (mod ``modulus``) over x in ``entries``, with its count, and y in ``ints``.
+
+    Raises SizeCapExceededError when the support of the result passes
+    ``size_cap``; the dict path checks after each row, since its support
+    only grows, and so stops at the first row past the cap.
+    """
     out = _packed_product(entries, ints, modulus)
     if out is None:
         out = {}
@@ -492,6 +497,8 @@ def _convolve(entries: dict, ints: list, modulus: int | None, size_cap: int | No
             for y in ints:
                 z = x + y if modulus is None else (x + y) % modulus
                 out[z] = out.get(z, 0) + c
+            if size_cap is not None and len(out) > size_cap:
+                break
     if size_cap is not None and len(out) > size_cap:
         raise SizeCapExceededError(
             f"representation support exceeds cap {size_cap}", cap=size_cap, stage="rep_fn"

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from ..decompose import dec_tk, ratio_box, sidon_extract
+from ..decompose import _difference_ratios, dec_tk, ratio_box, sidon_extract
 from ..dissociation import (
     DimensionBounds,
     cube,
@@ -457,10 +457,12 @@ def _ev_ratio_box_inclusion(claim, a, inst, budget):
     if len(a) > 24:
         return _skip(claim, inst, "pair scan is kept to |A| <= 24")
     rb = _fact(ratio_box, a)
-    mags = sorted({abs(x - y) for x in a.elements for y in a.elements if x != y})
-    ratios = {Fraction(d1, d2) for d1 in mags for d2 in mags}
+    ratios = _difference_ratios(a)
     box = range(1, rb.n + 1)
-    ok = all(Fraction(x, y) in ratios for y in box for x in box) and rb.missing not in ratios
+    realized = all(
+        (x // g, y // g) in ratios for y in box for x in box for g in (math.gcd(x, y),)
+    )
+    ok = realized and (rb.missing.numerator, rb.missing.denominator) not in ratios
     measured = {"n": rb.n, "missing": rb.missing, "ratio_count": rb.ratio_count}
     return [_rec(claim, inst, measured, violated=not ok)]
 

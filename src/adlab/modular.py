@@ -102,10 +102,12 @@ def dirichlet_min(a: GroundSet, s: int = 2, modulus: Optional[int] = None) -> Di
     """Minimize sum_{a in A} ||q a / N||^s over q in [1, N-1], exactly.
 
     ||x|| is the distance from x to the nearest integer, and s must be a
-    positive integer.  Every q is scanned against a table of
+    positive integer.  Each q is scanned against a table of
     (N ||r/N||)^s for the N residues r, so the value is an exact Fraction
-    and argmin_q is the first q that reaches it.  The scan is refused with
-    SizeCapExceededError for N > 2^20 (``DIRICHLET_SCAN_CAP``).
+    and argmin_q is the first q that reaches it.  The sum at N - q equals
+    the sum at q, so the first minimizer is at most N/2 and the scan stops
+    there.  It is refused with SizeCapExceededError for N > 2^20
+    (``DIRICHLET_SCAN_CAP``).
     """
     if not isinstance(s, int) or s < 1:
         raise PreconditionError("exponent s must be a positive integer")
@@ -120,7 +122,7 @@ def dirichlet_min(a: GroundSet, s: int = 2, modulus: Optional[int] = None) -> Di
         )
     table = [min(r, n - r) ** s for r in range(n)]
     best_num = best_q = None
-    for q in range(1, n):
+    for q in range(1, n // 2 + 1):
         total = sum([table[q * x % n] for x in elems])
         if best_num is None or total < best_num:
             best_num, best_q = total, q

@@ -347,6 +347,37 @@ def naive_ratio_box(xs):
         n = cand
 
 
+def reference_ratio_box(xs):
+    """(n, missing, ratio_count) of ``ratio_box`` by its scan on Fractions.
+
+    The ratios of nonzero differences are a set of Fractions; n grows while
+    every reduced x/y with 1 <= x, y <= n + 1 is in it, scanning x upward
+    and testing x/(n+1) before (n+1)/x, and missing is the first one that
+    is not.  The scan is cut at n = max|d| // min|d| + 1.
+    """
+    mags = sorted({abs(x - y) for x in xs for y in xs if x != y})
+    if not mags:
+        return 0, Fraction(1), 0
+    ratios = {Fraction(d1, d2) for d1 in mags for d2 in mags}
+    max_n = max(mags) // min(mags) + 1
+    n = 0
+    missing = None
+    while missing is None and n <= max_n:
+        cand = n + 1
+        for x in range(1, cand + 1):
+            if gcd(x, cand) != 1:
+                continue
+            if Fraction(x, cand) not in ratios:
+                missing = Fraction(x, cand)
+                break
+            if Fraction(cand, x) not in ratios:
+                missing = Fraction(cand, x)
+                break
+        if missing is None:
+            n = cand
+    return n, missing, len(ratios)
+
+
 def naive_sidon_max(xs, h):
     """Largest B_h[1] subset by checking every subset."""
     best = 0

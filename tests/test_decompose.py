@@ -23,8 +23,9 @@ from adlab import (
     vectors,
 )
 from adlab.decompose import REP_SUPPORT_CAP, SIDON_EXACT_LIMIT, _energy_chain
+from adlab.harness import evaluate_claim
 
-from oracles import naive_ratio_box, naive_relation, naive_sidon_max
+from oracles import naive_ratio_box, naive_relation, naive_sidon_max, reference_ratio_box
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +350,28 @@ def test_ratio_box_matches_oracle():
         xs = sorted(rng.sample(range(0, 60), rng.randint(2, 7)))
         rb = ratio_box(integers(xs))
         assert rb.n == naive_ratio_box(xs)
+
+
+def _ratio_box_sets():
+    """Rank-1 sets with negatives and a common factor, singletons and pairs."""
+    rng = random.Random(41)
+    sets = [[0], [-7], [3, 3], [-5, 5], [0, 12], [-9, 4]]
+    for _ in range(60):
+        xs = rng.sample(range(-40, 41), rng.randint(1, 9))
+        scale = rng.choice([1, 1, 2, 3, 6, -4])
+        sets.append([scale * x for x in xs])
+    for _ in range(8):
+        sets.append(rng.sample(range(-10**6, 10**6), rng.randint(2, 24)))
+    return sets
+
+
+def test_ratio_box_matches_the_fraction_scan():
+    for xs in _ratio_box_sets():
+        a = integers(xs)
+        rb = ratio_box(a)
+        assert (rb.n, rb.missing, rb.ratio_count) == reference_ratio_box(xs), xs
+        (rec,) = evaluate_claim("ratio_box_inclusion", a, {"generator": "literal"})
+        assert not rec.violated and rec.measured["n"] == rb.n, xs
 
 
 def test_ratio_box_missing_is_first_gap():

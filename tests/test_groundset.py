@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
@@ -172,6 +174,44 @@ def test_rep_fn_matches_naive_in_every_ambient(kind, data):
     assert rep_fn(parts).entries == want
     a = sets[0]
     assert rep_fn([(a, "+")] * count).square_sum() == naive_tk(a.elements, count, modulus)
+
+
+@pytest.mark.parametrize("kind", AMBIENT_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rep_fn_cap_raises_iff_the_support_exceeds_it(kind, data):
+    # Every part is nonempty, so the last support is the widest.
+    count = data.draw(st.integers(1, 4))
+    sets, modulus = data.draw(ambient_sets(kind, count, 6))
+    signs = data.draw(st.lists(st.sampled_from("+-"), min_size=count, max_size=count))
+    parts = list(zip(sets, signs))
+    want = naive_rep([(gs.elements, sign) for gs, sign in parts], modulus)
+    cap = data.draw(st.integers(0, len(want) + 5))
+    _check_rep_fn_cap(parts, cap, want)
+
+
+def _check_rep_fn_cap(parts, cap, want):
+    if len(want) > cap:
+        with pytest.raises(SizeCapExceededError) as info:
+            rep_fn(parts, size_cap=cap)
+        err = info.value
+        assert (str(err), err.cap, err.stage) == (
+            f"representation support exceeds cap {cap}", cap, "rep_fn"
+        )
+    else:
+        assert rep_fn(parts, size_cap=cap).entries == want
+
+
+def test_rep_fn_cap_on_a_wide_set():
+    # 40 elements spread over [1, 10^9]: every convolution takes the dict
+    # path, and r_{3B} has C(42, 3) = 11 480 entries.
+    rng = random.Random(3)
+    b = integers(rng.sample(range(1, 10**9), 40))
+    parts = [(b, "+")] * 3
+    want = naive_rep([(b.elements, "+")] * 3)
+    assert len(want) == 11_480
+    for cap in (0, 39, 40, 819, 820, 5_000, 11_479, 11_480, 11_481):
+        _check_rep_fn_cap(parts, cap, want)
 
 
 def test_sumset_dense_and_sparse_paths_agree():

@@ -100,16 +100,18 @@ def test_dirichlet_invariant_under_unit_dilation():
 
 
 def test_dirichlet_full_scan_keeps_the_first_minimiser():
-    # The scan keeps the first q that reaches the minimum.
+    # The scan stops at N/2 and still reports the minimum over [1, N-1] and
+    # the first q that reaches it, on residues and on integers with
+    # negatives reduced mod an explicit N.
     rng = random.Random(29)
-    for _ in range(20):
-        n = rng.choice([7, 12, 31, 101])
+    for n in [2, 3, 4, 7, 12, 31, 101] * 5:
         xs = rng.sample(range(n), rng.randint(1, min(6, n - 1)))
-        for s in (1, 2, 3):
-            full = dirichlet_min(residues(xs, n), s=s)
-            first = min(range(1, n), key=lambda q: _dirichlet_at(xs, q, s, n))
-            assert full.argmin_q == first
-    # Integers with negatives, reduced mod an explicit N.
+        ys = rng.sample(range(-3 * n, 3 * n), rng.randint(1, 6))
+        for a, elems in ((residues(xs, n), xs), (integers(ys), ys)):
+            for s in (1, 2, 3):
+                got = dirichlet_min(a, s=s, modulus=n)
+                first = min(range(1, n), key=lambda q: _dirichlet_at(elems, q, s, n))
+                assert (got.value, got.argmin_q) == (_dirichlet_at(elems, first, s, n), first)
     ints = dirichlet_min(integers([-3, 4, 10]), s=2, modulus=101)
     assert ints.argmin_q == min(range(1, 101), key=lambda q: _dirichlet_at([-3, 4, 10], q, 2, 101))
 
