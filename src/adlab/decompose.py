@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from typing import Optional, Sequence
+from typing import Optional
 
 from .budget import WorkMeter, as_meter
 from .dissociation import DimensionBounds, dim_bounds, is_k_dissociated, max_dissociated_greedy
@@ -29,6 +28,7 @@ from .errors import (
     VerificationFailedError,
 )
 from .groundset import (
+    DENSE_RANGE_LIMIT,
     GroundSet,
     IntegerLattice,
     RepFn,
@@ -43,6 +43,9 @@ from .growth import beta_hat
 
 REP_SUPPORT_CAP = 1 << 18
 SIDON_EXACT_LIMIT = 20
+# A Sidon search keeps its sums in bitsets while their index range has at
+# most this many slots per h-multiset of A (see _sidon_levels).
+SIDON_SLOTS_PER_SUM = 64
 RATIO_SET_CAP = 4000
 
 
@@ -581,15 +584,91 @@ def dec_tk(
 # Sidon-type extraction
 
 
-def _h_fold_ok(codes: Sequence[int], h: int, modulus: Optional[int]) -> bool:
-    """True when all h-multiset sums of the int codes are distinct (mod modulus)."""
-    seen = set()
-    for tup in combinations_with_replacement(codes, h):
-        total = sum(tup) if modulus is None else sum(tup) % modulus
-        if total in seen:
-            return False
-        seen.add(total)
-    return True
+def _sidon_levels(codes: list, h: int, modulus: Optional[int]):
+    """Root state, child step and per-code steps of the B_h[1] search.
+
+    A state holds levels[1..h]; levels[j] is the set of j-fold sums of the
+    chosen codes (levels[0] is {0}).  ``extend(state, step)`` returns the
+    state with the code of ``step`` added, or None when the code breaks
+    B_h[1]: the new h-fold sums are m*c + levels[h - m] for m = 1..h, and
+    the chosen set is B_h[1], hence B_j[1] for every j <= h, so the code
+    is accepted iff those h translates are pairwise disjoint and miss
+    levels[h].
+
+    Off the residues, codes are moved by -min(codes) first, so that
+    levels[j] holds each sum s as s - j*min(codes).  The levels are int
+    bitsets when the h-fold sums' index range (h times the spread of the
+    codes, plus one; N mod N) holds at most ``SIDON_SLOTS_PER_SUM`` slots
+    per h-multiset of the codes and at most ``DENSE_RANGE_LIMIT`` in all;
+    mod N a shift wraps around.  Otherwise they are sets of ints.  A step
+    lists the moves m*c for m = 1..h.  Returns (root, extend, steps,
+    bitset).
+    """
+    multisets = math.comb(len(codes) + h - 1, h)
+    if modulus is None:
+        low = min(codes)
+        codes = [c - low for c in codes]
+        span = h * max(codes) + 1
+        steps = [tuple(m * c for m in range(1, h + 1)) for c in codes]
+    else:
+        span = modulus
+        steps = [tuple(m * c % modulus for m in range(1, h + 1)) for c in codes]
+    if span <= DENSE_RANGE_LIMIT and span <= SIDON_SLOTS_PER_SUM * multisets:
+        if modulus is None:
+            shift = int.__lshift__
+        else:
+            mask = (1 << modulus) - 1
+
+            def shift(bits: int, y: int) -> int:
+                bits <<= y
+                return (bits & mask) | (bits >> modulus)
+
+        def extend(state: tuple, moves: tuple):
+            levels = (1,) + state
+            top = state[-1]
+            for m in range(1, h + 1):
+                moved = shift(levels[h - m], moves[m - 1])
+                if top & moved:
+                    return None
+                top |= moved
+            grown = []
+            for j in range(1, h):
+                bits = levels[j]
+                for m in range(1, j + 1):
+                    bits |= shift(levels[j - m], moves[m - 1])
+                grown.append(bits)
+            grown.append(top)
+            return tuple(grown)
+
+        return (0,) * h, extend, steps, True
+
+    if modulus is None:
+
+        def translate(sums, y: int):
+            return map(y.__add__, sums)
+
+    else:
+
+        def translate(sums, y: int):
+            return map(modulus.__rmod__, map(y.__add__, sums))
+
+    def extend(state: tuple, moves: tuple):
+        levels = ({0},) + state
+        top = state[-1]
+        for m in range(1, h + 1):
+            if not top.isdisjoint(translate(levels[h - m], moves[m - 1])):
+                return None
+            top = top.union(translate(levels[h - m], moves[m - 1]))
+        grown = []
+        for j in range(1, h):
+            sums = levels[j]
+            for m in range(1, j + 1):
+                sums = sums.union(translate(levels[j - m], moves[m - 1]))
+            grown.append(sums)
+        grown.append(top)
+        return tuple(grown)
+
+    return (frozenset(),) * h, extend, steps, False
 
 
 def sidon_extract(
@@ -609,6 +688,19 @@ def sidon_extract(
     an element whenever it does not break the property.  The sums are
     formed on ``_int_view`` codes, so int64 is checked once, on the h-fold
     extremes, before the search starts.
+
+    Each search node holds the j-fold sums of its elements for j <= h
+    (``_sidon_levels``) and tests a candidate against them, in one of two
+    state kinds chosen from the input: int bitsets when the h-fold sums'
+    index range is at most ``SIDON_SLOTS_PER_SUM`` slots per h-multiset of
+    A and at most ``DENSE_RANGE_LIMIT``, sets of ints otherwise.  At h = 2
+    the test of a bitset that does not wrap around (on the line and Z^r)
+    is written out in the search loop.  The
+    visit order, the pruning and the ticks are those of the plain search
+    that rebuilds every h-fold sum of each candidate subset: a candidate
+    costs len(subset)**h // h + 1 ticks in exact mode and
+    len(kept)**(h - 1) + 1 in greedy mode, charged before its test, so
+    results and budget errors do not depend on the state kind.
     """
     if h < 2:
         raise PreconditionError("h must be at least 2")
@@ -632,32 +724,60 @@ def sidon_extract(
     if not elems:
         return a
     part_codes, n, _decode = _int_view(amb, [(elems, "+")] * h)
-    codes = part_codes[0]  # the h parts are identical, and so are their codes
+    # the h parts are identical, and so are their codes
+    root, extend, steps, bitset = _sidon_levels(part_codes[0], h, n)
+    tick = meter.tick
 
     if mode == "greedy":
         kept: list = []
-        for i, code in enumerate(codes):
-            meter.tick(len(kept) ** (h - 1) + 1)
-            if _h_fold_ok([codes[j] for j in kept] + [code], h, n):
+        state = root
+        for i, step in enumerate(steps):
+            tick(len(kept) ** (h - 1) + 1)
+            child = extend(state, step)
+            if child is not None:
                 kept.append(i)
+                state = child
         return GroundSet.of(amb, [elems[i] for i in kept])
 
+    size = len(elems)
+    costs = [(t + 1) ** h // h + 1 for t in range(size)]  # ticks per candidate at depth t
+    path = [0] * size
     best: list = []
+    # At h = 2 a bitset test without wrap-around is written out in the loop:
+    # c is accepted iff c + levels[1] misses levels[2] and 2c is not in
+    # levels[2] (c + levels[1] never holds 2c, as c is not yet chosen).
+    inline = bitset and n is None and h == 2
+    if inline:
+        shifts = [c for c, _ in steps]
+        ones = [1 << c for c in shifts]
+        twos = [1 << c2 for _, c2 in steps]
 
-    def dfs(start: int, chosen: list):
+    def dfs(start: int, depth: int, state: tuple):
         nonlocal best
-        if len(chosen) > len(best):
-            best = list(chosen)
+        if depth > len(best):
+            best = path[:depth]
         # even taking everything that is left cannot beat the best
-        if len(chosen) + (len(elems) - start) <= len(best):
+        if depth + (size - start) <= len(best):
             return
-        for i in range(start, len(elems)):
-            cand = chosen + [i]
-            meter.tick(len(cand) ** h // max(1, h) + 1)
-            if _h_fold_ok([codes[j] for j in cand], h, n):
-                dfs(i + 1, cand)
+        cost = costs[depth]
+        if inline:
+            l1, l2 = state
+            for i in range(start, size):
+                tick(cost)
+                moved = l1 << shifts[i]
+                if moved & l2 or l2 & twos[i]:
+                    continue
+                path[depth] = i
+                dfs(i + 1, depth + 1, (l1 | ones[i], l2 | moved | twos[i]))
+        else:
+            for i in range(start, size):
+                tick(cost)
+                child = extend(state, steps[i])
+                if child is not None:
+                    path[depth] = i
+                    dfs(i + 1, depth + 1, child)
 
-    dfs(0, [])
+    dfs(0, 0, root)
     return GroundSet.of(amb, [elems[i] for i in best])
 
 
@@ -703,7 +823,11 @@ def ratio_box(a: GroundSet) -> RatioBoxResult:
         raise PreconditionError("ratio box is defined for rank-1 integer sets")
     if len(a) > RATIO_SET_CAP:
         raise SizeCapExceededError("too many elements for the pair scan", cap=RATIO_SET_CAP, stage="ratio-box")
-    ratios = _difference_ratios(a)
+    return _ratio_box_scan(_difference_ratios(a))
+
+
+def _ratio_box_scan(ratios: set[tuple[int, int]]) -> RatioBoxResult:
+    """The ratio box of a set whose difference ratios are ``ratios``."""
     if not ratios:
         return RatioBoxResult(n=0, missing=Fraction(1), ratio_count=0)
     n = 0

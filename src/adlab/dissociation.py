@@ -499,7 +499,10 @@ def dim_k_exact(lam: GroundSet, k: int = 1, budget: int | None = None) -> Dimens
                 if state & shifted:
                     continue
                 path[depth] = elems[j - 1]
-                left = dfs(j, depth + 1, box + kmag[j - 1], state | shifted, child_count, dead - j)
+                # the child's state replaces shifted, so no second bitset
+                # stays alive through the child's subtree
+                shifted |= state
+                left = dfs(j, depth + 1, box + kmag[j - 1], shifted, child_count, dead - j)
                 dead = j + left
                 stop = n + depth - best
                 end = stop if stop < dead else dead

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from ..decompose import _difference_ratios, dec_tk, ratio_box, sidon_extract
+from ..decompose import _difference_ratios, _ratio_box_scan, dec_tk, sidon_extract
 from ..dissociation import (
     DimensionBounds,
     cube,
@@ -169,6 +169,19 @@ def _nA(a: GroundSet, n: int) -> GroundSet:
     if n <= 1:
         return a
     return sumset(_fact(_nA, a, n - 1), a, size_cap=SUMSET_CAP)
+
+
+def _checked_ratio_box(a: GroundSet) -> tuple:
+    """ratio_box(a) on a small rank-1 set, and whether its whole box and not
+    its missing fraction is among the ratios, from one build of the ratio set
+    (which is dropped after, so the store does not hold it)."""
+    ratios = _difference_ratios(a)
+    rb = _ratio_box_scan(ratios)
+    box = range(1, rb.n + 1)
+    realized = all(
+        (x // g, y // g) in ratios for y in box for x in box for g in (math.gcd(x, y),)
+    )
+    return rb, realized and (rb.missing.numerator, rb.missing.denominator) not in ratios
 
 
 def _dim_used(db: DimensionBounds) -> int:
@@ -456,13 +469,7 @@ def _ev_ratio_box_inclusion(claim, a, inst, budget):
         return _skip(claim, inst, "needs rank-1 integers")
     if len(a) > 24:
         return _skip(claim, inst, "pair scan is kept to |A| <= 24")
-    rb = _fact(ratio_box, a)
-    ratios = _difference_ratios(a)
-    box = range(1, rb.n + 1)
-    realized = all(
-        (x // g, y // g) in ratios for y in box for x in box for g in (math.gcd(x, y),)
-    )
-    ok = realized and (rb.missing.numerator, rb.missing.denominator) not in ratios
+    rb, ok = _fact(_checked_ratio_box, a)
     measured = {"n": rb.n, "missing": rb.missing, "ratio_count": rb.ratio_count}
     return [_rec(claim, inst, measured, violated=not ok)]
 
@@ -864,7 +871,7 @@ def _ev_ratio_box_growth(claim, a, inst, budget):
         return _skip(claim, inst, "needs at least three rank-1 integers")
     if len(a) > 24:
         return _skip(claim, inst, "pair scan is kept to |A| <= 24")
-    rb = _fact(ratio_box, a)
+    rb, _ = _fact(_checked_ratio_box, a)
     two = _fact(_nA, a, 2)
     kk = len(two) / len(a)
     if rb.n < 1 or kk <= 1:

@@ -390,6 +390,59 @@ def naive_sidon_max(xs, h):
     return best
 
 
+def reference_sidon(a, h, mode, meter):
+    """Elements of ``sidon_extract(a, h, "+", mode, meter)`` by its plain loops.
+
+    A copy of the search that rebuilds every h-multiset sum of the candidate
+    subset for each test: the same ``_int_view`` codes and int64 check, the
+    same order (``by_magnitude``), and the same ticks, charged to ``meter``
+    before each test: len(cand)**h // h + 1 per candidate in exact mode,
+    len(kept)**(h - 1) + 1 in greedy mode.  Errors propagate as they are.
+    """
+    from adlab.groundset import _int_view, by_magnitude
+
+    def h_fold_ok(codes, modulus):
+        seen = set()
+        for tup in combinations_with_replacement(codes, h):
+            total = sum(tup) if modulus is None else sum(tup) % modulus
+            if total in seen:
+                return False
+            seen.add(total)
+        return True
+
+    amb = a.ambient
+    elems = by_magnitude(amb, a.elements)
+    if not elems:
+        return a.elements
+    part_codes, n, _decode = _int_view(amb, [(elems, "+")] * h)
+    codes = part_codes[0]
+
+    if mode == "greedy":
+        kept = []
+        for i, code in enumerate(codes):
+            meter.tick(len(kept) ** (h - 1) + 1)
+            if h_fold_ok([codes[j] for j in kept] + [code], n):
+                kept.append(i)
+        return tuple(sorted(elems[i] for i in kept))
+
+    best = []
+
+    def dfs(start, chosen):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = list(chosen)
+        if len(chosen) + (len(elems) - start) <= len(best):
+            return
+        for i in range(start, len(elems)):
+            cand = chosen + [i]
+            meter.tick(len(cand) ** h // h + 1)
+            if h_fold_ok([codes[j] for j in cand], n):
+                dfs(i + 1, cand)
+
+    dfs(0, [])
+    return tuple(sorted(elems[i] for i in best))
+
+
 def naive_dft_peak(xs, n):
     """max_{r != 0} |sum_a e(ar/n)| by direct summation."""
     import cmath

@@ -3,8 +3,10 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from adlab import (
+    AdlabError,
     CoordinateOverflowError,
     PreconditionError,
     additive_energy,
@@ -14,6 +16,7 @@ from adlab import (
     dissociated_peeling,
     integers,
     level_set,
+    mult_embed,
     rep_fn,
     ratio_box,
     residues,
@@ -22,10 +25,18 @@ from adlab import (
     t_k,
     vectors,
 )
-from adlab.decompose import REP_SUPPORT_CAP, SIDON_EXACT_LIMIT, _energy_chain
+from adlab.budget import WorkMeter
+from adlab.decompose import REP_SUPPORT_CAP, SIDON_EXACT_LIMIT, _energy_chain, _sidon_levels
+from adlab.groundset import _int_view, by_magnitude
 from adlab.harness import evaluate_claim
 
-from oracles import naive_ratio_box, naive_relation, naive_sidon_max, reference_ratio_box
+from oracles import (
+    naive_ratio_box,
+    naive_relation,
+    naive_sidon_max,
+    reference_ratio_box,
+    reference_sidon,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +322,80 @@ def test_sidon_exact_and_greedy_in_every_ambient(a):
         # maximal: every element left out breaks the property
         for x in set(a.elements) - set(greedy.elements):
             assert not _is_sidon(greedy.union(a.restrict([x])), h)
+
+
+def _sidon_sets():
+    """The line (negatives, and values near +-2^62), Z/N for N <= 64 and
+    past the bitset limit, Z^2 and Z^3."""
+    line = st.lists(st.integers(-60, 60), max_size=10).map(integers)
+    edge = st.one_of(
+        st.integers(2**62 - 256, 2**62 + 256),
+        st.integers(-(2**62) - 256, -(2**62) + 256),
+        st.integers(-8, 8),
+    )
+    mod = st.one_of(st.integers(2, 64), st.just((1 << 22) + 15)).flatmap(
+        lambda n: st.lists(st.integers(0, n - 1), max_size=9).map(lambda xs: residues(xs, n))
+    )
+    z2 = st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=8)
+    z3 = st.lists(st.tuples(*[st.integers(-2, 2)] * 3), max_size=7)
+    return st.one_of(
+        line,
+        st.lists(edge, max_size=5).map(integers),
+        mod,
+        z2.map(lambda xs: vectors(xs, 2)),
+        z3.map(lambda xs: vectors(xs, 3)),
+    )
+
+
+# Sum ranges past the bitset gate: by the cap, by the slots per sum, and on
+# the Kronecker codes of a prime-exponent embedding.
+_SPARSE_SIDON_SETS = (
+    integers([1, 2**40, 2**41]),
+    integers([1, 2, 1000]),
+    mult_embed(integers([2, 3, 5, 7, 11, 13, 17, 19])).image,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _sidon_sets(),
+    st.integers(2, 4),
+    st.sampled_from(["exact_tiny", "greedy"]),
+    st.sampled_from([None, 50, 500]),
+    st.one_of(st.just(0), st.integers(1, 400)),
+)
+@example(_SPARSE_SIDON_SETS[0], 2, "exact_tiny", None, 0)
+@example(_SPARSE_SIDON_SETS[1], 3, "greedy", 500, 7)
+@example(_SPARSE_SIDON_SETS[2], 2, "exact_tiny", 500, 0)
+@example(_SPARSE_SIDON_SETS[2], 2, "greedy", None, 0)
+def test_sidon_matches_the_reference_loop(a, h, mode, budget, spent):
+    # Result, error type and text, and the states of a shared meter, tick
+    # for tick, also when the meter was charged before the call.
+    def run(search):
+        meter = WorkMeter(budget)
+        meter.states = spent
+        try:
+            out = search(meter)
+        except AdlabError as exc:
+            out = (type(exc), str(exc))
+        return out, meter.states
+
+    got = run(lambda m: sidon_extract(a, h, mode=mode, budget=m).elements)
+    assert got == run(lambda m: reference_sidon(a, h, mode, m))
+
+
+def test_sidon_state_kind_follows_the_density_of_the_sums():
+    def bitset(a, h):
+        elems = by_magnitude(a.ambient, a.elements)
+        (codes, *_), n, _ = _int_view(a.ambient, [(elems, "+")] * h)
+        return _sidon_levels(codes, h, n)[3]
+
+    assert not any(bitset(a, 2) for a in _SPARSE_SIDON_SETS)
+    # 2 * 117 + 1 = 235 slots for 14 elements, against 64 * C(15, 2) = 6720
+    assert bitset(integers(range(1, 120, 9)), 2)
+    assert bitset(residues([1, 2, 5], 64), 3)
+    # mod N past DENSE_RANGE_LIMIT the sums are sets
+    assert not bitset(residues(range(40), (1 << 22) + 15), 4)
 
 
 def test_sidon_int64_bounds_and_empty_input():

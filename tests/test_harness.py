@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import adlab.decompose as decompose
 import adlab.harness.claims as claims
 from adlab import (
     PreconditionError,
@@ -268,8 +269,10 @@ def test_each_instance_fact_runs_once(monkeypatch):
 
         return wrapper
 
-    for name in ("d_k_exact", "dim_shift_ratio", "sidon_extract", "ratio_box"):
+    for name in ("d_k_exact", "dim_shift_ratio", "sidon_extract", "_difference_ratios"):
         monkeypatch.setattr(claims, name, counted(name))
+    # ratio_box builds the difference ratios too; the claims must not call it
+    monkeypatch.setattr(decompose, "_difference_ratios", claims._difference_ratios)
     clear_caches()
     a = integers([1, 2, 4, 8, 9, 20, 33])
     for cid in REGISTRY:
@@ -278,7 +281,7 @@ def test_each_instance_fact_runs_once(monkeypatch):
     # one call per distinct input; sidon_extremal also extracts under "*"
     assert len(calls) == len(set(calls))
     assert sorted(name for name, _, _ in calls) == [
-        "d_k_exact", "dim_shift_ratio", "ratio_box", "sidon_extract", "sidon_extract"
+        "_difference_ratios", "d_k_exact", "dim_shift_ratio", "sidon_extract", "sidon_extract"
     ]
     assert not hasattr(claims, "dim_k_exact") and not hasattr(claims, "d_star_bounds")
 
