@@ -25,7 +25,6 @@ from .dissociation import (
     DissociationCertificate,
     cube,
     d_k_exact,
-    d_star_bounds,
     d_star_lower,
     dim_bounds,
     dim_k_exact,
@@ -78,14 +77,12 @@ from .growth import (
     verify_span_isomorphism,
 )
 from .modular import (
-    CoverResult,
     DirichletValue,
     FourierPeak,
     SubgroupSpec,
     dirichlet_min,
     fourier_max,
     fourier_spectrum,
-    random_cover,
     subgroup,
     subgroup_growth_experiment,
     verify_dirichlet_dim,

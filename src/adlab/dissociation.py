@@ -94,7 +94,7 @@ class DissociationCertificate:
 class DimensionBounds:
     """Certified bounds for a dimension-like quantity."""
 
-    kind: str  # "dim_k", "d_k", "d_star_k", "dim_alpha_k"
+    kind: str  # "dim_k", "d_k", "dim_alpha_k"
     k: int
     lower: int
     upper: int
@@ -710,29 +710,6 @@ def d_star_lower(a: GroundSet, lam: GroundSet, k: int = 1) -> int:
     """
     d = len(lam)
     return max(_min_size_for_span(len(a), k), _min_size_for_span((k + 1) ** d, k * k * d))
-
-
-def d_star_bounds(a: GroundSet, k: int = 1, budget: int | None = None) -> DimensionBounds:
-    """Bounds for the unrestricted covering number (exact search is infeasible:
-    the covering set ranges over the whole ambient group).
-
-    Upper: the restricted covering number d_k(A) from ``d_k_exact``.  Lower:
-    ``d_star_lower`` on the greedy maximal k-dissociated subset, capped at
-    the upper bound.  The greedy pass runs first and both spend one meter.
-    The result is never exact; its lower witness is that greedy subset and
-    its upper witness the restricted cover.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    meter = as_meter(budget)
-    lam = max_dissociated_greedy(a, k, budget=meter)
-    dk = d_k_exact(a, k, meter)
-    upper = dk.upper
-    lower = min(d_star_lower(a, lam, k), upper)
-    return DimensionBounds(
-        "d_star_k", k, lower, upper, False, lam, dk.upper_witness, dk.states,
-        note="upper from restricted cover; exact unrestricted search unsupported",
-    )
 
 
 # ---------------------------------------------------------------------------

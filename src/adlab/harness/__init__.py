@@ -14,7 +14,6 @@ from .generators import GENERATORS, InstanceSpec, generate, spec
 from .runner import (
     CORE_BUDGET,
     CORE_INSTANCES,
-    has_hard_violation,
     report_to_json,
     run_core_suite,
     run_suite,
@@ -34,7 +33,6 @@ __all__ = [
     "fit_constant",
     "generate",
     "get_claim",
-    "has_hard_violation",
     "report_to_json",
     "run_core_suite",
     "run_suite",

@@ -12,11 +12,17 @@ sumset or product set above SUMSET_CAP (200 000) elements, an exhausted
 budget and a coordinate outside the signed 64-bit range each give one
 record noted "skipped: ..."; a certificate, witness or partition that fails
 its re-verification gives one violated hard record, whatever the claim's
-class.  An evaluator words only the skips of its own envelope: energies up
-to |A| = 64, amplified-order dimensions on compact sets (|A| <= 32 with
-diameter or modulus <= 5 000, |A| <= 20 on Z^r), subset-sum cube searches
-of 400 000 states, subgroup sweeps up to p = 10 000, and the bounds its
-skip notes name.
+class.
+
+Where a claim applies lives in its registry entry's ``requires``: ordered
+(test(a, instance), reason) pairs for the ambient, the instance kind and
+the size envelope (energies up to |A| = 64, amplified-order dimensions on
+compact sets: |A| <= 32 with diameter or modulus <= 5 000, |A| <= 20 on
+Z^r; subgroup sweeps up to p = 10 000).  ``evaluate_claim`` checks them in
+order before the evaluator runs, so a test may assume the ones before it
+held, and the first that fails gives one record noted "skipped: <reason>".
+An evaluator words only the skips that follow from what it measured, such
+as a truncated search or a degenerate window.
 """
 
 from __future__ import annotations
@@ -83,6 +89,7 @@ class Claim:
     direction: str  # "upper" | "lower" | "none": how fitted constants aggregate
     summary: str
     evaluate: Callable  # (claim, a, instance, budget) -> list[ClaimRecord]
+    requires: tuple = ()  # (test(a, instance) -> bool, skip reason), checked in order
 
 
 def _rec(claim: Claim, instance, measured, fitted=None, violated=False, note=""):
@@ -117,12 +124,8 @@ def _retag(claim: Claim, instance, inner_records, only_prefix: str, exact: bool 
     return out
 
 
-def _is_rank1_ints(a: GroundSet) -> bool:
-    return isinstance(a.ambient, IntegerLattice) and a.ambient.rank == 1
-
-
-def _compact_for_amplified_k(a: GroundSet) -> bool:
-    """Whether high-k dimension states stay cheap on this set."""
+def _compact_for_amplified_k(a: GroundSet, inst=None) -> bool:
+    """Whether high-k dimension states stay cheap on this set (a requires test; inst is unused)."""
     if len(a) > 32:
         return False
     amb = a.ambient
@@ -244,8 +247,6 @@ def _ev_pluennecke(claim, a, inst, budget):
 
 
 def _ev_sigma_cover(claim, a, inst, budget):
-    if len(a) > 48:
-        return _skip(claim, inst, "set too large for the layered subset-sum scan")
     k = min(3, len(a))
     sig = sigma_k(a, k, size_cap=SUMSET_CAP)
     a0 = a.union(GroundSet.of(a.ambient, [a.ambient.zero]))
@@ -261,8 +262,6 @@ def _ev_sigma_cover(claim, a, inst, budget):
 
 
 def _ev_hoelder(claim, a, inst, budget):
-    if len(a) > MAX_ENERGY_SIZE:
-        return _skip(claim, inst, f"energies are capped at |A| = {MAX_ENERGY_SIZE}")
     t1, t2, t3 = len(a), _fact(t_k, a, 2, "+").value, _fact(t_k, a, 3, "+").value
     two = _fact(_nA, a, 2)
     three = _fact(_nA, a, 3)
@@ -352,8 +351,6 @@ def _ev_dim_counting(claim, a, inst, budget):
 
 
 def _ev_energy_dim_lower(claim, a, inst, budget):
-    if len(a) > MAX_ENERGY_SIZE:
-        return _skip(claim, inst, f"energies are capped at |A| = {MAX_ENERGY_SIZE}")
     db = _fact(dim_bounds, a, 1, budget=budget)
     d = _dim_used(db)
     checks = {}
@@ -366,12 +363,7 @@ def _ev_energy_dim_lower(claim, a, inst, budget):
 
 
 def _ev_dirichlet(claim, a, inst, budget):
-    if isinstance(a.ambient, Residues):
-        modulus = None
-    elif _is_rank1_ints(a):
-        modulus = 101
-    else:
-        return _skip(claim, inst, "needs residues or rank-1 integers")
+    modulus = None if isinstance(a.ambient, Residues) else 101
     rep = _fact(verify_dirichlet_dim, a, s=2, modulus=modulus, budget=budget)
     return _retag(claim, inst, rep.records, "dirichlet_dim_lower", exact=True) or _skip(
         claim, inst, "bound degenerate on this instance"
@@ -382,8 +374,6 @@ def _ev_growth_bounds(prefix: str, degenerate: str = "window degenerate at this 
     """Records of the instance's growth-bounds experiment whose claim starts with prefix."""
 
     def ev(claim, a, inst, budget):
-        if not _compact_for_amplified_k(a):
-            return _skip(claim, inst, "set too wide for amplified-order dimension work")
         rep = _fact(verify_growth_bounds, a, n_max=4, k=1, budget=budget)
         return _retag(claim, inst, rep.records, prefix) or _skip(claim, inst, degenerate)
 
@@ -433,13 +423,6 @@ def _ev_witness_reverify(claim, a, inst, budget):
 
 
 def _ev_freiman(claim, a, inst, budget):
-    if not _is_rank1_ints(a):
-        return _skip(claim, inst, "needs rank-1 integers")
-    if len(a) > 10:
-        return _skip(claim, inst, "model search is kept to |A| <= 10")
-    # freiman_model lists the p - 1 dilations mod p ~ 4 max|x|, for a singleton too.
-    if max(abs(x) for x in a.elements) > 50:
-        return _skip(claim, inst, "elements too large for the dilation sweep")
     try:
         model = freiman_model(a, l=2, trials=64, seed=1)
     except TrialsExhaustedError as exc:
@@ -465,18 +448,12 @@ def _ev_freiman(claim, a, inst, budget):
 
 
 def _ev_ratio_box_inclusion(claim, a, inst, budget):
-    if not _is_rank1_ints(a):
-        return _skip(claim, inst, "needs rank-1 integers")
-    if len(a) > 24:
-        return _skip(claim, inst, "pair scan is kept to |A| <= 24")
     rb, ok = _fact(_checked_ratio_box, a)
     measured = {"n": rb.n, "missing": rb.missing, "ratio_count": rb.ratio_count}
     return [_rec(claim, inst, measured, violated=not ok)]
 
 
 def _ev_sidon_property(claim, a, inst, budget):
-    if isinstance(a.ambient, IntegerLattice) and a.ambient.rank > 1:
-        return _skip(claim, inst, "kept to rank-1 and residue sets")
     b = _fact(sidon_extract, a, h=2, budget=budget)
     amb = a.ambient
     sums = {}
@@ -493,10 +470,6 @@ def _ev_sidon_property(claim, a, inst, budget):
 
 
 def _ev_decomposition(claim, a, inst, budget):
-    if not _is_rank1_ints(a) or any(x < 1 for x in a.elements):
-        return _skip(claim, inst, "needs rank-1 positive integers")
-    if len(a) > 32 or max(a.elements) > 10**6:
-        return _skip(claim, inst, "decomposition sweep is kept to |A| <= 32, values <= 10^6")
     dec = dec_tk(a, s=2, budget=budget)
     checks = {
         "partition": set(dec.b.elements) | set(dec.c.elements) == set(a.elements)
@@ -535,10 +508,6 @@ def _ev_decomposition(claim, a, inst, budget):
 
 
 def _ev_poly_growth(claim, a, inst, budget):
-    if len(a) < 2:
-        return _skip(claim, inst, "needs at least two elements")
-    if not _compact_for_amplified_k(a):
-        return _skip(claim, inst, "set too wide for the growth sweep")
     rep = _fact(polynomial_growth_fit, a, n_max=5, budget=budget)
     return _retag(claim, inst, rep.records, "poly_growth") or _skip(
         claim, inst, "window degenerate at this size"
@@ -546,8 +515,6 @@ def _ev_poly_growth(claim, a, inst, budget):
 
 
 def _ev_dim_compare(claim, a, inst, budget):
-    if len(a) > 16:
-        return _skip(claim, inst, "exact two-parameter dimensions are kept to |A| <= 16")
     d1 = _fact(dim_bounds, a, 1, budget=budget)
     d2 = _fact(dim_bounds, a, 2, budget=budget)
     if not (d1.exact and d2.exact) or d1.value == 0 or d2.value == 0:
@@ -577,10 +544,6 @@ def _amplified_dim(a: GroundSet, budget):
 
 
 def _ev_small_doubling_dim(claim, a, inst, budget):
-    if len(a) < 4:
-        return _skip(claim, inst, "needs |A| >= 4")
-    if not _compact_for_amplified_k(a):
-        return _skip(claim, inst, "set too wide for amplified-order dimension work")
     two = _fact(_nA, a, 2)
     kk = len(two) / len(a)
     amplified, why = _amplified_dim(a, budget)
@@ -601,10 +564,6 @@ def _ev_small_doubling_dim(claim, a, inst, budget):
 
 
 def _ev_bounded_growth_dim(claim, a, inst, budget):
-    if len(a) < 3:
-        return _skip(claim, inst, "needs |A| >= 3")
-    if not _compact_for_amplified_k(a):
-        return _skip(claim, inst, "set too wide for amplified-order dimension work")
     sizes = [len(_fact(_nA, a, n)) for n in range(1, 5)]
     log_a = math.log(len(a))
     kk = max(math.log(s) / log_a for s in sizes)
@@ -631,8 +590,6 @@ def _witness_cube(a: GroundSet, k: int, budget, min_size: int):
 
 
 def _ev_sigma_dim(claim, a, inst, budget):
-    if not _compact_for_amplified_k(a):
-        return _skip(claim, inst, "set too wide for order-2 dissociation states")
     witness_cube = _witness_cube(a, 2, budget, min_size=2)
     if witness_cube is None:
         return _skip(claim, inst, "no 2-dissociated pair to build the subset-sum set")
@@ -651,8 +608,6 @@ def _ev_sigma_dim(claim, a, inst, budget):
 
 
 def _ev_cube_dim_ratio(claim, a, inst, budget):
-    if not _compact_for_amplified_k(a):
-        return _skip(claim, inst, "set too wide for amplified-order dimension work")
     db = _fact(dim_bounds, a, 1, budget=budget)
     d = db.lower
     if d < 2:
@@ -677,8 +632,6 @@ def _ev_cube_dim_ratio(claim, a, inst, budget):
 
 
 def _ev_dim_alpha(claim, a, inst, budget):
-    if len(a) > 10:
-        return _skip(claim, inst, "exact relative dimension is kept to |A| <= 10")
     k = 2
     alpha = Fraction(1, 2)
     da = dim_alpha_k(a, alpha, k=k, budget=budget)
@@ -710,13 +663,6 @@ def _ev_rudin(claim, a, inst, budget):
 
 
 def _ev_fourier_dim(claim, a, inst, budget):
-    amb = a.ambient
-    if not isinstance(amb, Residues):
-        return _skip(claim, inst, "needs a residue ambient")
-    import sympy
-
-    if amb.modulus > 4096 or not sympy.isprime(amb.modulus):
-        return _skip(claim, inst, "needs a prime modulus <= 4096")
     peak = fourier_max(a)
     hyp = peak.max_abs <= len(a) / 4
     measured = {
@@ -730,14 +676,10 @@ def _ev_fourier_dim(claim, a, inst, budget):
             _rec(claim, inst, measured, note="largest coefficient above |A|/4; hypothesis not met")
         ]
     db = _fact(dim_bounds, a, 1, budget=budget)
-    return [_rec(claim, inst, measured, fitted=db.lower / math.log(amb.modulus))]
+    return [_rec(claim, inst, measured, fitted=db.lower / math.log(a.ambient.modulus))]
 
 
 def _ev_product_set_energy(claim, a, inst, budget):
-    if not _is_rank1_ints(a) or any(x < 1 for x in a.elements):
-        return _skip(claim, inst, "needs rank-1 positive integers")
-    if len(a) > 48 or max(a.elements) > 10**6:
-        return _skip(claim, inst, "product set sweep is kept to |A| <= 48, values <= 10^6")
     aa = _fact(product_set, a, a, size_cap=SUMSET_CAP)
     bigd = len(aa) / len(a)
     db = _fact(dim_bounds, a, 1, budget=budget)
@@ -752,10 +694,6 @@ def _ev_product_set_energy(claim, a, inst, budget):
 
 
 def _ev_product_doubling_dim(claim, a, inst, budget):
-    if not isinstance(a.ambient, Residues):
-        return _skip(claim, inst, "needs a residue ambient")
-    if 0 in a:
-        return _skip(claim, inst, "needs 0 outside A")
     # The same fact as _ev_dirichlet's on residues.
     rep = _fact(verify_dirichlet_dim, a, s=2, modulus=None, budget=budget)
     return _retag(claim, inst, rep.records, "dirichlet_dim_lower_product") or _skip(
@@ -775,10 +713,6 @@ def _mult_dim_lower(a: GroundSet, budget) -> int:
 
 
 def _ev_sum_product_doubling(claim, a, inst, budget):
-    if not _is_rank1_ints(a) or len(a) < 3 or any(x < 1 for x in a.elements):
-        return _skip(claim, inst, "needs at least three positive integers")
-    if len(a) > 48 or max(a.elements) > 10**6:
-        return _skip(claim, inst, "kept to |A| <= 48, values <= 10^6")
     log_a = math.log(len(a))
     two = _fact(_nA, a, 2)
     aa = _fact(product_set, a, a, size_cap=SUMSET_CAP)
@@ -822,12 +756,6 @@ def _ev_sum_product_doubling(claim, a, inst, budget):
 
 
 def _ev_sum_product_dim(claim, a, inst, budget):
-    if not _is_rank1_ints(a) or any(x < 1 for x in a.elements):
-        return _skip(claim, inst, "needs positive integers")
-    if len(a) < 16:
-        return _skip(claim, inst, "triple logarithms need |A| >= 16")
-    if len(a) > 48 or max(a.elements) > 10**6:
-        return _skip(claim, inst, "kept to |A| <= 48, values <= 10^6")
     log_a = math.log(len(a))
     loglog = math.log(log_a)
     logloglog = math.log(loglog)
@@ -849,10 +777,6 @@ def _ev_sum_product_dim(claim, a, inst, budget):
 
 
 def _ev_sidon_extremal(claim, a, inst, budget):
-    if not _is_rank1_ints(a) or len(a) < 2 or any(x < 1 for x in a.elements):
-        return _skip(claim, inst, "needs at least two positive integers")
-    if len(a) > 40:
-        return _skip(claim, inst, "extraction sweep is kept to |A| <= 40")
     b = _fact(sidon_extract, a, h=2, budget=budget)
     c = sidon_extract(a, h=2, op="*", budget=budget)
     best = max(len(b), len(c))
@@ -867,10 +791,6 @@ def _ev_sidon_extremal(claim, a, inst, budget):
 
 
 def _ev_ratio_box_growth(claim, a, inst, budget):
-    if not _is_rank1_ints(a) or len(a) < 3:
-        return _skip(claim, inst, "needs at least three rank-1 integers")
-    if len(a) > 24:
-        return _skip(claim, inst, "pair scan is kept to |A| <= 24")
     rb, _ = _fact(_checked_ratio_box, a)
     two = _fact(_nA, a, 2)
     kk = len(two) / len(a)
@@ -888,6 +808,7 @@ def _ev_ratio_box_growth(claim, a, inst, budget):
 
 
 def _subgroup_params(inst) -> Optional[tuple[int, int]]:
+    """(p, t) of a subgroup instance, None for any other instance."""
     if isinstance(inst, dict) and inst.get("generator") == "subgroup":
         params = inst.get("params", {})
         return params.get("p"), params.get("t")
@@ -895,22 +816,14 @@ def _subgroup_params(inst) -> Optional[tuple[int, int]]:
 
 
 def _subgroup_sweep(inst, budget):
-    """(the subgroup experiment, None) for a subgroup instance, else (None, the skip reason)."""
-    pt = _subgroup_params(inst)
-    if pt is None:
-        return None, "needs a multiplicative subgroup instance"
-    p, t = pt
-    if p is None or p > MAX_SUBGROUP_P:
-        return None, f"subgroup sweeps are capped at p <= {MAX_SUBGROUP_P}"
-    return _fact(subgroup_growth_experiment, p, t, n_max=4, k_max=3, budget=budget), None
+    """The growth experiment of a subgroup instance, shared by its claims."""
+    p, t = _subgroup_params(inst)
+    return _fact(subgroup_growth_experiment, p, t, n_max=4, k_max=3, budget=budget)
 
 
 def _ev_subgroup(prefix: str):
     def ev(claim, a, inst, budget):
-        rep, why = _subgroup_sweep(inst, budget)
-        if rep is None:
-            return _skip(claim, inst, why)
-        return _retag(claim, inst, rep.records, prefix) or _skip(
+        return _retag(claim, inst, _subgroup_sweep(inst, budget).records, prefix) or _skip(
             claim, inst, "degenerate at this size"
         )
 
@@ -918,9 +831,7 @@ def _ev_subgroup(prefix: str):
 
 
 def _ev_subgroup_coverage(claim, a, inst, budget):
-    rep, why = _subgroup_sweep(inst, budget)
-    if rep is None:
-        return _skip(claim, inst, why)
+    rep = _subgroup_sweep(inst, budget)
     p, t = rep.params["p"], rep.params["t"]
     import sympy
 
@@ -958,12 +869,7 @@ def _max_clique_size(candidates: list, adjacent) -> int:
 
 
 def _ev_difference_in_subgroup(claim, a, inst, budget):
-    pt = _subgroup_params(inst)
-    if pt is None:
-        return _skip(claim, inst, "needs a multiplicative subgroup instance")
-    p, t = pt
-    if p is None or p > 300:
-        return _skip(claim, inst, "clique search is kept to p <= 300")
+    p, t = _subgroup_params(inst)
     gamma = set(a.elements)
     sym = sorted(x for x in gamma if (p - x) % p in gamma)
     # Translation-invariance lets us pin 0 in A; the rest of A lies in the
@@ -988,6 +894,46 @@ def _ev_difference_in_subgroup(claim, a, inst, budget):
 
 
 # ---------------------------------------------------------------------------
+# Where claims apply: the tests and (test, reason) pairs of the registry's
+# requires that more than one entry uses.  A test may assume that the pairs
+# before it in the same entry held.
+
+
+def _rank1_ints(a: GroundSet, inst) -> bool:
+    return isinstance(a.ambient, IntegerLattice) and a.ambient.rank == 1
+
+
+def _positive_ints(a: GroundSet, inst) -> bool:
+    return _rank1_ints(a, inst) and min(a.elements) >= 1
+
+
+def _subgroup_p_at_most(cap: int) -> Callable:
+    return lambda a, inst: (p := _subgroup_params(inst)[0]) is not None and p <= cap
+
+
+def _prime_modulus_to_4096(a: GroundSet, inst) -> bool:
+    import sympy
+
+    return a.ambient.modulus <= 4096 and sympy.isprime(a.ambient.modulus)
+
+
+_COMPACT = (_compact_for_amplified_k, "set too wide for amplified-order dimension work")
+_ENERGY_CAP = (lambda a, inst: len(a) <= MAX_ENERGY_SIZE, f"energies are capped at |A| = {MAX_ENERGY_SIZE}")
+_RANK1 = (_rank1_ints, "needs rank-1 integers")
+_POSITIVE = (_positive_ints, "needs rank-1 positive integers")
+_PAIR_SCAN = (lambda a, inst: len(a) <= 24, "pair scan is kept to |A| <= 24")
+_SUM_PRODUCT_ENVELOPE = (
+    lambda a, inst: len(a) <= 48 and max(a.elements) <= 10**6, "kept to |A| <= 48, values <= 10^6"
+)
+_RESIDUES = (lambda a, inst: isinstance(a.ambient, Residues), "needs a residue ambient")
+_SUBGROUP = (lambda a, inst: _subgroup_params(inst) is not None, "needs a multiplicative subgroup instance")
+_SUBGROUP_SWEEP = (
+    _SUBGROUP,
+    (_subgroup_p_at_most(MAX_SUBGROUP_P), f"subgroup sweeps are capped at p <= {MAX_SUBGROUP_P}"),
+)
+
+
+# ---------------------------------------------------------------------------
 # Registry
 
 
@@ -996,48 +942,57 @@ def _claims() -> dict[str, Claim]:
         # hard
         ("growth_monotone", "hard", "none", "|nA| is nondecreasing; torsion-free floor n(|A|-1)+1", _ev_growth_monotone),
         ("pluennecke_doubling", "hard", "none", "|nA-mA| <= (|2A|/|A|)^{n+m} |A| in integer form", _ev_pluennecke),
-        ("sigma_subset_cover", "hard", "none", "Sigma_k(A) sits inside k(A u {0}) with the counting bound", _ev_sigma_cover),
-        ("hoelder_energy_chain", "hard", "none", "log-convexity and Cauchy-Schwarz bounds for T_k", _ev_hoelder),
+        ("sigma_subset_cover", "hard", "none", "Sigma_k(A) sits inside k(A u {0}) with the counting bound", _ev_sigma_cover, ((lambda a, inst: len(a) <= 48, "set too large for the layered subset-sum scan"),)),
+        ("hoelder_energy_chain", "hard", "none", "log-convexity and Cauchy-Schwarz bounds for T_k", _ev_hoelder, (_ENERGY_CAP,)),
         ("dim_chain", "hard", "none", "d* <= d <= dim at k = 1, exact or certified-bounds form", _ev_dim_chain),
         ("dim_counting_lower", "hard", "none", "|A| and |kA| against (2k+1)^dim boxes (gcd-corrected at k = 2)", _ev_dim_counting),
-        ("energy_dim_lower", "hard", "none", "T_k(A) (2k+1)^dim >= |A|^{2k}", _ev_energy_dim_lower),
-        ("dirichlet_dim_lower", "hard", "none", "dim >= s log(N-1)/log(dim * |A|/D) for the Dirichlet minimum D", _ev_dirichlet),
-        ("split_block_growth", "hard", "none", "|nS| (2^n n!)^m >= prod k^n |L_j|^n for split dissociated blocks", _ev_growth_bounds("split_block_growth", "certified dimension below 4; no eligible (n, m)")),
+        ("energy_dim_lower", "hard", "none", "T_k(A) (2k+1)^dim >= |A|^{2k}", _ev_energy_dim_lower, (_ENERGY_CAP,)),
+        ("dirichlet_dim_lower", "hard", "none", "dim >= s log(N-1)/log(dim * |A|/D) for the Dirichlet minimum D", _ev_dirichlet, ((lambda a, inst: a.ambient.rank == 1, "needs residues or rank-1 integers"),)),
+        ("split_block_growth", "hard", "none", "|nS| (2^n n!)^m >= prod k^n |L_j|^n for split dissociated blocks", _ev_growth_bounds("split_block_growth", "certified dimension below 4; no eligible (n, m)"), (_COMPACT,)),
         ("shift_zero_fixed", "hard", "none", "shifting by 0 fixes the set and its dimension bounds", _ev_shift("shift_zero_fixed")),
         ("witness_reverify", "hard", "none", "certificates and witnesses re-verify through their own module", _ev_witness_reverify),
-        ("freiman_isomorphism", "hard", "none", "the modular model is a verified Freiman 2-isomorphism", _ev_freiman),
-        ("ratio_box_inclusion", "hard", "none", "the reported ratio box is fully realized and the missing ratio is real", _ev_ratio_box_inclusion),
-        ("sidon_property", "hard", "none", "extracted B_2[1] subsets have all pair sums distinct", _ev_sidon_property),
-        ("decomposition_energy", "hard", "none", "additive/multiplicative split partitions A with matching traced energies", _ev_decomposition),
+        # freiman_model lists the p - 1 dilations mod p ~ 4 max|x|, for a singleton too.
+        ("freiman_isomorphism", "hard", "none", "the modular model is a verified Freiman 2-isomorphism", _ev_freiman,
+         (_RANK1, (lambda a, inst: len(a) <= 10, "model search is kept to |A| <= 10"), (lambda a, inst: max(abs(x) for x in a.elements) <= 50, "elements too large for the dilation sweep"))),
+        ("ratio_box_inclusion", "hard", "none", "the reported ratio box is fully realized and the missing ratio is real", _ev_ratio_box_inclusion, (_RANK1, _PAIR_SCAN)),
+        ("sidon_property", "hard", "none", "extracted B_2[1] subsets have all pair sums distinct", _ev_sidon_property, ((lambda a, inst: a.ambient.rank == 1, "kept to rank-1 and residue sets"),)),
+        ("decomposition_energy", "hard", "none", "additive/multiplicative split partitions A with matching traced energies", _ev_decomposition,
+         (_POSITIVE, (lambda a, inst: len(a) <= 32 and max(a.elements) <= 10**6, "decomposition sweep is kept to |A| <= 32, values <= 10^6"))),
         # fitted
-        ("growth_stage1", "fitted", "upper", "first growth window: |nA| >= |A| (dim/(C log|A|))^{n-1}", _ev_growth_bounds("growth_stage1")),
-        ("growth_stage2", "fitted", "upper", "second growth window: |nA| >= (dim/(C n))^{n-1}", _ev_growth_bounds("growth_stage2")),
-        ("growth_stage3", "fitted", "upper", "third growth window at amplified dissociation order", _ev_growth_bounds("growth_stage3")),
-        ("poly_growth", "fitted", "upper", "polynomial growth exponent against dim_k log dim_k", _ev_poly_growth),
-        ("dim_compare", "fitted", "upper", "dim_l against dim_k log_{l+1}(k dim_k)", _ev_dim_compare),
-        ("small_doubling_dim", "fitted", "upper", "amplified dim against log|A|/loglog|A| + K log^6(2K) loglog(4K)", _ev_small_doubling_dim),
-        ("bounded_growth_dim", "fitted", "upper", "amplified dim against K log|A|/log(K log|A|)", _ev_bounded_growth_dim),
-        ("sigma_dissociated_dim", "fitted", "upper", "dim of the subset-sum set of a dissociated block vs n log n", _ev_sigma_dim),
-        ("cube_dim_ratio", "fitted", "upper", "dim_k at amplified k against K dim/log dim via the subset-sum cube", _ev_cube_dim_ratio),
+        ("growth_stage1", "fitted", "upper", "first growth window: |nA| >= |A| (dim/(C log|A|))^{n-1}", _ev_growth_bounds("growth_stage1"), (_COMPACT,)),
+        ("growth_stage2", "fitted", "upper", "second growth window: |nA| >= (dim/(C n))^{n-1}", _ev_growth_bounds("growth_stage2"), (_COMPACT,)),
+        ("growth_stage3", "fitted", "upper", "third growth window at amplified dissociation order", _ev_growth_bounds("growth_stage3"), (_COMPACT,)),
+        ("poly_growth", "fitted", "upper", "polynomial growth exponent against dim_k log dim_k", _ev_poly_growth,
+         ((lambda a, inst: len(a) >= 2, "needs at least two elements"), (_compact_for_amplified_k, "set too wide for the growth sweep"))),
+        ("dim_compare", "fitted", "upper", "dim_l against dim_k log_{l+1}(k dim_k)", _ev_dim_compare, ((lambda a, inst: len(a) <= 16, "exact two-parameter dimensions are kept to |A| <= 16"),)),
+        ("small_doubling_dim", "fitted", "upper", "amplified dim against log|A|/loglog|A| + K log^6(2K) loglog(4K)", _ev_small_doubling_dim, ((lambda a, inst: len(a) >= 4, "needs |A| >= 4"), _COMPACT)),
+        ("bounded_growth_dim", "fitted", "upper", "amplified dim against K log|A|/log(K log|A|)", _ev_bounded_growth_dim, ((lambda a, inst: len(a) >= 3, "needs |A| >= 3"), _COMPACT)),
+        ("sigma_dissociated_dim", "fitted", "upper", "dim of the subset-sum set of a dissociated block vs n log n", _ev_sigma_dim, ((_compact_for_amplified_k, "set too wide for order-2 dissociation states"),)),
+        ("cube_dim_ratio", "fitted", "upper", "dim_k at amplified k against K dim/log dim via the subset-sum cube", _ev_cube_dim_ratio, (_COMPACT,)),
         ("shift_dim_ratio", "fitted", "upper", "worst two-sided dimension ratio under translation", _ev_shift("shift_dim_ratio")),
-        ("dim_alpha_bound", "fitted", "upper", "relative dimension against k/kappa at alpha = 1/2", _ev_dim_alpha),
+        ("dim_alpha_bound", "fitted", "upper", "relative dimension against k/kappa at alpha = 1/2", _ev_dim_alpha, ((lambda a, inst: len(a) <= 10, "exact relative dimension is kept to |A| <= 10"),)),
         ("rudin_constant", "fitted", "upper", "T_k(L)^{1/k}/(k |L|) over verified dissociated sets", _ev_rudin),
-        ("fourier_dim", "fitted", "lower", "dim against log p under a flat Fourier spectrum", _ev_fourier_dim),
-        ("product_set_energy", "fitted", "upper", "T_k against |A|^{2k} (k D^6 log^2 d / d)^k for product-ratio D", _ev_product_set_energy),
-        ("product_doubling_dim", "fitted", "lower", "Dirichlet dimension window with the product-ratio correction", _ev_product_doubling_dim),
-        ("sum_product_doubling", "fitted", "lower", "dimensions under small sumset or product set", _ev_sum_product_doubling),
-        ("sum_product_dim", "fitted", "lower", "max of both dimensions against the double-log window", _ev_sum_product_dim),
-        ("sidon_extremal", "fitted", "lower", "largest B_2[1] subset exponent under + or x", _ev_sidon_extremal),
-        ("ratio_box_growth", "fitted", "lower", "ratio box size against exp(c log|A|/log K)", _ev_ratio_box_growth),
-        ("subgroup_dim_lower", "fitted", "lower", "subgroup dimension against min(log p/loglog p, log p/log t, phi(t))", _ev_subgroup("subgroup_dim_lower")),
-        ("subgroup_energy_upper", "fitted", "upper", "subgroup T_k against the regime-dependent window", _ev_subgroup("subgroup_energy_upper")),
-        ("subgroup_growth_rate", "fitted", "lower", "|n Gamma| against (t/(n log^3 t))^n", _ev_subgroup("subgroup_growth_rate")),
-        ("subgroup_dim_alpha", "fitted", "lower", "relative dimension of a subgroup against alpha dim/log t", _ev_subgroup("subgroup_dim_alpha")),
-        ("subgroup_dirichlet_prediction", "fitted", "none", "lattice prediction for the subgroup Dirichlet value (logged only)", _ev_subgroup("subgroup_dirichlet_prediction")),
-        ("subgroup_coverage", "fitted", "upper", "first n with |n Gamma|^2 >= p against log^2 p/loglog p", _ev_subgroup_coverage),
-        ("difference_in_subgroup", "fitted", "upper", "largest A with nonzero differences inside Gamma", _ev_difference_in_subgroup),
+        ("fourier_dim", "fitted", "lower", "dim against log p under a flat Fourier spectrum", _ev_fourier_dim, (_RESIDUES, (_prime_modulus_to_4096, "needs a prime modulus <= 4096"))),
+        ("product_set_energy", "fitted", "upper", "T_k against |A|^{2k} (k D^6 log^2 d / d)^k for product-ratio D", _ev_product_set_energy,
+         (_POSITIVE, (lambda a, inst: len(a) <= 48 and max(a.elements) <= 10**6, "product set sweep is kept to |A| <= 48, values <= 10^6"))),
+        ("product_doubling_dim", "fitted", "lower", "Dirichlet dimension window with the product-ratio correction", _ev_product_doubling_dim, (_RESIDUES, (lambda a, inst: 0 not in a, "needs 0 outside A"))),
+        ("sum_product_doubling", "fitted", "lower", "dimensions under small sumset or product set", _ev_sum_product_doubling,
+         ((lambda a, inst: len(a) >= 3 and _positive_ints(a, inst), "needs at least three positive integers"), _SUM_PRODUCT_ENVELOPE)),
+        ("sum_product_dim", "fitted", "lower", "max of both dimensions against the double-log window", _ev_sum_product_dim,
+         ((_positive_ints, "needs positive integers"), (lambda a, inst: len(a) >= 16, "triple logarithms need |A| >= 16"), _SUM_PRODUCT_ENVELOPE)),
+        ("sidon_extremal", "fitted", "lower", "largest B_2[1] subset exponent under + or x", _ev_sidon_extremal,
+         ((lambda a, inst: len(a) >= 2 and _positive_ints(a, inst), "needs at least two positive integers"), (lambda a, inst: len(a) <= 40, "extraction sweep is kept to |A| <= 40"))),
+        ("ratio_box_growth", "fitted", "lower", "ratio box size against exp(c log|A|/log K)", _ev_ratio_box_growth,
+         ((lambda a, inst: len(a) >= 3 and _rank1_ints(a, inst), "needs at least three rank-1 integers"), _PAIR_SCAN)),
+        ("subgroup_dim_lower", "fitted", "lower", "subgroup dimension against min(log p/loglog p, log p/log t, phi(t))", _ev_subgroup("subgroup_dim_lower"), _SUBGROUP_SWEEP),
+        ("subgroup_energy_upper", "fitted", "upper", "subgroup T_k against the regime-dependent window", _ev_subgroup("subgroup_energy_upper"), _SUBGROUP_SWEEP),
+        ("subgroup_growth_rate", "fitted", "lower", "|n Gamma| against (t/(n log^3 t))^n", _ev_subgroup("subgroup_growth_rate"), _SUBGROUP_SWEEP),
+        ("subgroup_dim_alpha", "fitted", "lower", "relative dimension of a subgroup against alpha dim/log t", _ev_subgroup("subgroup_dim_alpha"), _SUBGROUP_SWEEP),
+        ("subgroup_dirichlet_prediction", "fitted", "none", "lattice prediction for the subgroup Dirichlet value (logged only)", _ev_subgroup("subgroup_dirichlet_prediction"), _SUBGROUP_SWEEP),
+        ("subgroup_coverage", "fitted", "upper", "first n with |n Gamma|^2 >= p against log^2 p/loglog p", _ev_subgroup_coverage, _SUBGROUP_SWEEP),
+        ("difference_in_subgroup", "fitted", "upper", "largest A with nonzero differences inside Gamma", _ev_difference_in_subgroup, (_SUBGROUP, (_subgroup_p_at_most(300), "clique search is kept to p <= 300"))),
     ]
-    return {cid: Claim(cid, klass, direction, summary, fn) for cid, klass, direction, summary, fn in entries}
+    return {entry[0]: Claim(*entry) for entry in entries}
 
 
 REGISTRY: dict[str, Claim] = _claims()
@@ -1059,7 +1014,8 @@ def evaluate_claim(claim_id: str, a: GroundSet, instance, budget=None) -> list[C
     """Evaluate one claim on one realized instance, under the skip rules above.
 
     Calls on the same (set, budget) share stored facts; a call on another
-    one drops them first.  The empty set skips before any evaluator runs.
+    one drops them first.  The empty set skips before any evaluator runs,
+    and so does a failed test of the claim's ``requires``.
     """
     global _facts_scope
     claim = get_claim(claim_id)
@@ -1069,6 +1025,9 @@ def evaluate_claim(claim_id: str, a: GroundSet, instance, budget=None) -> list[C
         _facts.clear()
         _facts_scope = (a, budget)
     try:
+        for test, reason in claim.requires:
+            if not test(a, instance):
+                return _skip(claim, instance, reason)
         return claim.evaluate(claim, a, instance, budget)
     except BudgetExceededError as exc:
         return _skip(claim, instance, f"budget exhausted ({exc})")

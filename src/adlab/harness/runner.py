@@ -136,7 +136,3 @@ def report_to_json(report: dict, drop_timing: bool = False) -> str:
     """JSON text of a ``run_suite`` report, which is already canonical."""
     payload = {k: v for k, v in report.items() if not (drop_timing and k == "timing")}
     return dumps_canonical(payload)
-
-
-def has_hard_violation(report: dict) -> bool:
-    return bool(report["summary"]["hard_violations"])

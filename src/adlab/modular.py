@@ -2,14 +2,13 @@
 
 Tools here live mod a prime p: materializing the multiplicative subgroup of
 a given order, the Dirichlet minimum min_q sum_a ||qa/N||^s, dense Fourier
-peaks, a randomized multiplicative covering, and a growth experiment that
-measures how fast additive iterates of a subgroup expand.
+peaks, and a growth experiment that measures how fast additive iterates of
+a subgroup expand.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -250,112 +249,6 @@ def fourier_max(a: GroundSet) -> FourierPeak:
     rest = mags[1:]
     idx = int(rest.argmax()) + 1
     return FourierPeak(modulus=n, size=len(a), max_abs=float(rest[idx - 1]), argmax=idx)
-
-
-@dataclass(frozen=True)
-class CoverResult:
-    """Best multiplicative cover found: A is covered by X*S except Omega.
-
-    x holds the sampled dilators (residues mod p, or exact rationals in the
-    integer case); omega is the uncovered part of A; stats records sizes
-    and the predicted values for comparison.
-    """
-
-    x: tuple
-    omega: GroundSet
-    stats: dict
-
-    def to_json(self) -> dict:
-        return {
-            "x": [str(v) if isinstance(v, Fraction) else v for v in self.x],
-            "omega": sorted(self.omega.elements),
-            "stats": self.stats,
-        }
-
-
-def random_cover(
-    a: GroundSet,
-    s_set: GroundSet,
-    p_prob: float,
-    trials: int = 8,
-    seed: int = 0,
-) -> CoverResult:
-    """Randomized multiplicative covering of A by dilates of S.
-
-    Samples X from A*S*S^{-1} with probability p_prob per element and sets
-    Omega = A \\ X*S.  Every a in A has |S| potential witnesses a*s^{-1} in
-    the universe, so E|Omega| <= |A|(1-p)^{|S|}; the expected |X| is p
-    times the universe size, which Ruzsa-type bounds cap by D^3|A| with
-    D = |AA|/|A|.  Runs `trials` seeded rounds and keeps the best cover
-    (fewest uncovered, then smallest X).
-    """
-    amb = a.ambient
-    if s_set.ambient != amb:
-        raise PreconditionError("A and S must share an ambient")
-    if not s_set.elements:
-        raise PreconditionError("S must be nonempty")
-    if not set(s_set.elements) <= a._index:
-        raise PreconditionError("S must be a subset of A")
-    if not 0.0 <= p_prob <= 1.0:
-        raise PreconditionError("p_prob must lie in [0, 1]")
-
-    if isinstance(amb, Residues):
-        import sympy
-
-        n = amb.modulus
-        if not sympy.isprime(n):
-            raise PreconditionError("multiplicative covering mod N needs N prime")
-        if 0 in a._index:
-            raise PreconditionError("elements must be invertible (0 not allowed)")
-        s_inv = {s: pow(s, -1, n) for s in s_set.elements}
-        universe = sorted(
-            {x * y * s_inv[s] % n for x in a.elements for y in s_set.elements for s in s_set.elements}
-        )
-
-        def covered(x_sample):
-            hit = {x * s % n for x in x_sample for s in s_set.elements}
-            return hit
-    elif isinstance(amb, IntegerLattice) and amb.rank == 1:
-        if any(x <= 0 for x in a.elements):
-            raise PreconditionError("integer covering needs positive elements")
-        universe = sorted(
-            {
-                Fraction(x * y, s)
-                for x in a.elements
-                for y in s_set.elements
-                for s in s_set.elements
-            }
-        )
-
-        def covered(x_sample):
-            return {x * s for x in x_sample for s in s_set.elements}
-    else:
-        raise PreconditionError("multiplicative covering needs F_p or rank-1 integers")
-
-    aa = product_set(a, a)
-    doubling = Fraction(len(aa), len(a))
-    rng = random.Random(seed)
-    best: Optional[tuple[int, int, int, list, GroundSet]] = None
-    for trial in range(max(1, trials)):
-        x_sample = [u for u in universe if rng.random() < p_prob]
-        hit = covered(x_sample)
-        omega_elems = [e for e in a.elements if e not in hit]
-        key = (len(omega_elems), len(x_sample), trial)
-        if best is None or key < best[:3]:
-            best = (*key, x_sample, GroundSet.of(amb, omega_elems))
-    assert best is not None
-    omega_size, x_size, best_trial, x_sample, omega = best
-    stats = {
-        "x_size": x_size,
-        "omega_size": omega_size,
-        "universe_size": len(universe),
-        "doubling": doubling,
-        "pred_x": float(doubling) ** 3 * p_prob * len(a),
-        "pred_omega": float(doubling) * len(a) * (1.0 - p_prob) ** len(s_set),
-        "trial": best_trial,
-        "trials": max(1, trials),
-    }
-    return CoverResult(x=tuple(x_sample), omega=omega, stats=stats)
 
 
 # Hermite constants gamma_1..gamma_8 are known exactly; beyond that a

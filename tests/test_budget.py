@@ -10,7 +10,6 @@ from adlab import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     WorkMeter,
-    d_star_bounds,
     dim_alpha_k,
     dim_bounds,
     integers,
@@ -50,12 +49,11 @@ def test_environment_does_not_change_the_default(monkeypatch):
     "call",
     [
         lambda: dim_bounds(integers([1, 2, 4, 8, 16, 32]), 1, budget=3),
-        lambda: d_star_bounds(integers(range(1, 9)), 1, budget=10**6),
         lambda: coin_weighing_dissociated(
             integers([1, 10, 100, 1000, 10000]), 3, seed=1, budget=10**6
         ),
     ],
-    ids=["dim_bounds", "d_star_bounds", "coin_weighing_dissociated"],
+    ids=["dim_bounds", "coin_weighing_dissociated"],
 )
 def test_one_meter_per_library_call(meters, call):
     call()

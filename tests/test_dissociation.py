@@ -11,7 +11,6 @@ from adlab import (
     WorkMeter,
     cube,
     d_k_exact,
-    d_star_bounds,
     d_star_lower,
     dilate,
     dim_bounds,
@@ -313,9 +312,7 @@ def test_chain_at_k1():
     a = integers(range(1, 9))
     dim = dim_k_exact(a, 1).value
     d = d_k_exact(a, 1).value
-    ds = d_star_bounds(a, 1)
-    assert ds.lower <= d <= dim
-    assert ds.upper >= ds.lower
+    assert d_star_lower(a, max_dissociated_greedy(a, 1), 1) <= d <= dim
 
 
 def test_d_star_lower_counts():
@@ -323,7 +320,6 @@ def test_d_star_lower_counts():
     a = integers(range(1, 9))
     lam = max_dissociated_greedy(a, 1)
     assert len(lam) == 4 and d_star_lower(a, lam, 1) == 2
-    assert d_star_bounds(a, 1).lower == min(d_star_lower(a, lam, 1), d_k_exact(a, 1).upper)
     zero = integers([0])
     assert d_star_lower(zero, max_dissociated_greedy(zero, 1), 1) == 0
     # powers of two are dissociated: 3^3 >= 20, but 2^20 > 41^3 forces 4

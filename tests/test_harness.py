@@ -25,7 +25,6 @@ from adlab.harness import (
     fit_constant,
     generate,
     get_claim,
-    has_hard_violation,
     report_to_json,
     run_core_suite,
     run_suite,
@@ -162,7 +161,6 @@ def test_run_suite_no_instances():
     rep = run_suite(claim_ids=["growth_monotone"], instances=())
     assert rep["summary"]["records"] == 0
     assert rep["summary"]["hard_violations"] == 0
-    assert not has_hard_violation(rep)
 
 
 def test_run_suite_unknown_claim_raises():
@@ -283,7 +281,7 @@ def test_each_instance_fact_runs_once(monkeypatch):
     assert sorted(name for name, _, _ in calls) == [
         "_difference_ratios", "d_k_exact", "dim_shift_ratio", "sidon_extract", "sidon_extract"
     ]
-    assert not hasattr(claims, "dim_k_exact") and not hasattr(claims, "d_star_bounds")
+    assert not hasattr(claims, "dim_k_exact")
 
 
 def test_claims_skip_on_coordinate_overflow():
@@ -388,12 +386,166 @@ def test_small_modulus_has_one_zero_shift_record():
         assert [row["shift"] for row in shifts] == list(range(n))
 
 
+# Skip notes on sets the core suite does not hold: Z^r, a composite modulus,
+# a residue set containing 0, signed, wide, singleton and huge line sets, and
+# subgroups above the clique and sweep caps.  Each row maps a note (after
+# "skipped: ") to the claims whose first record carries it; every other claim
+# must measure something.
+_LITERAL = {"generator": "literal"}
+_SUBGROUP_CLAIMS = (
+    "subgroup_dim_lower", "subgroup_energy_upper", "subgroup_growth_rate", "subgroup_dim_alpha",
+    "subgroup_dirichlet_prediction", "subgroup_coverage", "difference_in_subgroup",
+)
+_OFF_SUBGROUP = {"needs a multiplicative subgroup instance": _SUBGROUP_CLAIMS}
+_OFF_RESIDUES = {"needs a residue ambient": ("fourier_dim", "product_doubling_dim")}
+_OFF_RANK1 = {
+    "needs rank-1 integers": ("freiman_isomorphism", "ratio_box_inclusion"),
+    "needs at least three rank-1 integers": ("ratio_box_growth",),
+}
+_OFF_POSITIVE = {
+    "needs rank-1 positive integers": ("decomposition_energy", "product_set_energy"),
+    "needs at least three positive integers": ("sum_product_doubling",),
+    "needs positive integers": ("sum_product_dim",),
+    "needs at least two positive integers": ("sidon_extremal",),
+}
+_NO_SPLIT = {"certified dimension below 4; no eligible (n, m)": ("split_block_growth",)}
+_TOO_WIDE = {
+    "set too wide for amplified-order dimension work": (
+        "split_block_growth", "growth_stage1", "growth_stage2", "growth_stage3",
+        "small_doubling_dim", "bounded_growth_dim", "cube_dim_ratio",
+    ),
+    "set too wide for the growth sweep": ("poly_growth",),
+    "set too wide for order-2 dissociation states": ("sigma_dissociated_dim",),
+}
+SKIP_NOTE_CASES = {
+    "z2": (
+        vectors([(0, 0), (1, 0), (0, 1), (1, 2), (3, -1)], 2),
+        _LITERAL,
+        {
+            **_OFF_RANK1, **_OFF_POSITIVE, **_OFF_RESIDUES, **_OFF_SUBGROUP,
+            "needs residues or rank-1 integers": ("dirichlet_dim_lower",),
+            "kept to rank-1 and residue sets": ("sidon_property",),
+        },
+    ),
+    "z3": (
+        vectors([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3),
+        _LITERAL,
+        {
+            **_OFF_RANK1, **_OFF_POSITIVE, **_OFF_RESIDUES, **_OFF_SUBGROUP, **_NO_SPLIT,
+            "needs residues or rank-1 integers": ("dirichlet_dim_lower",),
+            "kept to rank-1 and residue sets": ("sidon_property",),
+        },
+    ),
+    "mod30": (
+        residues([1, 7, 11, 13, 17], 30),
+        _LITERAL,
+        {
+            **_OFF_RANK1, **_OFF_POSITIVE, **_OFF_SUBGROUP, **_NO_SPLIT,
+            "window degenerate at this size": ("growth_stage3",),
+            "needs a prime modulus <= 4096": ("fourier_dim",),
+        },
+    ),
+    "mod31_with_zero": (
+        residues([0, 1, 5, 25], 31),
+        _LITERAL,
+        {
+            **_OFF_RANK1, **_OFF_POSITIVE, **_OFF_SUBGROUP, **_NO_SPLIT,
+            "needs 0 outside A": ("product_doubling_dim",),
+        },
+    ),
+    "signed_line": (
+        integers([-7, -2, 0, 3, 10]),
+        _LITERAL,
+        {**_OFF_POSITIVE, **_OFF_RESIDUES, **_OFF_SUBGROUP, **_NO_SPLIT},
+    ),
+    "line_66": (
+        integers(range(1, 199, 3)),
+        _LITERAL,
+        {
+            **_TOO_WIDE, **_OFF_RESIDUES, **_OFF_SUBGROUP,
+            "set too large for the layered subset-sum scan": ("sigma_subset_cover",),
+            "energies are capped at |A| = 64": ("hoelder_energy_chain", "energy_dim_lower"),
+            "model search is kept to |A| <= 10": ("freiman_isomorphism",),
+            "pair scan is kept to |A| <= 24": ("ratio_box_inclusion", "ratio_box_growth"),
+            "decomposition sweep is kept to |A| <= 32, values <= 10^6": ("decomposition_energy",),
+            "exact two-parameter dimensions are kept to |A| <= 16": ("dim_compare",),
+            "exact relative dimension is kept to |A| <= 10": ("dim_alpha_bound",),
+            "product set sweep is kept to |A| <= 48, values <= 10^6": ("product_set_energy",),
+            "kept to |A| <= 48, values <= 10^6": ("sum_product_doubling", "sum_product_dim"),
+            "extraction sweep is kept to |A| <= 40": ("sidon_extremal",),
+        },
+    ),
+    "singleton": (
+        integers([5]),
+        _LITERAL,
+        {
+            **_OFF_RESIDUES, **_OFF_SUBGROUP, **_NO_SPLIT,
+            "window degenerate at this size": ("growth_stage1", "growth_stage2", "growth_stage3"),
+            "needs at least two elements": ("poly_growth",),
+            "needs |A| >= 4": ("small_doubling_dim",),
+            "needs |A| >= 3": ("bounded_growth_dim",),
+            "no 2-dissociated pair to build the subset-sum set": ("sigma_dissociated_dim",),
+            "needs dimension at least 2": ("cube_dim_ratio", "product_set_energy"),
+            "no dissociated pair": ("rudin_constant",),
+            "needs at least three positive integers": ("sum_product_doubling",),
+            "triple logarithms need |A| >= 16": ("sum_product_dim",),
+            "needs at least two positive integers": ("sidon_extremal",),
+            "needs at least three rank-1 integers": ("ratio_box_growth",),
+        },
+    ),
+    "element_above_10^6": (
+        integers([1, 2, 5, 11, 2_000_000]),
+        _LITERAL,
+        {
+            **_TOO_WIDE, **_OFF_RESIDUES, **_OFF_SUBGROUP,
+            "elements too large for the dilation sweep": ("freiman_isomorphism",),
+            "decomposition sweep is kept to |A| <= 32, values <= 10^6": ("decomposition_energy",),
+            "product set sweep is kept to |A| <= 48, values <= 10^6": ("product_set_energy",),
+            "kept to |A| <= 48, values <= 10^6": ("sum_product_doubling",),
+            "triple logarithms need |A| >= 16": ("sum_product_dim",),
+        },
+    ),
+    "subgroup_401_8": (
+        subgroup(401, 8).members,
+        spec("subgroup", p=401, t=8).to_json(),
+        {
+            **_OFF_RANK1, **_OFF_POSITIVE,
+            "clique search is kept to p <= 300": ("difference_in_subgroup",),
+        },
+    ),
+    "subgroup_20011_5": (
+        subgroup(20011, 5).members,
+        spec("subgroup", p=20011, t=5).to_json(),
+        {
+            **_TOO_WIDE, **_OFF_RANK1, **_OFF_POSITIVE,
+            "needs a prime modulus <= 4096": ("fourier_dim",),
+            "subgroup sweeps are capped at p <= 10000": _SUBGROUP_CLAIMS[:-1],
+            "clique search is kept to p <= 300": ("difference_in_subgroup",),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SKIP_NOTE_CASES)
+def test_skip_notes_off_the_core_instances(case):
+    a, inst, table = SKIP_NOTE_CASES[case]
+    expected = {cid: f"skipped: {note}" for note, cids in table.items() for cid in cids}
+    clear_caches()
+    try:
+        got = {}
+        for cid in REGISTRY:
+            note = evaluate_claim(cid, a, inst, budget=20_000)[0].note
+            got[cid] = note if note.startswith("skipped:") else "not skipped"
+    finally:
+        clear_caches()
+    assert got == {cid: expected.get(cid, "not skipped") for cid in REGISTRY}
+
+
 def test_core_suite_clean():
     rep = run_core_suite()
     assert rep["summary"]["hard_violations"] == 0
     assert rep["summary"]["records"] > 100
     assert rep["summary"]["instances"] == len(CORE_INSTANCES)
-    assert not has_hard_violation(rep)
     # every core claim family produced at least one fit or record
     assert rep["fits"]
     digest = hashlib.sha256(report_to_json(rep, drop_timing=True).encode()).hexdigest()

@@ -15,7 +15,6 @@ from adlab import (
     fourier_max,
     fourier_spectrum,
     integers,
-    random_cover,
     residues,
     subgroup,
     subgroup_growth_experiment,
@@ -222,33 +221,3 @@ def test_subgroup_growth_records_clean():
     assert "subgroup_dim_lower" in stems
     assert "subgroup_energy_upper" in stems
 
-
-# ---------------------------------------------------------------------------
-# Random covers
-
-
-def test_random_cover_extremes():
-    a = residues([1, 2, 4], 7)
-    s = subgroup(7, 3).members
-    all_in = random_cover(a, s, 1.0, trials=3, seed=2)
-    assert set(all_in.x) == set(a.elements) and len(all_in.omega) == 0
-    none_in = random_cover(a, s, 0.0, trials=3, seed=2)
-    assert none_in.x == () and len(none_in.omega) == none_in.stats["universe_size"]
-
-
-def test_random_cover_seed_deterministic():
-    a = residues(range(1, 17), 17)
-    s = subgroup(17, 4).members
-    r1 = random_cover(a, s, 0.5, trials=5, seed=9)
-    r2 = random_cover(a, s, 0.5, trials=5, seed=9)
-    assert r1.x == r2.x and r1.omega.elements == r2.omega.elements
-    assert r1.stats == r2.stats
-
-
-def test_random_cover_partition():
-    a = residues(range(1, 17), 17)
-    s = subgroup(17, 4).members
-    res = random_cover(a, s, 0.4, trials=4, seed=1)
-    # X is a subset of A; omega covers what X + S misses
-    assert set(res.x) <= set(a.elements)
-    assert res.stats["x_size"] == len(res.x)
