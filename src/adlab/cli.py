@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=3)
     p.add_argument("--bigk", default=None, help="energy parameter K as int or num/den")
 
-    p = _command(sub, "sidon", "largest B_h[1] subset", "op", "budget", "mod")
+    p = _command(sub, "sidon", "largest B_h[1] subset up to 20 elements, a maximal one past that", "op", "budget", "mod")
     p.add_argument("set")
     p.add_argument("--h", type=int, default=2)
 

@@ -675,17 +675,17 @@ def sidon_extract(
     a: GroundSet,
     h: int = 2,
     op: str = "+",
-    mode: Optional[str] = None,
     budget: Optional[int] = None,
 ) -> GroundSet:
-    """Largest (exact) or maximal (greedy) B_h[1] subset of A.
+    """Largest B_h[1] subset of A when |A| <= ``SIDON_EXACT_LIMIT`` (20),
+    a maximal one otherwise.
 
     A B_h[1] set has all h-fold sums distinct; with op="*" the h-fold
     products are made distinct instead, computed exactly through the
-    prime-exponent embedding.  Exact mode performs a depth-first search
-    over the (downward-closed) family of B_h[1] subsets and is limited to
-    |A| <= 20; greedy mode inserts elements in ascending order and keeps
-    an element whenever it does not break the property.  The sums are
+    prime-exponent embedding.  Up to the limit an exact depth-first search
+    runs over the (downward-closed) family of B_h[1] subsets; past it a
+    greedy pass inserts elements in ascending order and keeps an element
+    whenever it does not break the property.  The sums are
     formed on ``_int_view`` codes, so int64 is checked once, on the h-fold
     extremes, before the search starts.
 
@@ -698,24 +698,18 @@ def sidon_extract(
     is written out in the search loop.  The
     visit order, the pruning and the ticks are those of the plain search
     that rebuilds every h-fold sum of each candidate subset: a candidate
-    costs len(subset)**h // h + 1 ticks in exact mode and
-    len(kept)**(h - 1) + 1 in greedy mode, charged before its test, so
+    costs len(subset)**h // h + 1 ticks in the exact search and
+    len(kept)**(h - 1) + 1 in the greedy pass, charged before its test, so
     results and budget errors do not depend on the state kind.
     """
     if h < 2:
         raise PreconditionError("h must be at least 2")
     if op not in ("+", "*"):
         raise PreconditionError("op must be '+' or '*'")
-    if mode is None:
-        mode = "exact_tiny" if len(a) <= SIDON_EXACT_LIMIT else "greedy"
-    if mode not in ("exact_tiny", "greedy"):
-        raise PreconditionError(f"unknown mode {mode!r}")
-    if mode == "exact_tiny" and len(a) > SIDON_EXACT_LIMIT:
-        raise PreconditionError(f"exact mode is limited to |A| <= {SIDON_EXACT_LIMIT}")
 
     if op == "*":
         emb = mult_embed(a)
-        inner = sidon_extract(emb.image, h, "+", mode, budget)
+        inner = sidon_extract(emb.image, h, "+", budget)
         return emb.preimage(inner)
 
     amb = a.ambient
@@ -728,7 +722,7 @@ def sidon_extract(
     root, extend, steps, bitset = _sidon_levels(part_codes[0], h, n)
     tick = meter.tick
 
-    if mode == "greedy":
+    if len(elems) > SIDON_EXACT_LIMIT:
         kept: list = []
         state = root
         for i, step in enumerate(steps):

@@ -29,7 +29,6 @@ the input and the budget alone, also when the budget truncates a search.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from operator import add, mul, sub
 
@@ -726,48 +725,3 @@ def cube(lam: GroundSet) -> tuple[GroundSet, bool]:
         sums |= {amb.add(s, x) for s in sums}
     q = GroundSet(amb, tuple(sorted(sums)))
     return q, len(q) == 1 << len(lam)
-
-
-# ---------------------------------------------------------------------------
-# Randomized dissociated subsets of subset-sum sets
-
-
-def coin_weighing_dissociated(
-    lam: GroundSet,
-    m: int,
-    seed: int = 0,
-    trials: int = 64,
-    budget: int | None = None,
-) -> GroundSet:
-    """Random 0/1 column sums over an m-dissociated base, verified dissociated.
-
-    Draws an n x m random 0/1 matrix whose column sums live in the subset-sum
-    set of L; re-verifies the result and retries on failure.  The base
-    certificate and every trial's check spend one meter.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    n = len(lam)
-    if n == 0:
-        raise PreconditionError("base set is empty")
-    meter = as_meter(budget)
-    base_cert = is_k_dissociated(lam, max(1, m), meter)
-    if not base_cert.is_dissociated:
-        raise PreconditionError(
-            f"base set is not {m}-dissociated (relation {base_cert.relation})"
-        )
-    amb = lam.ambient
-    rng = random.Random(seed)
-    for _ in range(trials):
-        sums = set()
-        for _j in range(m):
-            col = [rng.randint(0, 1) for _ in range(n)]
-            sums.add(combination(amb, lam.elements, col))
-        if len(sums) < m:
-            continue
-        cand = GroundSet(amb, tuple(sorted(sums)))
-        if is_k_dissociated(cand, 1, meter).is_dissociated:
-            return cand
-    raise VerificationFailedError(
-        f"no dissociated column-sum set found in {trials} trials"
-    )

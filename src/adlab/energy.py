@@ -78,11 +78,11 @@ def t_k(a: GroundSet, k: int, op: str = "+", size_cap: int | None = None) -> Ene
     raise ValueError("op must be '+' or '*'")
 
 
-def additive_energy(a: GroundSet, b: GroundSet, size_cap: int | None = None) -> EnergyValue:
+def additive_energy(a: GroundSet, b: GroundSet) -> EnergyValue:
     """E(A,B) = sum_x r_{A-B}(x)^2; E(A,A) recovers T_2(A)."""
     if len(a) == 0 or len(b) == 0:
         return EnergyValue(0, 2, "+")
-    r = rep_fn([(a, "+"), (b, "-")], size_cap=size_cap)
+    r = rep_fn([(a, "+"), (b, "-")])
     return EnergyValue(r.square_sum(), 2, "+")
 
 

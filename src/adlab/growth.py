@@ -82,23 +82,9 @@ def _split_chunks(seq: Sequence[Element], m: int) -> list[list[Element]]:
     return out
 
 
-def _coeff_dilates(amb, chunk: Sequence[Element], k: int) -> GroundSet:
-    """{c * x : 1 <= c <= k, x in chunk} as a GroundSet."""
-    elems = []
-    for c in range(1, k + 1):
-        for x in chunk:
-            elems.append(amb.scale(c, x))
-    return GroundSet.of(amb, elems)
-
-
-def verify_growth_bounds(
-    a: GroundSet,
-    n_max: int = 4,
-    k: int = 1,
-    budget: Optional[int] = None,
-) -> ExperimentReport:
-    """Measure the growth curve of A and compare it against the windows
-    implied by its dimension.  Every sumset is capped at
+def verify_growth_bounds(a: GroundSet, budget: Optional[int] = None) -> ExperimentReport:
+    """Measure the growth curve |nA|, n <= 4, of A and compare it against
+    the windows implied by d = dim_1(A).  Every sumset is capped at
     ``DEFAULT_GROWTH_CAP`` elements.
 
     Three stages are recorded as fitted constants (the leading constant in
@@ -111,19 +97,19 @@ def verify_growth_bounds(
               |(e^2 * ceil(log2 e)) A| >= exp(e * log e / C3)
 
     One inequality has an exact constant and is checked outright: if
-    Lambda is a k-dissociated witness of size d, split into m blocks
-    Lambda_1..Lambda_m, and S = [k]Lambda_1 + ... + [k]Lambda_m, then for
+    Lambda is a dissociated witness of size d, split into m blocks
+    Lambda_1..Lambda_m, and S = Lambda_1 + ... + Lambda_m, then for
     n*m <= d/4,
 
-        |nS| * (2^n * n!)^m >= prod_j (k^n * |Lambda_j|^n).
+        |nS| * (2^n * n!)^m >= prod_j |Lambda_j|^n.
 
     All comparisons use exact integer arithmetic.
     """
     if not a.elements:
         raise PreconditionError("growth bounds need a nonempty set")
     meter = as_meter(budget)
-    curve = growth_sequence(a, n_max)
-    db = dim_bounds(a, k, budget=meter)
+    curve = growth_sequence(a, 4)
+    db = dim_bounds(a, 1, budget=meter)
     d = db.lower  # certified even when the search was truncated
     records: list[ClaimRecord] = []
     measured: dict = {
@@ -131,7 +117,7 @@ def verify_growth_bounds(
         "dim_lower": db.lower,
         "dim_upper": db.upper,
         "dim_exact": db.exact,
-        "k": k,
+        "k": 1,
     }
 
     size_a = len(a)
@@ -201,14 +187,14 @@ def verify_growth_bounds(
     # Exact-constant split-block bound, checked on the certified witness.
     if db.lower_witness is not None and d >= 4:
         lam = db.lower_witness
-        if not is_k_dissociated(lam, k).is_dissociated:
-            raise VerificationFailedError(f"dimension witness {lam.elements} is not {k}-dissociated")
+        if not is_k_dissociated(lam, 1).is_dissociated:
+            raise VerificationFailedError(f"dimension witness {lam.elements} is not 1-dissociated")
         amb = lam.ambient
         witness = by_magnitude(amb, lam.elements)
         configs = [(n, m) for n in range(1, d + 1) for m in range(1, d + 1) if n * m * 4 <= d]
         for n, m in configs:
             chunks = _split_chunks(witness, m)
-            parts = [_coeff_dilates(amb, ch, k) for ch in chunks]
+            parts = [GroundSet.of(amb, ch) for ch in chunks]
             s = parts[0]
             try:
                 for part in parts[1:]:
@@ -219,7 +205,7 @@ def verify_growth_bounds(
             lhs = len(ns) * (2**n * math.factorial(n)) ** m
             rhs = 1
             for ch in chunks:
-                rhs *= k**n * len(ch) ** n
+                rhs *= len(ch) ** n
             ok = lhs >= rhs
             records.append(
                 ClaimRecord(
@@ -234,7 +220,7 @@ def verify_growth_bounds(
     return ExperimentReport(
         name="growth_bounds",
         instance=a.describe(),
-        params={"n_max": n_max, "k": k, "size_cap": DEFAULT_GROWTH_CAP},
+        params={"n_max": 4, "k": 1, "size_cap": DEFAULT_GROWTH_CAP},
         measured=measured,
         records=records,
     )
@@ -339,18 +325,16 @@ def beta_hat(a: GroundSet) -> BetaEstimate:
     )
 
 
-def polynomial_growth_fit(
-    a: GroundSet, n_max: int = 5, budget: Optional[int] = None
-) -> ExperimentReport:
+def polynomial_growth_fit(a: GroundSet, budget: Optional[int] = None) -> ExperimentReport:
     """Fit |nA| ~ |A| * n^d and compare the exponent with the dimension.
 
     The fitted exponent is d_fit = max_n log(|nA|/|A|) / log n, over the
-    iterates within ``DEFAULT_GROWTH_CAP`` elements.  Sets of bounded
+    iterates n <= 5 within ``DEFAULT_GROWTH_CAP`` elements.  Sets of bounded
     dimension grow polynomially, with the exponent controlled by dim_k up
     to logarithmic factors; both directions are reported as fitted
     constants.
     """
-    curve = growth_sequence(a, n_max)
+    curve = growth_sequence(a, 5)
     size_a = curve.sizes[0]
     d_fit = 0.0
     per_n = []
@@ -379,7 +363,7 @@ def polynomial_growth_fit(
     return ExperimentReport(
         name="polynomial_growth",
         instance=a.describe(),
-        params={"n_max": n_max, "size_cap": DEFAULT_GROWTH_CAP},
+        params={"n_max": 5, "size_cap": DEFAULT_GROWTH_CAP},
         measured={"curve": canonical(curve), "d_fit": d_fit, "per_n": per_n},
         records=records,
     )
@@ -499,9 +483,9 @@ def freiman_model(
 
 
 def dim_shift_ratio(
-    a: GroundSet, shifts: Sequence[Element], k: int = 1, budget: Optional[int] = None
+    a: GroundSet, shifts: Sequence[Element], budget: Optional[int] = None
 ) -> ExperimentReport:
-    """Measure how far dim_k(A + x) can move from dim_k(A) over the given
+    """Measure how far dim_1(A + x) can move from dim_1(A) over the given
     shifts.
 
     Shifting can change the dimension (the statistic is not
@@ -513,13 +497,13 @@ def dim_shift_ratio(
     interval consistent with the base one; that case is a hard record.
     """
     meter = as_meter(budget)
-    base = dim_bounds(a, k, budget=meter)
+    base = dim_bounds(a, 1, budget=meter)
     rows = []
     worst = None
     records: list[ClaimRecord] = []
     for x in shifts:
         shifted = translate(a, x)
-        db = dim_bounds(shifted, k, budget=meter)
+        db = dim_bounds(shifted, 1, budget=meter)
         rows.append(
             {
                 "shift": list(x) if isinstance(x, tuple) else x,
@@ -564,7 +548,7 @@ def dim_shift_ratio(
     return ExperimentReport(
         name="dim_shift",
         instance=a.describe(),
-        params={"k": k, "num_shifts": len(shifts)},
+        params={"k": 1, "num_shifts": len(shifts)},
         measured={"base": {"lower": base.lower, "upper": base.upper, "exact": base.exact}},
         records=records,
     )

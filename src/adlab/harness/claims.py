@@ -374,7 +374,7 @@ def _ev_growth_bounds(prefix: str, degenerate: str = "window degenerate at this 
     """Records of the instance's growth-bounds experiment whose claim starts with prefix."""
 
     def ev(claim, a, inst, budget):
-        rep = _fact(verify_growth_bounds, a, n_max=4, k=1, budget=budget)
+        rep = _fact(verify_growth_bounds, a, budget=budget)
         return _retag(claim, inst, rep.records, prefix) or _skip(claim, inst, degenerate)
 
     return ev
@@ -391,7 +391,7 @@ def _ev_shift(prefix: str):
             shifts = (0, 1, -1, 7)
         else:
             shifts = (amb.zero, tuple(1 if i == 0 else 0 for i in range(amb.rank)))
-        rep = _fact(dim_shift_ratio, a, shifts, k=1, budget=budget)
+        rep = _fact(dim_shift_ratio, a, shifts, budget=budget)
         return _retag(claim, inst, rep.records, prefix)
 
     return ev
@@ -508,7 +508,7 @@ def _ev_decomposition(claim, a, inst, budget):
 
 
 def _ev_poly_growth(claim, a, inst, budget):
-    rep = _fact(polynomial_growth_fit, a, n_max=5, budget=budget)
+    rep = _fact(polynomial_growth_fit, a, budget=budget)
     return _retag(claim, inst, rep.records, "poly_growth") or _skip(
         claim, inst, "window degenerate at this size"
     )
@@ -759,8 +759,6 @@ def _ev_sum_product_dim(claim, a, inst, budget):
     log_a = math.log(len(a))
     loglog = math.log(log_a)
     logloglog = math.log(loglog)
-    if logloglog <= 0:
-        return _skip(claim, inst, "triple logarithm nonpositive")
     dim_plus = _fact(dim_bounds, a, 1, budget=budget).lower
     dim_times = _fact(_mult_dim_lower, a, budget)
     denom = log_a * math.sqrt(loglog / logloglog)

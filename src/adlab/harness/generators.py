@@ -41,11 +41,6 @@ class InstanceSpec:
     params: tuple  # sorted ((name, value), ...) pairs
     seed: int = 0
 
-    @classmethod
-    def make(cls, generator: str, seed: int = 0, **params) -> "InstanceSpec":
-        normalized = tuple(sorted((k, _as_param(v)) for k, v in params.items()))
-        return cls(generator=generator, params=normalized, seed=seed)
-
     @property
     def params_dict(self) -> dict:
         return dict(self.params)
@@ -194,5 +189,6 @@ def generate(spec: InstanceSpec) -> GroundSet:
 
 
 def spec(generator: str, seed: int = 0, **params) -> InstanceSpec:
-    """Shorthand constructor used throughout the suite definitions."""
-    return InstanceSpec.make(generator, seed=seed, **params)
+    """An InstanceSpec with its parameters normalized and sorted by name."""
+    normalized = tuple(sorted((k, _as_param(v)) for k, v in params.items()))
+    return InstanceSpec(generator=generator, params=normalized, seed=seed)

@@ -391,7 +391,9 @@ def naive_sidon_max(xs, h):
 
 
 def reference_sidon(a, h, mode, meter):
-    """Elements of ``sidon_extract(a, h, "+", mode, meter)`` by its plain loops.
+    """Elements of ``sidon_extract(a, h, "+", meter)`` by its plain loops, with
+    ``mode`` ("exact_tiny" or "greedy") naming the search that the size of A
+    selects there.
 
     A copy of the search that rebuilds every h-multiset sum of the candidate
     subset for each test: the same ``_int_view`` codes and int64 check, the

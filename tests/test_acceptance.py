@@ -163,7 +163,7 @@ def test_criterion_06_split_block_growth_exact():
     for a in tested:
         # the library checks the inequality exactly and reports each (n, m)
         # as a hard record; a violation shows as violated=True
-        rep = verify_growth_bounds(a, n_max=4, k=1)
+        rep = verify_growth_bounds(a)
         split_records = [r for r in rep.records if r.claim.startswith("split_block_growth")]
         d = rep.measured["dim_lower"]
         for rec in split_records:
@@ -255,7 +255,7 @@ def test_criterion_10_shift_experiment():
     for mask in range(1, 1 << 10):
         xs = [i + 1 for i in range(10) if mask >> i & 1]
         a = integers(xs)
-        rep = dim_shift_ratio(a, shifts, k=1)
+        rep = dim_shift_ratio(a, shifts)
         zero_rec = next(r for r in rep.records if r.claim == "shift_zero_fixed")
         assert not zero_rec.violated, xs
         ratio_rec = next(r for r in rep.records if r.claim == "shift_dim_ratio")

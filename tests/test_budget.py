@@ -17,7 +17,6 @@ from adlab import (
 )
 from adlab.budget import as_meter
 from adlab.cli import main
-from adlab.dissociation import coin_weighing_dissociated
 from adlab.harness import CORE_INSTANCES, REGISTRY, clear_caches, evaluate_claim, generate
 
 
@@ -49,11 +48,10 @@ def test_environment_does_not_change_the_default(monkeypatch):
     "call",
     [
         lambda: dim_bounds(integers([1, 2, 4, 8, 16, 32]), 1, budget=3),
-        lambda: coin_weighing_dissociated(
-            integers([1, 10, 100, 1000, 10000]), 3, seed=1, budget=10**6
-        ),
+        # the energy walk, then the greedy and exact dimension searches
+        lambda: dim_alpha_k(integers(DIM_ALPHA_SET), Fraction(1, 2), k=2, budget=10**6),
     ],
-    ids=["dim_bounds", "coin_weighing_dissociated"],
+    ids=["dim_bounds", "dim_alpha_k"],
 )
 def test_one_meter_per_library_call(meters, call):
     call()

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +26,7 @@ from adlab import (
     t_k,
     vectors,
 )
+from adlab import decompose
 from adlab.budget import WorkMeter
 from adlab.decompose import REP_SUPPORT_CAP, SIDON_EXACT_LIMIT, _energy_chain, _sidon_levels
 from adlab.groundset import _int_view, by_magnitude
@@ -258,6 +260,13 @@ def _is_sidon(a, h):
     return len(sums) == len(set(sums))
 
 
+def _greedy(a, h, budget=None):
+    """sidon_extract's greedy pass, reached on a small set by lowering the
+    exact limit."""
+    with patch.object(decompose, "SIDON_EXACT_LIMIT", 0):
+        return sidon_extract(a, h, budget=budget)
+
+
 def test_sidon_frozen_values():
     assert sidon_extract(integers(range(1, 6)), 2).elements == (1, 2, 4)
     got = sidon_extract(integers([2, 3, 4, 9]), 2, op="*")
@@ -277,7 +286,8 @@ def test_sidon_exact_matches_oracle():
 
 def test_sidon_greedy_mode_gives_valid_subset():
     xs = sorted(random.Random(23).sample(range(1, 500), 30))
-    got = sidon_extract(integers(xs), 2, mode="greedy")
+    assert len(xs) > SIDON_EXACT_LIMIT
+    got = sidon_extract(integers(xs), 2)
     assert set(got.elements) <= set(xs)
     assert _is_sidon(got, 2)
 
@@ -290,7 +300,7 @@ def test_sidon_switches_to_greedy_past_the_exact_limit():
         xs = [0] + [-(2**i) for i in range(n - 1)]
         a = integers(xs)
         got = sidon_extract(a, 2)
-        greedy = sidon_extract(a, 2, mode="greedy")
+        greedy = _greedy(a, 2)
         best = naive_sidon_max(xs, 2)
         assert len(greedy) < best
         if n <= SIDON_EXACT_LIMIT:
@@ -317,7 +327,7 @@ def test_sidon_exact_and_greedy_in_every_ambient(a):
         exact = sidon_extract(a, h)
         assert set(exact.elements) <= set(a.elements) and _is_sidon(exact, h)
         assert len(exact) == best
-        greedy = sidon_extract(a, h, mode="greedy")
+        greedy = _greedy(a, h)
         assert _is_sidon(greedy, h)
         # maximal: every element left out breaks the property
         for x in set(a.elements) - set(greedy.elements):
@@ -380,7 +390,8 @@ def test_sidon_matches_the_reference_loop(a, h, mode, budget, spent):
             out = (type(exc), str(exc))
         return out, meter.states
 
-    got = run(lambda m: sidon_extract(a, h, mode=mode, budget=m).elements)
+    extract = sidon_extract if mode == "exact_tiny" else _greedy
+    got = run(lambda m: extract(a, h, budget=m).elements)
     assert got == run(lambda m: reference_sidon(a, h, mode, m))
 
 

@@ -22,7 +22,6 @@ from adlab import (
     span_k,
     vectors,
 )
-from adlab.dissociation import coin_weighing_dissociated
 from adlab.groundset import Residues
 
 from oracles import (
@@ -485,14 +484,6 @@ def test_bounds_degrade_when_one_node_outweighs_every_budget():
     db = dim_bounds(integers([2**62 - 1, 2**62]), 1, budget=50_000)
     assert (db.lower, db.upper, db.exact, db.note) == (0, 2, False, "budget")
     assert db.lower_witness is not None and len(db.lower_witness) == 0
-
-
-def test_coin_weighing_result_reverifies():
-    lam = integers([1, 10, 100, 1000, 10000])
-    out = coin_weighing_dissociated(lam, 3, seed=1)
-    assert len(out) == 3
-    assert set(out.elements) <= set(cube(lam)[0].elements)
-    assert is_k_dissociated(out, 1).is_dissociated
 
 
 def test_cube_proper_and_improper():

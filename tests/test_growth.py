@@ -52,7 +52,7 @@ def test_growth_sequence_truncation():
 
 
 def test_growth_bounds_interval_clean():
-    rep = verify_growth_bounds(integers(range(1, 9)), n_max=4, k=1)
+    rep = verify_growth_bounds(integers(range(1, 9)))
     assert not any(r.violated for r in rep.records)
     stems = {r.claim.split("_n")[0] for r in rep.records}
     assert {"growth_stage1", "growth_stage2", "split_block_growth"} <= stems
@@ -61,7 +61,7 @@ def test_growth_bounds_interval_clean():
 
 def test_growth_bounds_stage_constants_recompute():
     a = integers(range(1, 9))
-    rep = verify_growth_bounds(a, n_max=4, k=1)
+    rep = verify_growth_bounds(a)
     d = rep.measured["dim_lower"]
     by_claim = {r.claim: r for r in rep.records}
     r = by_claim["growth_stage2_n3"]
@@ -72,7 +72,7 @@ def test_growth_bounds_stage_constants_recompute():
 
 def test_split_block_record_recompute():
     a = integers(range(1, 9))
-    rep = verify_growth_bounds(a, n_max=4, k=1)
+    rep = verify_growth_bounds(a)
     rec = next(r for r in rep.records if r.claim == "split_block_growth_n1_m1")
     w = dim_bounds(a, 1).lower_witness
     # k = 1, n = m = 1: S is the witness itself, |1S| * 2 >= |Lambda|
@@ -120,7 +120,7 @@ def test_beta_hat_beats_explicit_candidates():
 
 def test_poly_fit_ap_exponent():
     ap = integers(range(0, 50, 7))
-    rep = polynomial_growth_fit(ap, n_max=5)
+    rep = polynomial_growth_fit(ap)
     r1 = next(r for r in rep.records if r.claim == "poly_growth_k1")
     want = max(
         math.log((7 * n + 1) / 8) / math.log(n) for n in range(2, 6)
@@ -131,7 +131,7 @@ def test_poly_fit_ap_exponent():
 
 
 def test_poly_fit_reports_both_orders():
-    rep = polynomial_growth_fit(integers(range(1, 9)), n_max=4)
+    rep = polynomial_growth_fit(integers(range(1, 9)))
     claims = {r.claim for r in rep.records}
     assert {"poly_growth_k1", "poly_growth_k2"} <= claims
 
@@ -146,7 +146,7 @@ def test_shift_zero_keeps_dim():
     # bounds can be looser than the base ones; they must still intersect.
     wide = integers(rng.sample(range(1, 10**6), rng.randint(4, 24)))
     for a, budget in ((integers([1, 2, 4, 8, 9]), None), (wide, 20_000)):
-        rep = dim_shift_ratio(a, [0, 1], k=1, budget=budget)
+        rep = dim_shift_ratio(a, [0, 1], budget=budget)
         rec = next(r for r in rep.records if r.claim == "shift_zero_fixed")
         assert not rec.violated and rec.note == ""
 
@@ -154,7 +154,7 @@ def test_shift_zero_keeps_dim():
 def test_shift_zero_violation_names_its_cause(monkeypatch):
     a = integers([1, 2, 4, 8, 9])
     monkeypatch.setattr(adlab.growth, "translate", lambda s, x: integers([e + 1 for e in s]))
-    rep = dim_shift_ratio(a, [0], k=1)
+    rep = dim_shift_ratio(a, [0])
     rec = next(r for r in rep.records if r.claim == "shift_zero_fixed")
     assert rec.violated and rec.note == "zero shift changed the set"
 
@@ -168,7 +168,7 @@ def test_shift_ratio_fits_only_exact_pairs():
     # the shared meter, the shift by 7 comes back [15, 15], all 15 elements
     # dissociated.
     for shifts, constant in (([0, 1], None), ([7, 1], 15 / 14)):
-        rep = dim_shift_ratio(a, shifts, k=1, budget=20_000)
+        rep = dim_shift_ratio(a, shifts, budget=20_000)
         fit = next(r for r in rep.records if r.claim == "shift_dim_ratio")
         assert not fit.violated
         assert fit.fitted_constant == constant
@@ -177,7 +177,7 @@ def test_shift_ratio_fits_only_exact_pairs():
 
 def test_shift_ratio_records_each_shift():
     a = integers(range(1, 9))
-    rep = dim_shift_ratio(a, [0, 3, -5], k=1)
+    rep = dim_shift_ratio(a, [0, 3, -5])
     rec = next(r for r in rep.records if r.claim == "shift_dim_ratio")
     shifts = {s["shift"]: s for s in rec.measured["shifts"]}
     assert shifts[0]["dim_lower"] == rec.measured["base_dim_lower"] == 4

@@ -387,8 +387,9 @@ def test_small_modulus_has_one_zero_shift_record():
 
 
 # Skip notes on sets the core suite does not hold: Z^r, a composite modulus,
-# a residue set containing 0, signed, wide, singleton and huge line sets, and
-# subgroups above the clique and sweep caps.  Each row maps a note (after
+# a residue set containing 0, signed, wide, singleton and huge line sets, a
+# 16-element line set (the least |A| with a positive triple logarithm, where
+# sum_product_dim must measure), and subgroups above the clique and sweep caps.  Each row maps a note (after
 # "skipped: ") to the claims whose first record carries it; every other claim
 # must measure something.
 _LITERAL = {"generator": "literal"}
@@ -473,6 +474,16 @@ SKIP_NOTE_CASES = {
             "product set sweep is kept to |A| <= 48, values <= 10^6": ("product_set_energy",),
             "kept to |A| <= 48, values <= 10^6": ("sum_product_doubling", "sum_product_dim"),
             "extraction sweep is kept to |A| <= 40": ("sidon_extremal",),
+        },
+    ),
+    "line_16": (
+        integers(range(1, 32, 2)),
+        _LITERAL,
+        {
+            **_OFF_RESIDUES, **_OFF_SUBGROUP,
+            "model search is kept to |A| <= 10": ("freiman_isomorphism",),
+            "exact relative dimension is kept to |A| <= 10": ("dim_alpha_bound",),
+            "budget exhausted (state budget exhausted (20011 > 20000))": ("sidon_property", "sidon_extremal"),
         },
     ),
     "singleton": (
