@@ -32,7 +32,7 @@ from .dissociation import (
     max_dissociated_greedy,
     span_k,
 )
-from .energy import EnergyValue, additive_energy, dim_alpha_k, rudin_ratio, t_k, t_k_multi
+from .energy import EnergyValue, additive_energy, dim_alpha_k, rudin_ratio, t_k
 from .errors import (
     AdlabError,
     AmbientMismatchError,

@@ -93,6 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("set", help="set file or inline list")
 
     p = _command(sub, "energy", "higher energy T_k", "k", "op", "cap", "mod")
+    p.set_defaults(k=2)
     p.add_argument("set")
 
     p = _command(sub, "sumset", "iterated sumset nA - mA", "cap", "mod")
@@ -205,11 +206,10 @@ def _cmd_dim(args) -> int:
 
 def _cmd_energy(args) -> int:
     a = _parse_set(args.set, args.mod)
-    k = args.k if args.k > 1 else 2
-    val = t_k(a, k, op=OP_NAMES[args.op], size_cap=args.cap)
+    val = t_k(a, args.k, op=OP_NAMES[args.op], size_cap=args.cap)
     payload = {"energy": val}
-    human = [f"T_{k}^{val.operation}(A) = {val.value}"]
-    if args.op == "add" and k == 2:
+    human = [f"T_{args.k}^{val.operation}(A) = {val.value}"]
+    if args.op == "add" and args.k == 2:
         e = additive_energy(a, a).value
         human.append(f"E(A,A) = {e}")
         payload["e_symmetric"] = e

@@ -57,10 +57,10 @@ RATIO_SET_CAP = 4000
 class PeelingResult:
     """A = block_1 | ... | block_s | remainder with dissociated blocks.
 
-    Every block has exactly l elements and passes the k-dissociation check.
-    certified means dim_k(remainder) < l was proven; when the dimension
-    search was truncated by budget the flag is False and remainder_dim
-    carries the bounds that were established.
+    Every block has exactly l elements and passes the 1-dissociation check,
+    so k is always 1.  certified means dim_1(remainder) < l was proven;
+    when the dimension search was truncated by budget the flag is False and
+    remainder_dim carries the bounds that were established.
     """
 
     blocks: tuple[GroundSet, ...]
@@ -82,10 +82,8 @@ class PeelingResult:
         }
 
 
-def dissociated_peeling(
-    a: GroundSet, l: int, k: int = 1, budget: Optional[int] = None
-) -> PeelingResult:
-    """Greedily extract disjoint k-dissociated blocks of size exactly l.
+def dissociated_peeling(a: GroundSet, l: int, budget: Optional[int] = None) -> PeelingResult:
+    """Greedily extract disjoint 1-dissociated blocks of size exactly l.
 
     Each round takes the greedy maximal dissociated subset of what is left
     (largest magnitudes first) and keeps its first l elements; when greedy
@@ -103,13 +101,13 @@ def dissociated_peeling(
     certified = False
     while True:
         if len(current) < l:
-            db = dim_bounds(current, k, budget=meter) if current.elements else None
+            db = dim_bounds(current, 1, budget=meter) if current.elements else None
             remainder_dim = db
             certified = db is None or db.upper < l
             break
-        witness = max_dissociated_greedy(current, k, budget=meter)
+        witness = max_dissociated_greedy(current, 1, budget=meter)
         if len(witness) < l:
-            db = dim_bounds(current, k, budget=meter)
+            db = dim_bounds(current, 1, budget=meter)
             remainder_dim = db
             if db.lower >= l and db.lower_witness is not None:
                 ordered = by_magnitude(current.ambient, db.lower_witness.elements, descending=True)
@@ -122,15 +120,15 @@ def dissociated_peeling(
             break
         ordered = by_magnitude(current.ambient, witness.elements, descending=True)
         block = GroundSet.of(current.ambient, ordered[:l])
-        if not is_k_dissociated(block, k).is_dissociated:
-            raise VerificationFailedError(f"peeled block {block.elements} is not {k}-dissociated")
+        if not is_k_dissociated(block, 1).is_dissociated:
+            raise VerificationFailedError(f"peeled block {block.elements} is not 1-dissociated")
         blocks.append(block)
         current = current.without(block)
     return PeelingResult(
         blocks=tuple(blocks),
         remainder=current,
         l=l,
-        k=k,
+        k=1,
         remainder_dim=remainder_dim,
         certified=certified,
         note=note,
@@ -152,11 +150,8 @@ def level_set(r: RepFn) -> list[tuple[Fraction, GroundSet]]:
     for x, c in r.entries.items():
         if c <= 0:
             continue
-        delta = Fraction(1, 2)
-        while c > 2 * delta:
-            delta *= 2
-        while c <= delta:
-            delta /= 2
+        # 2 * Delta is the least power of two >= c.
+        delta = Fraction(1 << (c - 1).bit_length(), 2)
         bands.setdefault(delta, []).append(x)
     out = []
     for delta in sorted(bands):
@@ -268,18 +263,13 @@ def _bsg_core(
         edges += len(nbrs)
         if len(nbrs) > best_deg:
             best_deg, best_v, neighbors_of_best = len(nbrs), u, nbrs
-    assert best_v is not None
     h = GroundSet.of(amb, [best_v, *neighbors_of_best])
 
     hh = sumset(h, h)
     r_bh = rep_fn([(b, "+"), (h, "-")])
-    x_star = None
-    x_count = -1
-    for x in by_magnitude(amb, r_bh.entries):
-        c = r_bh.entries[x]
-        if c > x_count:
-            x_count, x_star = c, x
-    assert x_star is not None
+    # max keeps the first of equal counts, in magnitude order.
+    x_star = max(by_magnitude(amb, r_bh.entries), key=r_bh.entries.__getitem__)
+    x_count = r_bh.entries[x_star]
     if x_count < 1 or not h:
         raise VerificationFailedError(f"empty core or shift: |H| = {len(h)}, r(x) = {x_count}")
 

@@ -40,6 +40,7 @@ from .errors import (
     VerificationFailedError,
 )
 from .groundset import (
+    DENSE_RANGE_LIMIT,
     INT64_MAX,
     INT64_MIN,
     Ambient,
@@ -159,10 +160,10 @@ def _extender(ambient: Ambient, k: int, elems: list):
     - On the line the state is a bitset of the sums.  A negative x only
       translates the set, so the bitset depends on |x| alone and the step
       is |x|.
-    - Mod N <= 2^22 it is a bitset of length N whose shifts wrap around,
-      and the step is x itself.
-    - Mod N > 2^22 it is a set of residues, and the step lists the moves
-      c*x mod N for c = 1..k.
+    - Mod N <= ``DENSE_RANGE_LIMIT`` (2^22) it is a bitset of length N
+      whose shifts wrap around, and the step is x itself.
+    - Mod N > ``DENSE_RANGE_LIMIT`` it is a set of residues, and the step
+      lists the moves c*x mod N for c = 1..k.
     - On Z^r it is a set of Kronecker codes sum_i v_i * W_i, with weights
       from the box k*sum(min(v_i, 0)) .. k*sum(max(v_i, 0)) of the input,
       which holds every reachable sum, so equal codes mean equal sums.  The
@@ -180,7 +181,7 @@ def _extender(ambient: Ambient, k: int, elems: list):
     where ``WorkMeter.tick`` would.
     """
     kp1 = k + 1
-    if isinstance(ambient, Residues) and ambient.modulus <= (1 << 22):
+    if isinstance(ambient, Residues) and ambient.modulus <= DENSE_RANGE_LIMIT:
         n = ambient.modulus
         mask = (1 << n) - 1
 
@@ -698,17 +699,16 @@ def d_k_exact(a: GroundSet, k: int = 1, budget: int | None = None) -> DimensionB
     return DimensionBounds("d_k", k, len(elems), len(elems), True, None, a, meter.states)
 
 
-def d_star_lower(a: GroundSet, lam: GroundSet, k: int = 1) -> int:
-    """Counting lower bound for the unrestricted covering number d*_k(A).
+def d_star_lower(a: GroundSet, lam: GroundSet) -> int:
+    """Counting lower bound for the unrestricted covering number d*_1(A).
 
-    Any S with A inside Span_k(S) has (2k+1)^|S| >= |A|.  If ``lam`` is a
-    k-dissociated subset of A of size d, its (k+1)^d sums with coefficients
-    in [0, k] are distinct and lie in Span_{k^2 d}(S), so also
-    (k+1)^d <= (2k^2 d + 1)^|S|.  Returns the larger of the two smallest
-    such |S| (0 for A = {0}).
+    Any S with A inside Span_1(S) has 3^|S| >= |A|.  If ``lam`` is a
+    1-dissociated subset of A of size d, its 2^d subset sums are distinct
+    and lie in Span_d(S), so also 2^d <= (2d + 1)^|S|.  Returns the larger
+    of the two smallest such |S| (0 for A = {0}).
     """
     d = len(lam)
-    return max(_min_size_for_span(len(a), k), _min_size_for_span((k + 1) ** d, k * k * d))
+    return max(_min_size_for_span(len(a), 1), _min_size_for_span(2**d, d))
 
 
 # ---------------------------------------------------------------------------

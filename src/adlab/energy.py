@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .budget import as_meter
 from .dissociation import (
@@ -32,7 +31,7 @@ from .dissociation import (
     is_k_dissociated,
     max_dissociated_greedy,
 )
-from .errors import BudgetExceededError, PreconditionError
+from .errors import PreconditionError
 from .groundset import GroundSet, _int_view, mult_embed, rep_fn
 
 # dim_alpha_k searches the minimal qualifying subsets exactly up to this
@@ -84,38 +83,6 @@ def additive_energy(a: GroundSet, b: GroundSet) -> EnergyValue:
         return EnergyValue(0, 2, "+")
     r = rep_fn([(a, "+"), (b, "-")])
     return EnergyValue(r.square_sum(), 2, "+")
-
-
-def t_k_multi(parts: Sequence[GroundSet], op: str = "+", size_cap: int | None = None) -> EnergyValue:
-    """Mixed energy: tuples whose first-half sum equals the second-half sum.
-
-    ``parts`` must have even length 2k.  Computed as the inner product of the
-    two k-fold representation functions.
-    """
-    if len(parts) == 0 or len(parts) % 2 != 0:
-        raise ValueError("t_k_multi needs an even, positive number of parts")
-    k = len(parts) // 2
-    work = list(parts)
-    if op == "*":
-        merged = work[0]
-        for p in work[1:]:
-            merged = merged.union(p)
-        emb = mult_embed(merged)
-        target = emb.image.ambient
-        work = [
-            GroundSet.of(target, (emb.vector(x) for x in p.elements)) for p in work
-        ]
-    elif op != "+":
-        raise ValueError("op must be '+' or '*'")
-    if any(len(p) == 0 for p in work):
-        return EnergyValue(0, k, op)
-    left = rep_fn([(p, "+") for p in work[:k]], size_cap=size_cap)
-    right = rep_fn([(p, "+") for p in work[k:]], size_cap=size_cap)
-    small, big = (left.entries, right.entries)
-    if len(big) < len(small):
-        small, big = big, small
-    value = sum(c * big.get(x, 0) for x, c in small.items())
-    return EnergyValue(value, k, op)
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +152,9 @@ def dim_alpha_k(
                     continue
             db = dim_k_exact(sub, 1, budget=meter)
             if not db.exact:
-                # The subsets' searches share one meter: a truncated one spent it.
-                raise BudgetExceededError(
-                    f"state budget exhausted ({meter.states} > {meter.limit})",
-                    budget=meter.limit,
-                    states=meter.states,
-                )
+                # The subsets' searches share one meter: a truncated one left
+                # it over its limit, so this tick raises the exhaustion error.
+                meter.tick(0)
             known.append(frozenset(db.lower_witness.elements))
             if best is None or db.value < best:
                 best = db.value
@@ -199,7 +163,6 @@ def dim_alpha_k(
                     # Only {0} has dimension 0.  At best == 1 the two skips
                     # above pass over every other candidate.
                     break
-        assert best is not None  # B = A always qualifies at alpha <= 1
         return DimensionBounds(
             "dim_alpha_k", k, best, best, True, best_witness, None, meter.states
         )
@@ -335,15 +298,17 @@ def _floor_log(n: int, base: int) -> int:
 # Rudin ratio for dissociated sets
 
 
-def rudin_ratio(lam: GroundSet, k: int, budget: int | None = None) -> Fraction:
+def rudin_ratio(lam: GroundSet, k: int) -> Fraction:
     """T_k(L) / (k^k |L|^k) for a verified dissociated set L.
+
+    The dissociation check runs at the default budget.
 
     The classical bound says this stays below C^k for an absolute C; the
     suite reports the fitted value, never asserting any particular constant.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    cert = is_k_dissociated(lam, 1, budget)
+    cert = is_k_dissociated(lam, 1)
     if not cert.is_dissociated:
         raise PreconditionError(f"set is not dissociated (relation {cert.relation})")
     if len(lam) == 0:

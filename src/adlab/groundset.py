@@ -590,9 +590,6 @@ class MultEmbedding:
     backward: dict  # vector -> original int
     has_identity: bool
 
-    def vector(self, n: int):
-        return self.forward[n]
-
     def preimage(self, sub: GroundSet) -> GroundSet:
         return integers(self.backward[v] for v in sub.elements)
 
@@ -609,22 +606,16 @@ def mult_embed(a: GroundSet) -> MultEmbedding:
     factorizations = {x: sympy.factorint(x) for x in a.elements}
     primes = sorted({p for f in factorizations.values() for p in f})
     rank = max(1, len(primes))
-    target = IntegerLattice(rank)
     forward = {}
     backward = {}
     for x in a.elements:
         f = factorizations[x]
-        if primes:
-            vec = tuple(f.get(p, 0) for p in primes)
-        else:
-            vec = (0,)
+        vec = tuple(f.get(p, 0) for p in primes) or (0,)
         if rank == 1:
-            vec = vec[0] if primes else 0
+            vec = vec[0]
         forward[x] = vec
         backward[vec] = x
-    image = GroundSet.of(target, forward.values()) if primes else GroundSet.of(
-        IntegerLattice(1), forward.values()
-    )
+    image = GroundSet.of(IntegerLattice(rank), forward.values())
     return MultEmbedding(
         primes=tuple(primes),
         image=image,

@@ -51,9 +51,9 @@ class GrowthCurve:
     truncated_at: Optional[int] = None
 
 
-def growth_sequence(a: GroundSet, n_max: int, size_cap: int = DEFAULT_GROWTH_CAP) -> GrowthCurve:
+def growth_sequence(a: GroundSet, n_max: int) -> GrowthCurve:
     """Compute |nA| for n = 1..n_max, stopping early if an iterate would
-    exceed size_cap."""
+    exceed ``DEFAULT_GROWTH_CAP`` elements."""
     if n_max < 1:
         raise PreconditionError("n_max must be at least 1")
     if not a.elements:
@@ -62,7 +62,7 @@ def growth_sequence(a: GroundSet, n_max: int, size_cap: int = DEFAULT_GROWTH_CAP
     current = a
     for n in range(2, n_max + 1):
         try:
-            current = sumset(current, a, size_cap=size_cap)
+            current = sumset(current, a, size_cap=DEFAULT_GROWTH_CAP)
         except SizeCapExceededError:
             return GrowthCurve(tuple(sizes), truncated_at=n)
         sizes.append(len(current))
@@ -313,7 +313,6 @@ def beta_hat(a: GroundSet) -> BetaEstimate:
             val = Fraction(len(axy) ** 2, len(xs) * len(ys))
             if best is None or val < best[0]:
                 best = (val, xl, yl, len(xs), len(ys), len(axy))
-    assert best is not None
     return BetaEstimate(
         upper_sq=best[0],
         x_label=best[1],
@@ -411,22 +410,17 @@ def verify_span_isomorphism(
     return True
 
 
-def freiman_model(
-    a: GroundSet,
-    l: int = 2,
-    trials: int = 64,
-    seed: int = 0,
-) -> FreimanModel:
-    """Build a verified l-isomorphic modular model of a dense subset of A.
+def freiman_model(a: GroundSet, seed: int = 0) -> FreimanModel:
+    """Build a verified 2-isomorphic modular model of a dense subset of A.
 
-    Standard rectification: pick a prime p larger than all l-fold sums can
-    reach, dilate by a unit lambda mod p, keep the elements landing in the
-    most popular of l intervals (at least |A|/l of them), and read the
-    result mod m, starting from m = |lA - lA| (at least 2; as tight as the
+    Standard rectification at l = 2: pick a prime p larger than all 2-fold
+    sums can reach, dilate by a unit lambda mod p, keep the elements landing
+    in the more popular of 2 intervals (at least |A|/2 of them), and read the
+    result mod m, starting from m = |2A - 2A| (at least 2; as tight as the
     doubling allows, and built within ``DEFAULT_GROWTH_CAP`` elements).
     Candidates are verified exhaustively before being returned.
-    Dilations are tried in a seed-shuffled order covering every unit when
-    trials permits; if no dilation works at that modulus, m is escalated
+    The first 64 units of a seed-shuffled order are tried as dilations
+    (every unit when p <= 65); if none works at that modulus, m is escalated
     by up to 8 (visible in the result as a larger modulus).
     """
     import random
@@ -436,22 +430,20 @@ def freiman_model(
     amb = a.ambient
     if not (isinstance(amb, IntegerLattice) and amb.rank == 1):
         raise PreconditionError("modular models are built for rank-1 integer sets")
-    if l < 2:
-        raise PreconditionError("l must be at least 2")
     if not a.elements:
         raise PreconditionError("cannot model the empty set")
 
-    diff = iterated_sumset(a, l, l, size_cap=DEFAULT_GROWTH_CAP)
+    diff = iterated_sumset(a, 2, 2, size_cap=DEFAULT_GROWTH_CAP)
     m0 = max(len(diff), 2)
     max_abs = max((abs(x) for x in a.elements), default=0)
     # The model lives mod p, so p is held to the 64-bit range of every coordinate.
-    p = _check64(int(sympy.nextprime(2 * l * max_abs + l + 1)))
-    width = -(-p // l)  # ceil(p / l)
+    p = _check64(int(sympy.nextprime(4 * max_abs + 3)))
+    width = -(-p // 2)  # ceil(p / 2)
     rng = random.Random(seed)
     lams = list(range(1, p))
     rng.shuffle(lams)
-    lams = lams[: max(1, trials)]
-    min_keep = -(-len(a) // l)
+    lams = lams[:64]
+    min_keep = -(-len(a) // 2)
 
     attempts = 0
     for m in range(m0, m0 + 9):
@@ -468,18 +460,18 @@ def freiman_model(
             base = j_star * width
             mapping = {x: (lam * x % p - base) % m for x in kept}
             subset = GroundSet.of(amb, kept)
-            if verify_span_isomorphism(subset, mapping, l, m):
+            if verify_span_isomorphism(subset, mapping, 2, m):
                 return FreimanModel(
                     subset=subset,
                     modulus=m,
                     mapping=mapping,
-                    l=l,
+                    l=2,
                     prime=p,
                     dilation=lam,
                     attempts=attempts,
                     verified=True,
                 )
-    raise TrialsExhaustedError(f"no verified {l}-isomorphic model near modulus {m0} in {attempts} attempts")
+    raise TrialsExhaustedError(f"no verified 2-isomorphic model near modulus {m0} in {attempts} attempts")
 
 
 def dim_shift_ratio(

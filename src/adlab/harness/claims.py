@@ -286,7 +286,7 @@ def _ev_dim_chain(claim, a, inst, budget):
     # coefficients in [-1,1] (every rejected element closed a relation), so
     # |W| bounds d from above.
     w = _fact(max_dissociated_greedy, a, 1, budget=budget)
-    dstar_lo = d_star_lower(a, w, 1)
+    dstar_lo = d_star_lower(a, w)
     if len(a) <= 10:
         de = _fact(dim_bounds, a, 1, budget=budget)
         dk = _fact(d_k_exact, a, 1, budget=budget)
@@ -424,7 +424,7 @@ def _ev_witness_reverify(claim, a, inst, budget):
 
 def _ev_freiman(claim, a, inst, budget):
     try:
-        model = freiman_model(a, l=2, trials=64, seed=1)
+        model = freiman_model(a, seed=1)
     except TrialsExhaustedError as exc:
         return [
             _rec(

@@ -318,7 +318,7 @@ def subgroup_growth_experiment(
     spec = subgroup(p, t)
     gamma = spec.members
     meter = as_meter(budget)
-    curve = growth_sequence(gamma, n_max, size_cap=p + 1)
+    curve = growth_sequence(gamma, n_max)
     energies = {k: t_k(gamma, k).value for k in range(1, k_max + 1)}
     db = dim_bounds(gamma, 1, budget=meter)
     d = db.lower

@@ -23,7 +23,8 @@ from operator import itemgetter
 SCHEMA_VERSION = 1
 
 
-# Exact types that are already JSON-stable primitives: the common case.
+# Exact types that are already JSON-stable primitives.  A subclass of one
+# (none occurs in a report) falls through to the rules below.
 _PLAIN = frozenset({str, int, bool, type(None)})
 
 
@@ -37,10 +38,6 @@ def canonical(obj):
         if obj != obj or obj in (float("inf"), float("-inf")):
             return repr(obj)
         return float(f"{obj:.12g}")
-    if isinstance(obj, bool) or isinstance(obj, int) or obj is None:
-        return obj
-    if isinstance(obj, str):
-        return obj
     if isinstance(obj, dict):
         # Stable sort on the key text; plain values are kept without a call.
         items = sorted(((str(k), v) for k, v in obj.items()), key=itemgetter(0))

@@ -274,7 +274,7 @@ def test_criterion_11_freiman_model_exhaustive():
     checked = 0
     for size in range(1, 9):
         for xs in itertools.combinations(range(1, 13), size):
-            fm = freiman_model(integers(xs), l=2, trials=64, seed=0)
+            fm = freiman_model(integers(xs), seed=0)
             assert fm.verified, xs
             assert verify_span_isomorphism(fm.subset, fm.mapping, fm.l, fm.modulus), xs
             checked += 1

@@ -125,13 +125,18 @@ def test_dim_alpha_energy_search_is_charged_before_any_dimension_search(dimensio
 def test_dim_alpha_budget_exhaustion_is_a_skip(dimension_searches):
     # Each budget lets the energy search finish and runs out in the
     # dimension searches that follow it.
+    # The error is the meter's own: its text, budget and states.
     a = integers(DIM_ALPHA_SET)
-    for b in (11_850, 11_950, 12_050):
+    for b, states in ((11_850, 11_851), (11_950, 11_951), (12_050, 12_051)):
         assert DIM_ALPHA_ENERGY_STATES < b < DIM_ALPHA_STATES
         dimension_searches.clear()
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as exc:
             dim_alpha_k(a, Fraction(1, 2), k=2, budget=b)
         assert dimension_searches
+        e = exc.value
+        assert (str(e), e.budget, e.states) == (
+            f"state budget exhausted ({states} > {b})", b, states
+        )
     clear_caches()
     recs = evaluate_claim("dim_alpha_bound", a, {"generator": "literal"}, budget=11_950)
     clear_caches()

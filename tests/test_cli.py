@@ -74,6 +74,18 @@ def test_energy_frozen(capsys):
     assert payload["e_symmetric"] == 19
 
 
+def test_energy_k1_is_the_size(capsys):
+    code, out, err = run(capsys, "energy", "1,2,3", "--k", "1")
+    assert code == 0 and err == ""
+    assert out == "T_1^+(A) = 3\n"
+
+
+def test_energy_k0_is_an_error(capsys):
+    code, out, err = run(capsys, "energy", "1,2,3", "--k", "0")
+    assert code == 1 and out == ""
+    assert err == "error: k must be >= 1\n"
+
+
 def test_sidon_frozen(capsys):
     code, out, _ = run(capsys, "sidon", "1,2,3,4,5", "--json")
     assert code == 0

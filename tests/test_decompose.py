@@ -29,7 +29,7 @@ from adlab import (
 from adlab import decompose
 from adlab.budget import WorkMeter
 from adlab.decompose import REP_SUPPORT_CAP, SIDON_EXACT_LIMIT, _energy_chain, _sidon_levels
-from adlab.groundset import _int_view, by_magnitude
+from adlab.groundset import IntegerLattice, RepFn, _int_view, by_magnitude
 from adlab.harness import evaluate_claim
 
 from oracles import (
@@ -98,6 +98,26 @@ def test_level_set_frozen_bands():
         (Fraction(1, 2), {2, 8}),
         (Fraction(1), {3, 7}),
         (Fraction(2), {4, 5, 6}),
+    ]
+
+
+def test_level_set_bands_at_power_of_two_edges():
+    # A count c lands in (Delta, 2*Delta] with 2*Delta the least power of
+    # two >= c; counts 2^j - 1, 2^j, 2^j + 1 sit on both sides of an edge.
+    counts = [1, 2, 3, 4, 5] + [2**j + e for j in (10, 40, 70) for e in (-1, 0, 1)]
+    r = RepFn(IntegerLattice(1), dict(enumerate(counts)))
+    shaped = [(band, g.elements) for band, g in level_set(r)]
+    assert shaped == [
+        (Fraction(1, 2), (0,)),
+        (Fraction(1), (1,)),
+        (Fraction(2), (2, 3)),
+        (Fraction(4), (4,)),
+        (Fraction(2**9), (5, 6)),
+        (Fraction(2**10), (7,)),
+        (Fraction(2**39), (8, 9)),
+        (Fraction(2**40), (10,)),
+        (Fraction(2**69), (11, 12)),
+        (Fraction(2**70), (13,)),
     ]
 
 

@@ -311,19 +311,19 @@ def test_chain_at_k1():
     a = integers(range(1, 9))
     dim = dim_k_exact(a, 1).value
     d = d_k_exact(a, 1).value
-    assert d_star_lower(a, max_dissociated_greedy(a, 1), 1) <= d <= dim
+    assert d_star_lower(a, max_dissociated_greedy(a, 1)) <= d <= dim
 
 
 def test_d_star_lower_counts():
     # 3^2 >= 8 gives 2; the greedy witness {8, 7, 5, 1} gives 2^4 <= 9^|S|, also 2
     a = integers(range(1, 9))
     lam = max_dissociated_greedy(a, 1)
-    assert len(lam) == 4 and d_star_lower(a, lam, 1) == 2
+    assert len(lam) == 4 and d_star_lower(a, lam) == 2
     zero = integers([0])
-    assert d_star_lower(zero, max_dissociated_greedy(zero, 1), 1) == 0
+    assert d_star_lower(zero, max_dissociated_greedy(zero, 1)) == 0
     # powers of two are dissociated: 3^3 >= 20, but 2^20 > 41^3 forces 4
     powers = integers([2**i for i in range(20)])
-    assert d_star_lower(powers, powers, 1) == 4
+    assert d_star_lower(powers, powers) == 4
 
 
 def test_restricted_cover_can_exceed_dim_at_higher_k():

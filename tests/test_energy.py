@@ -18,7 +18,6 @@ from adlab import (
     rudin_ratio,
     subgroup,
     t_k,
-    t_k_multi,
     vectors,
 )
 
@@ -160,42 +159,8 @@ def test_mult_energy_small_oracle():
 def test_mult_embed_preserves_products():
     emb = mult_embed(integers([2, 3, 6]))
     assert len(emb.image) == 3
-    v2, v3, v6 = (emb.vector(x) for x in (2, 3, 6))
+    v2, v3, v6 = (emb.forward[x] for x in (2, 3, 6))
     assert tuple(p + q for p, q in zip(v2, v3)) == v6
-
-
-# ---------------------------------------------------------------------------
-# Mixed multi-set energy
-
-
-def test_multi_equal_parts_recover_tk():
-    a = integers([1, 4, 9, 11])
-    for k in (1, 2, 3):
-        assert t_k_multi([a] * (2 * k)).value == t_k(a, k).value
-
-
-def test_multi_mixed_parts_oracle():
-    a = integers([1, 2, 3])
-    b = integers([0, 5])
-    got = t_k_multi([a, b, a, b]).value
-    naive = sum(
-        1
-        for x1, y1, x2, y2 in itertools.product([1, 2, 3], [0, 5], [1, 2, 3], [0, 5])
-        if x1 + y1 == x2 + y2
-    )
-    assert got == naive
-
-
-def test_multi_rejects_odd_part_count():
-    a = integers([1, 2])
-    with pytest.raises(ValueError):
-        t_k_multi([a, a, a])
-
-
-def test_multi_empty_part_gives_zero():
-    a = integers([1, 2])
-    empty = integers([])
-    assert t_k_multi([a, empty]).value == 0
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,9 @@ def test_growth_sequence_generalized_ap():
     assert gc.sizes == tuple(math.comb(n + 2, 2) for n in range(1, 5))
 
 
-def test_growth_sequence_truncation():
-    gc = growth_sequence(integers(range(1, 9)), 6, size_cap=40)
+def test_growth_sequence_truncation(monkeypatch):
+    monkeypatch.setattr(adlab.growth, "DEFAULT_GROWTH_CAP", 40)
+    gc = growth_sequence(integers(range(1, 9)), 6)
     assert gc.sizes == (8, 15, 22, 29, 36)
     assert gc.truncated_at == 6
 
@@ -194,7 +195,7 @@ def test_shift_ratio_records_each_shift():
 
 def test_freiman_model_interval():
     a = integers(range(1, 9))
-    fm = freiman_model(a, l=2, trials=64, seed=1)
+    fm = freiman_model(a, seed=1)
     assert fm.verified
     assert len(fm.mapping) == len(a)
     assert len(set(fm.mapping.values())) == len(a)
@@ -204,7 +205,7 @@ def test_freiman_model_interval():
 
 def test_freiman_model_preserves_energy():
     a = integers(range(1, 9))
-    fm = freiman_model(a, l=2, trials=64, seed=1)
+    fm = freiman_model(a, seed=1)
     image = residues(fm.mapping.values(), fm.modulus)
     assert t_k(image, 2).value == t_k(a, 2).value == 344
     assert additive_energy(image, image).value == 344
@@ -212,7 +213,7 @@ def test_freiman_model_preserves_energy():
 
 def test_freiman_verifier_rejects_tampering():
     a = integers(range(1, 9))
-    fm = freiman_model(a, l=2, trials=64, seed=1)
+    fm = freiman_model(a, seed=1)
     ks = sorted(fm.mapping)
     collide = dict(fm.mapping)
     collide[ks[0]] = collide[ks[1]]
@@ -224,15 +225,15 @@ def test_freiman_verifier_rejects_tampering():
 
 def test_freiman_translation_still_isomorphism():
     a = integers(range(1, 9))
-    fm = freiman_model(a, l=2, trials=64, seed=1)
+    fm = freiman_model(a, seed=1)
     shifted = {k: (v + 1) % fm.modulus for k, v in fm.mapping.items()}
     assert verify_span_isomorphism(fm.subset, shifted, fm.l, fm.modulus)
 
 
 def test_freiman_model_deterministic():
     a = integers([0, 1, 5, 11, 19])
-    f1 = freiman_model(a, l=2, trials=32, seed=4)
-    f2 = freiman_model(a, l=2, trials=32, seed=4)
+    f1 = freiman_model(a, seed=4)
+    f2 = freiman_model(a, seed=4)
     assert f1.mapping == f2.mapping and f1.modulus == f2.modulus
 
 

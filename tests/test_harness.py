@@ -211,7 +211,7 @@ def test_dim_chain_checks_the_uncapped_d_star_count(monkeypatch):
     # d* <= d is hard: a count above the exact d must be one violated record.
     a = integers(range(1, 9))
     d = d_k_exact(a, 1).value
-    monkeypatch.setattr(claims, "d_star_lower", lambda a, lam, k: d + 1)
+    monkeypatch.setattr(claims, "d_star_lower", lambda a, lam: d + 1)
     clear_caches()
     rep = run_suite(["dim_chain"], [a])
     clear_caches()

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from adlab import integers, mult_embed, residues
+from adlab import IntegerLattice, integers, mult_embed, residues
 from adlab.decompose import BetaDecomposition, BsgResult, RatioBoxResult
 from adlab.dissociation import DissociationCertificate
 from adlab.growth import FreimanModel, GrowthCurve
@@ -60,6 +60,30 @@ FIELD_SERIALIZED = [
 )
 def test_field_serialized_results_keep_their_json(obj, pinned):
     assert stable_dumps(obj) == pinned
+
+
+@pytest.mark.parametrize(
+    "xs, pinned",
+    [
+        # No prime divides 1: its image is the origin of Z^1.
+        ([1], {"primes": [], "image": [0], "forward": {"1": 0}, "backward": {"0": 1}}),
+        # One prime: the exponent vectors collapse to ints on the line.
+        (
+            [1, 2, 4, 8],
+            {
+                "primes": [2],
+                "image": [0, 1, 2, 3],
+                "forward": {"1": 0, "2": 1, "4": 2, "8": 3},
+                "backward": {"0": 1, "1": 2, "2": 4, "3": 8},
+            },
+        ),
+    ],
+    ids=["no_prime", "one_prime"],
+)
+def test_rank_one_embeddings_serialize_on_the_line(xs, pinned):
+    emb = mult_embed(integers(xs))
+    assert emb.image.ambient == IntegerLattice(1)
+    assert canonical(emb) == dict(pinned, has_identity=True)
 
 
 def test_dataclass_without_to_json_serializes_as_its_fields():
