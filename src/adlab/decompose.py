@@ -267,11 +267,11 @@ def _bsg_core(
 
     hh = sumset(h, h)
     r_bh = rep_fn([(b, "+"), (h, "-")])
-    # max keeps the first of equal counts, in magnitude order.
+    # max keeps the first of equal counts, in magnitude order.  H holds the
+    # max-degree vertex and B is nonempty, so r_{B-H} has an entry and its
+    # largest count is at least 1.
     x_star = max(by_magnitude(amb, r_bh.entries), key=r_bh.entries.__getitem__)
     x_count = r_bh.entries[x_star]
-    if x_count < 1 or not h:
-        raise VerificationFailedError(f"empty core or shift: |H| = {len(h)}, r(x) = {x_count}")
 
     stats = {
         "j": j,

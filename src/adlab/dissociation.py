@@ -162,6 +162,15 @@ def _extender(ambient: Ambient, k: int, elems: list):
       is |x|.
     - Mod N <= ``DENSE_RANGE_LIMIT`` (2^22) it is a bitset of length N
       whose shifts wrap around, and the step is x itself.
+    - On both bitsets the child is the union of the k + 1 translates of
+      the state by c*step, c = 0..k, built by doubling: reading the binary
+      digits of k + 1 after the leading 1, the union of the first ``have``
+      translates is OR-ed with its own shift by have*step, and then, on a
+      digit 1, with the state shifted by the new have*step.  That is at
+      most 2*log2(k + 1) shifts instead of k.  Every union formed joins
+      some of the k + 1 translates, so its size is have*count exactly when
+      they are disjoint, and the first union short of that returns None.
+      On the line at k = 1 the step is one shift and an AND.
     - Mod N > ``DENSE_RANGE_LIMIT`` it is a set of residues, and the step
       lists the moves c*x mod N for c = 1..k.
     - On Z^r it is a set of Kronecker codes sum_i v_i * W_i, with weights
@@ -181,16 +190,26 @@ def _extender(ambient: Ambient, k: int, elems: list):
     where ``WorkMeter.tick`` would.
     """
     kp1 = k + 1
+    plan = bin(kp1)[3:]  # the binary digits of k + 1 after the leading 1
     if isinstance(ambient, Residues) and ambient.modulus <= DENSE_RANGE_LIMIT:
         n = ambient.modulus
         mask = (1 << n) - 1
 
         def extend(bits: int, x: int, count: int):
-            spread = bits
-            for c in range(1, kp1):
-                spread |= bits << (c * x % n)
-            combined = (spread & mask) | (spread >> n)
-            return combined if combined.bit_count() == kp1 * count else None
+            out, have = bits, 1
+            for digit in plan:
+                spread = out << have * x % n
+                out |= (spread & mask) | (spread >> n)
+                have *= 2
+                if out.bit_count() != have * count:
+                    return None
+                if digit == "1":
+                    spread = bits << have * x % n
+                    out |= (spread & mask) | (spread >> n)
+                    have += 1
+                    if out.bit_count() != have * count:
+                        return None
+            return out
 
         return 1, extend, elems
     if isinstance(ambient, Residues):
@@ -213,10 +232,18 @@ def _extender(ambient: Ambient, k: int, elems: list):
         else:
 
             def extend(bits: int, step: int, count: int):
-                combined = bits
-                for c in range(1, kp1):
-                    combined |= bits << (c * step)
-                return combined if combined.bit_count() == kp1 * count else None
+                out, have = bits, 1
+                for digit in plan:
+                    out |= out << have * step
+                    have *= 2
+                    if out.bit_count() != have * count:
+                        return None
+                    if digit == "1":
+                        out |= bits << have * step
+                        have += 1
+                        if out.bit_count() != have * count:
+                            return None
+                return out
 
         return 1, extend, [abs(x) for x in elems]
     # Kronecker codes; a step is (moves, growth of the extremes: k * the

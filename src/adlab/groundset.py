@@ -337,13 +337,71 @@ def _set_bits(bits: int, base: int) -> list:
     return list(compress(range(base, base + len(flags)), flags))
 
 
+def _sum_codes(xs, base: int | None, ys: Sequence[int], modulus: int | None, size_cap: int | None):
+    """X + Y on plain-int codes, added mod ``modulus`` when it is not None.
+
+    X is ``xs``, a bitset whose bit i stands for the code base + i when
+    ``base`` is not None, else a collection of codes; Y is the sequence
+    ``ys``.  Both are nonempty.  Returns (state, base, count): X + Y in the
+    same form, and its size.
+
+    With at least one pair per four slots of the sums' index range (at
+    most ``DENSE_RANGE_LIMIT`` slots; mod N the range is N), X + Y is a
+    bitset: Y's shifts of X's bitset are OR-ed, and mod N the bits past N
+    fold back.  Otherwise it is a set, built one row per element of the
+    shorter of X and Y, checking the cap after every row.  Either way the
+    cap raises iff |X + Y| > cap.
+    """
+    if base is None:
+        count = len(xs)
+        lo_x, hi_x = min(xs), max(xs)
+    else:
+        count = xs.bit_count()
+        lo_x, hi_x = base, base + xs.bit_length() - 1
+    if modulus is None:
+        lo_y = min(ys)
+        span = hi_x - lo_x + max(ys) - lo_y + 1
+    else:
+        lo_x = lo_y = 0
+        span = modulus
+    if span <= DENSE_RANGE_LIMIT and count * len(ys) * 4 >= span:
+        if base is None:
+            # One digit per slot, most significant first: linear in the width.
+            flags = bytearray(b"0") * (hi_x - lo_x + 1)
+            for x in xs:
+                flags[hi_x - x] = 49
+            xs = int(flags, 2)
+        out = 0
+        for y in ys:
+            out |= xs << (y - lo_y)
+        if modulus is not None:
+            out = (out & ((1 << modulus) - 1)) | (out >> modulus)
+        count = out.bit_count()
+        if size_cap is not None and count > size_cap:
+            raise SizeCapExceededError(
+                f"sumset exceeds cap {size_cap}", cap=size_cap, stage="sumset"
+            )
+        return out, lo_x + lo_y, count
+    if base is not None:
+        xs = _set_bits(xs, base)
+    rows, cols = (ys, xs) if len(ys) <= count else (xs, ys)
+    out = set()
+    for r in rows:
+        sums = map(r.__add__, cols)
+        out.update(sums if modulus is None else map(modulus.__rmod__, sums))
+        if size_cap is not None and len(out) > size_cap:
+            raise SizeCapExceededError(
+                f"sumset exceeds cap {size_cap}", cap=size_cap, stage="sumset"
+            )
+    return out, None, len(out)
+
+
 def sumset(a: GroundSet, b: GroundSet, sign: str = "+", size_cap: int | None = None) -> GroundSet:
     """A + B or A - B as a ground set.
 
-    With at least one pair per four slots of the sums' index range (at
-    most ``DENSE_RANGE_LIMIT`` slots), B's shifts of A's bitset are OR-ed;
-    otherwise the sums of each row of A are collected, checking the cap
-    after every row.  Either way the cap raises iff |A +- B| > cap.
+    The sums are formed once on ``_int_view`` codes by ``_sum_codes``,
+    which picks a bitset or a set of codes, and decoded once at the end.
+    The cap raises iff |A +- B| > cap.
     """
     amb = _require_same_ambient(a, b)
     if sign not in ("+", "-"):
@@ -351,35 +409,8 @@ def sumset(a: GroundSet, b: GroundSet, sign: str = "+", size_cap: int | None = N
     if not a.elements or not b.elements:
         return GroundSet(amb, ())
     (xs, ys), n, decode = _int_view(amb, [(a.elements, "+"), (b.elements, sign)])
-    lo_x = lo_y = 0
-    if n is None:
-        lo_x, lo_y = min(xs), min(ys)
-        span = max(xs) - lo_x + max(ys) - lo_y + 1
-    else:
-        span = n
-    if span <= DENSE_RANGE_LIMIT and len(xs) * len(ys) * 4 >= span:
-        row = 0
-        for x in xs:
-            row |= 1 << (x - lo_x)
-        bits = 0
-        for y in ys:
-            bits |= row << (y - lo_y)
-        if n is not None:
-            bits = (bits & ((1 << n) - 1)) | (bits >> n)
-        if size_cap is not None and bits.bit_count() > size_cap:
-            raise SizeCapExceededError(
-                f"sumset exceeds cap {size_cap}", cap=size_cap, stage="sumset"
-            )
-        codes = _set_bits(bits, lo_x + lo_y)
-    else:
-        out: set = set()
-        for x in xs:
-            out.update([x + y for y in ys] if n is None else [(x + y) % n for y in ys])
-            if size_cap is not None and len(out) > size_cap:
-                raise SizeCapExceededError(
-                    f"sumset exceeds cap {size_cap}", cap=size_cap, stage="sumset"
-                )
-        codes = sorted(out)
+    out, base, _count = _sum_codes(xs, None, ys, n, size_cap)
+    codes = sorted(out) if base is None else _set_bits(out, base)
     return GroundSet(amb, _decoded(codes, decode))
 
 

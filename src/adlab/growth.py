@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .budget import as_meter
@@ -23,11 +24,15 @@ from .errors import (
     VerificationFailedError,
 )
 from .groundset import (
+    INT64_MAX,
+    INT64_MIN,
     Element,
     GroundSet,
     IntegerLattice,
     Residues,
     _check64,
+    _mixed_radix,
+    _sum_codes,
     by_magnitude,
     iterated_sumset,
     sumset,
@@ -53,19 +58,48 @@ class GrowthCurve:
 
 def growth_sequence(a: GroundSet, n_max: int) -> GrowthCurve:
     """Compute |nA| for n = 1..n_max, stopping early if an iterate would
-    exceed ``DEFAULT_GROWTH_CAP`` elements."""
+    exceed ``DEFAULT_GROWTH_CAP`` elements.
+
+    One running state of the codes of nA (a bitset while dense, else a set;
+    see ``groundset._sum_codes``) takes A's codes once per n, and its size
+    is read off; nA is never decoded.  Codes are the elements on the line,
+    residues mod N, and on Z^r Kronecker codes sum_i v_i * W_i, with the
+    weights of a box that holds every sum up to n_max, so no two sums of
+    nA share a code.  On the line and Z^r, int64 is checked on n times A's
+    per-coordinate minima, then maxima, before step n, so the first value
+    outside the range raises ``CoordinateOverflowError`` where a checked
+    sumset would; a cap hit at a smaller n returns the curve first.
+    """
     if n_max < 1:
         raise PreconditionError("n_max must be at least 1")
     if not a.elements:
         raise PreconditionError("growth of the empty set is not defined")
-    sizes = [len(a)]
-    current = a
+    amb = a.ambient
+    codes = a.elements
+    modulus = None
+    if isinstance(amb, Residues):
+        modulus, ends = amb.modulus, ()
+    elif amb.rank == 1:
+        ends = (codes[0], codes[-1])
+    else:
+        lows = tuple(map(min, zip(*codes)))
+        highs = tuple(map(max, zip(*codes)))
+        weights = _mixed_radix([n_max * (hi - lo) for lo, hi in zip(lows, highs)])
+        codes = [sum(map(mul, v, weights)) for v in codes]
+        ends = lows + highs
+    sizes = [len(codes)]
+    state, base = codes, None
     for n in range(2, n_max + 1):
+        if ends:
+            reached = [n * c for c in ends]
+            if min(reached) < INT64_MIN or max(reached) > INT64_MAX:
+                for value in reached:
+                    _check64(value)
         try:
-            current = sumset(current, a, size_cap=DEFAULT_GROWTH_CAP)
+            state, base, count = _sum_codes(state, base, codes, modulus, DEFAULT_GROWTH_CAP)
         except SizeCapExceededError:
             return GrowthCurve(tuple(sizes), truncated_at=n)
-        sizes.append(len(current))
+        sizes.append(count)
     return GrowthCurve(tuple(sizes))
 
 

@@ -50,14 +50,20 @@ def naive_rep(parts, modulus=None):
     return dict(Counter(_total(tup, modulus) for tup in product(*signed)))
 
 
-def naive_iterated(xs, n, m=0):
-    """nA - mA by repeated pairwise sumsets."""
-    out = [0]
-    for _ in range(n):
-        out = naive_sumset(out, xs)
+def naive_iterated(xs, n, m=0, modulus=None):
+    """nA - mA, n >= 1, by repeated pairwise sumsets: ints, residues mod
+    ``modulus``, or int tuples."""
+    out = sorted({_total([x], modulus) for x in xs})
+    for _ in range(n - 1):
+        out = naive_sumset(out, xs, modulus)
     for _ in range(m):
-        out = naive_sumset(out, [-x for x in xs])
-    return sorted(out)
+        out = naive_sumset(out, naive_neg(xs, modulus), modulus)
+    return out
+
+
+def naive_growth_sizes(xs, n_max, modulus=None):
+    """|nA| for n = 1..n_max, each iterate built from scratch."""
+    return [len(naive_iterated(xs, n, modulus=modulus)) for n in range(1, n_max + 1)]
 
 
 def naive_sigma(xs, k):

@@ -22,6 +22,7 @@ from adlab import (
     span_k,
     vectors,
 )
+from adlab.dissociation import _extender
 from adlab.groundset import Residues
 
 from oracles import (
@@ -125,6 +126,59 @@ def test_dim_and_greedy_match_naive_in_every_ambient(kind):
             greedy = max_dissociated_greedy(a, k)
             assert set(greedy.elements) <= set(a.elements)
             assert naive_relation(list(greedy.elements), k, modulus) is None, (xs, k)
+
+
+def _bit_positions(bits):
+    return {i for i, digit in enumerate(reversed(bin(bits)[2:])) if digit == "1"}
+
+
+def _naive_translates(bits, step, k, modulus):
+    """The k + 1 translates of the set in ``bits`` by c*step, OR-ed, or None
+    when two of them meet."""
+    seen = set()
+    for c in range(k + 1):
+        for s in _bit_positions(bits):
+            z = s + c * step if modulus is None else (s + c * step) % modulus
+            if z in seen:
+                return None
+            seen.add(z)
+    return seen
+
+
+@pytest.mark.parametrize("k", [*range(1, 10), 36, 64])
+@pytest.mark.parametrize("modulus", [None, 97, 10007])
+def test_bitset_steps_match_the_naive_union_of_translates(k, modulus):
+    rng = random.Random(k)
+    amb = integers([]).ambient if modulus is None else Residues(modulus)
+    unit = 1 if modulus is None else rng.randrange(1, modulus)
+    # At the states of 0, 1 and 2 powers of k + 1 (times a unit mod N), the
+    # next power is accepted while (k + 1)^depth sums fit; a zero step, and
+    # most random ones, meet.
+    powers = [(k + 1) ** depth * unit for depth in range(3)]
+    if modulus is not None:
+        powers = [x % modulus for x in powers]
+    others = [rng.randrange(1, 400) for _ in range(3)] + [0]
+    state, extend, steps = _extender(amb, k, powers + others)
+    trials = []
+    count = 1
+    for power in steps[:3]:
+        trials += [(state, step, count) for step in [power, *steps[3:]]]
+        state, count = extend(state, power, count), count * (k + 1)
+        if state is None:
+            break
+    # Any bitset is a valid state: small random ones, where any two of the
+    # k + 1 translates may meet first.
+    for _ in range(100):
+        members = rng.sample(range(40), rng.randint(1, 6))
+        trials.append((sum(1 << x for x in members), rng.randrange(1, 60), len(members)))
+    outcomes = set()
+    for state, step, count in trials:
+        want = _naive_translates(state, step, k, modulus)
+        got = extend(state, step, count)
+        assert (got is None) == (want is None), (k, modulus, state, step)
+        assert got is None or _bit_positions(got) == want
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 def test_truncated_searches_spend_the_same_states():

@@ -225,6 +225,18 @@ def test_sumset_dense_and_sparse_paths_agree():
             assert list(sumset(a, a, sign).elements) == naive_sumset(a.elements, ys, modulus)
 
 
+def test_sumset_dense_rows_of_two_thousand_elements():
+    # Both take the bitset path, whose row is built from 2 000 elements.
+    rng = random.Random(2000)
+    line = integers(rng.sample(range(-3000, 3000), 2000))
+    cyc = residues(rng.sample(range(7919), 2000), 7919)
+    for a, modulus in ((line, None), (cyc, 7919)):
+        b = GroundSet(a.ambient, a.elements[::97])
+        assert list(sumset(a, b).elements) == naive_sumset(a.elements, b.elements, modulus)
+        ys = naive_neg(b.elements, modulus)
+        assert list(sumset(a, b, "-").elements) == naive_sumset(a.elements, ys, modulus)
+
+
 @settings(max_examples=30, deadline=None)
 @given(small_int_sets, st.integers(1, 3), st.integers(0, 2))
 def test_iterated_sumset_matches_naive(xs, n, m):

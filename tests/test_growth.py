@@ -6,6 +6,7 @@ import pytest
 
 import adlab.growth
 from adlab import (
+    CoordinateOverflowError,
     PreconditionError,
     additive_energy,
     beta_hat,
@@ -19,11 +20,12 @@ from adlab import (
     residues,
     sumset,
     t_k,
+    vectors,
     verify_growth_bounds,
     verify_span_isomorphism,
 )
 
-from oracles import naive_iterated
+from oracles import naive_growth_sizes, naive_iterated
 
 
 def test_growth_sequence_interval():
@@ -50,6 +52,52 @@ def test_growth_sequence_truncation(monkeypatch):
     gc = growth_sequence(integers(range(1, 9)), 6)
     assert gc.sizes == (8, 15, 22, 29, 36)
     assert gc.truncated_at == 6
+
+
+def _growth_cases():
+    """(set, modulus) pairs on the line, mod N on both sides of 2^22, Z^2 and Z^3."""
+    rng = random.Random(20)
+    cases = [(integers([-7, -3, 0, 2, 11]), None), (integers([-40, -39, 5]), None)]
+    for _ in range(6):
+        cases.append((integers(rng.sample(range(-30, 31), rng.randint(1, 7))), None))
+    cases.append((integers(rng.sample(range(-10**6, 10**6), 5)), None))
+    cases.append((residues([1, 5, 6, 17, 30], 31), 31))
+    for modulus in (7, 97, 1009, (1 << 22) + 15, 10**9 + 7):
+        members = rng.sample(range(modulus), min(modulus, rng.randint(2, 6)))
+        cases.append((residues(members, modulus), modulus))
+    for rank, reach in ((2, 4), (3, 2)):
+        for _ in range(3):
+            coords = [tuple(rng.randint(-reach, reach) for _ in range(rank)) for _ in range(5)]
+            cases.append((vectors(coords, rank), None))
+    return cases
+
+
+@pytest.mark.parametrize("a, modulus", _growth_cases())
+def test_growth_sequence_matches_the_growth_oracle(a, modulus):
+    want = naive_growth_sizes(a.elements, 5, modulus)
+    gc = growth_sequence(a, 5)
+    assert gc == adlab.growth.GrowthCurve(tuple(want))
+
+
+@pytest.mark.parametrize("a, modulus", _growth_cases())
+def test_growth_sequence_truncates_where_the_oracle_passes_the_cap(monkeypatch, a, modulus):
+    want = naive_growth_sizes(a.elements, 5, modulus)
+    monkeypatch.setattr(adlab.growth, "DEFAULT_GROWTH_CAP", want[1])
+    first = next((n for n, size in enumerate(want, start=1) if size > want[1]), None)
+    kept = want if first is None else want[: first - 1]
+    assert growth_sequence(a, 5) == adlab.growth.GrowthCurve(tuple(kept), truncated_at=first)
+
+
+def test_growth_sequence_checks_int64_before_each_step(monkeypatch):
+    # 2A fits in int64; the least second coordinate of 3A, -9 * 2^60, does not.
+    big = 3 << 60
+    a = vectors([(big, -big), (0, 1), (1, 0)], 2)
+    assert growth_sequence(a, 2).sizes == tuple(naive_growth_sizes(a.elements, 2))
+    with pytest.raises(CoordinateOverflowError, match=f"^coordinate {-3 * big} outside"):
+        growth_sequence(a, 3)
+    # A cap passed at n = 2 returns the curve before the overflow at n = 3.
+    monkeypatch.setattr(adlab.growth, "DEFAULT_GROWTH_CAP", 5)
+    assert growth_sequence(a, 3) == adlab.growth.GrowthCurve((3,), truncated_at=2)
 
 
 def test_growth_bounds_interval_clean():
