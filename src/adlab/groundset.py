@@ -26,6 +26,7 @@ from itertools import compress
 from operator import add, mul
 from typing import Iterable, Sequence, Union
 
+from ._ntheory import factorint
 from .errors import (
     AmbientMismatchError,
     CoordinateOverflowError,
@@ -632,9 +633,7 @@ def mult_embed(a: GroundSet) -> MultEmbedding:
         raise PreconditionError("mult_embed expects a rank-1 integer set")
     if any(x < 1 for x in a.elements):
         raise PreconditionError("mult_embed expects positive integers")
-    import sympy
-
-    factorizations = {x: sympy.factorint(x) for x in a.elements}
+    factorizations = {x: factorint(x) for x in a.elements}
     primes = sorted({p for f in factorizations.values() for p in f})
     rank = max(1, len(primes))
     forward = {}

@@ -15,6 +15,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
+from ._ntheory import next_prime
 from .budget import as_meter
 from .dissociation import dim_bounds, is_k_dissociated
 from .errors import (
@@ -459,8 +460,6 @@ def freiman_model(a: GroundSet, seed: int = 0) -> FreimanModel:
     """
     import random
 
-    import sympy
-
     amb = a.ambient
     if not (isinstance(amb, IntegerLattice) and amb.rank == 1):
         raise PreconditionError("modular models are built for rank-1 integer sets")
@@ -471,7 +470,7 @@ def freiman_model(a: GroundSet, seed: int = 0) -> FreimanModel:
     m0 = max(len(diff), 2)
     max_abs = max((abs(x) for x in a.elements), default=0)
     # The model lives mod p, so p is held to the 64-bit range of every coordinate.
-    p = _check64(int(sympy.nextprime(4 * max_abs + 3)))
+    p = _check64(next_prime(4 * max_abs + 3))
     width = -(-p // 2)  # ceil(p / 2)
     rng = random.Random(seed)
     lams = list(range(1, p))

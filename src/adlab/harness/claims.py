@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .._ntheory import is_prime, totient
 from ..decompose import _difference_ratios, _ratio_box_scan, dec_tk, sidon_extract
 from ..dissociation import (
     DimensionBounds,
@@ -831,12 +832,10 @@ def _ev_subgroup(prefix: str):
 def _ev_subgroup_coverage(claim, a, inst, budget):
     rep = _subgroup_sweep(inst, budget)
     p, t = rep.params["p"], rep.params["t"]
-    import sympy
-
     half_cover = rep.measured["half_cover_n"]
     ln_p = math.log(p)
     lnln_p = math.log(ln_p)
-    hyp = int(sympy.totient(t)) * math.log(max(t, 2)) >= ln_p
+    hyp = totient(t) * math.log(max(t, 2)) >= ln_p
     measured = {
         "half_cover_n": half_cover,
         "coverage_fraction": rep.measured["coverage_fraction"],
@@ -910,9 +909,7 @@ def _subgroup_p_at_most(cap: int) -> Callable:
 
 
 def _prime_modulus_to_4096(a: GroundSet, inst) -> bool:
-    import sympy
-
-    return a.ambient.modulus <= 4096 and sympy.isprime(a.ambient.modulus)
+    return a.ambient.modulus <= 4096 and is_prime(a.ambient.modulus)
 
 
 _COMPACT = (_compact_for_amplified_k, "set too wide for amplified-order dimension work")

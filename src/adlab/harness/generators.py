@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .._ntheory import first_primes
 from ..dissociation import cube as _cube
 from ..errors import PreconditionError, VerificationFailedError
 from ..groundset import GroundSet, integers, sumset
@@ -123,11 +124,8 @@ def _gen_es_product(seed: int, s: int, h: int) -> GroundSet:
         raise PreconditionError("need s >= 1 and h >= 1")
     if h**s > ES_SIZE_CAP:
         raise PreconditionError(f"h^s = {h ** s} exceeds the {ES_SIZE_CAP} instance cap")
-    import sympy
-
-    primes = [sympy.prime(i + 1) for i in range(s)]
     values = [1]
-    for p in primes:
+    for p in first_primes(s):
         values = [v * p**e for v in values for e in range(1, h + 1)]
     # Unique factorization keeps all h^s products distinct; the ambient
     # validation raises on 64-bit overflow.
@@ -144,9 +142,7 @@ def _gen_subgroup(seed: int, p: int, t: int) -> GroundSet:
 def _gen_primes(seed: int, count: int) -> GroundSet:
     if count < 1:
         raise PreconditionError("need count >= 1")
-    import sympy
-
-    return integers(sympy.prime(i + 1) for i in range(count))
+    return integers(first_primes(count))
 
 
 def _gen_random_sample(seed: int, n_max: int, size: int) -> GroundSet:

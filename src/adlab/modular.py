@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._ntheory import factorint, is_prime, primitive_root, totient
 from .budget import as_meter
 from .dissociation import dim_bounds
 from .energy import dim_alpha_k, t_k
@@ -35,10 +36,8 @@ class SubgroupSpec:
     members: GroundSet
 
     def __post_init__(self):
-        import sympy
-
         g, t, p = self.generator, self.t, self.p
-        if pow(g, t, p) != 1 or any(pow(g, t // q, p) == 1 for q in sympy.factorint(t)):
+        if pow(g, t, p) != 1 or any(pow(g, t // q, p) == 1 for q in factorint(t)):
             raise VerificationFailedError(f"{g} does not have order {t} mod {p}")
         if len(self.members) != t:
             raise VerificationFailedError(f"subgroup of order {t} has {len(self.members)} members")
@@ -50,13 +49,11 @@ def subgroup(p: int, t: int) -> SubgroupSpec:
     Requires p prime (at most 2^31) and t | p-1.  The generator is a power
     of the smallest primitive root mod p, so the result is deterministic.
     """
-    import sympy
-
-    if p > 2**31 or not sympy.isprime(p):
+    if p > 2**31 or not is_prime(p):
         raise PreconditionError(f"p={p} must be a prime at most 2^31")
     if t < 1 or (p - 1) % t != 0:
         raise PreconditionError(f"t={t} must divide p-1={p - 1}")
-    g = sympy.primitive_root(p)
+    g = primitive_root(p)
     gen = pow(g, (p - 1) // t, p)
     elems = set()
     x = 1
@@ -274,14 +271,12 @@ def _hermite(n: int) -> float:
     return 1.0 + n / 5.0
 
 
-def _dirichlet_lattice_prediction(p: int, t: int) -> tuple[float, int]:
+def _dirichlet_lattice_prediction(p: int, t: int, phi_t: int) -> tuple[float, int]:
     """Lattice-based lower bound for p^2 * D_{2,p}(Gamma), maximized over
-    the admissible lattice rank r."""
-    import sympy
-
+    the admissible lattice rank r <= phi(t) = phi_t."""
     best = 0.0
     best_r = 2
-    r_cap = max(2, int(sympy.totient(t)))
+    r_cap = max(2, phi_t)
     for r in range(2, min(r_cap, 24) + 1):
         val = (p ** (2 * (r - 1)) * t / (r * _hermite(r - 1) ** (r - 1))) ** (1.0 / r)
         if val > best:
@@ -311,8 +306,6 @@ def subgroup_growth_experiment(
     Logs (never asserts) the lattice prediction for the Dirichlet value.
     Natural logarithms throughout.
     """
-    import sympy
-
     if p > 100_000:
         raise PreconditionError("experiment pipeline is capped at p <= 100000")
     spec = subgroup(p, t)
@@ -326,7 +319,7 @@ def subgroup_growth_experiment(
     ln_p = math.log(p)
     lnln_p = math.log(ln_p) if ln_p > 1 else 0.0
     ln_t = math.log(t) if t > 1 else 0.0
-    phi_t = int(sympy.totient(t))
+    phi_t = totient(t)
     records: list[ClaimRecord] = []
 
     terms = [phi_t]
@@ -409,7 +402,7 @@ def subgroup_growth_experiment(
             )
 
     dv = dirichlet_min(gamma, 2)
-    lattice_pred, lattice_r = _dirichlet_lattice_prediction(p, t)
+    lattice_pred, lattice_r = _dirichlet_lattice_prediction(p, t, phi_t)
     records.append(
         ClaimRecord(
             claim="subgroup_dirichlet_prediction",

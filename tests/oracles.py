@@ -10,7 +10,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
-from math import gcd
+from math import gcd, isqrt
 
 
 def subsets(items):
@@ -473,3 +473,44 @@ def naive_dirichlet(xs, s, n):
         if best is None or total < best:
             best = total
     return best
+
+
+def naive_is_prime(n):
+    """n is prime, by trial division by every d with d*d <= n."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def naive_factor(n):
+    """{prime: exponent} of n >= 1, by trial division by d = 2, 3, 4, ..."""
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def naive_totient(n):
+    """#{1 <= k <= n : gcd(k, n) = 1}."""
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def naive_order(g, p):
+    """The least e >= 1 with g^e = 1 mod p, by repeated multiplication; g a unit."""
+    x, e = g % p, 1
+    while x != 1:
+        x, e = x * g % p, e + 1
+    return e
+
+
+def naive_primes_below(limit):
+    """The primes below ``limit``, by the sieve of Eratosthenes."""
+    flags = [n >= 2 for n in range(limit)]
+    for d in range(2, isqrt(max(limit - 1, 0)) + 1):
+        if flags[d]:
+            for m in range(d * d, limit, d):
+                flags[m] = False
+    return [n for n, prime in enumerate(flags) if prime]

@@ -30,15 +30,48 @@ def test_flags_a_subcommand_does_not_read_are_rejected(argv):
     assert exc.value.code == 2
 
 
-def test_import_leaves_sympy_unloaded():
+_SYMPY_BLOCKED = """
+import json
+import sys
+
+sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+import adlab, adlab.cli
+
+if "numpy" in sys.modules:
+    sys.exit("import adlab loaded numpy")
+from adlab import integers, subgroup
+from adlab.cli import main
+from adlab.harness import evaluate_claim
+
+for argv in (
+    ["subgroup", "--p", "1009", "--t", "12"],
+    ["energy", "6,10,15,21", "--op", "mul"],
+    ["gen", "primes", "count=12"],
+    ["gen", "es_product", "s=2", "h=2"],
+):
+    if main(argv) != 0:
+        sys.exit(f"exit code {argv}")
+sub13 = {"generator": "subgroup", "params": {"p": 13, "t": 4}}
+records = [r for cid in ("fourier_dim", "subgroup_coverage")
+           for r in evaluate_claim(cid, subgroup(13, 4).members, sub13)]
+records += evaluate_claim("freiman_isomorphism", integers([1, 2, 5, 11]), {"generator": "literal"})
+print(json.dumps([[r.claim, r.violated, r.note] for r in records]))
+"""
+
+
+def test_runs_without_sympy():
+    """``import adlab`` loads neither sympy nor numpy, and every command that
+    once called sympy (primality, primitive roots, totients, factoring, the
+    next prime, the first primes) runs with sympy blocked."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, adlab, adlab.cli; print('sympy' in sys.modules, 'numpy' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", _SYMPY_BLOCKED], capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    records = json.loads(proc.stdout.splitlines()[-1])
+    assert [claim for claim, _, _ in records] == ["fourier_dim", "subgroup_coverage", "freiman_isomorphism"]
+    assert not any(violated or note.startswith("skipped") for _, violated, note in records), records
 
 
 def test_dim_json_frozen(capsys):
