@@ -10,9 +10,12 @@ Z^r (Kronecker codes) and mod N > 2^22 (residues); see ``_extender``.  On
 Z^r each step checks the extremes of the new sums against int64 once, so
 the search raises ``CoordinateOverflowError`` exactly when one of its sums
 leaves that range.  The line's bitsets hold sums of magnitudes and never
-form a signed sum, so no int64 check is made there.  ``d_k_exact`` tests
-its candidate spans on int codes too (``_span_test``), and checks int64
-where ``span_k`` would.
+form a signed sum, so no int64 check is made there.  ``span_k`` and the
+candidate tests of ``d_k_exact`` (``_span_test``) build spans with one
+builder on int codes, ``_span_codes``: a bitset over the code box while the
+box has at most 2^22 slots and at most ``SPAN_SLOTS_PER_SUM`` slots per sum
+enumerated, a set of codes otherwise.  ``d_k_exact`` checks int64 where
+``span_k`` would.
 
 All searches are deterministic: elements are processed in a fixed order and
 witnesses are the lexicographically smallest among optimal ones (subsets are
@@ -50,11 +53,15 @@ from .groundset import (
     _decoded,
     _int_view,
     _mixed_radix,
+    _set_bits,
     by_magnitude,
     combination,
 )
 
 DEFAULT_SPAN_CAP = 1 << 22
+# A span is built in a bitset while its code box has at most this many slots
+# per sum of the (2k+1)^|S| it enumerates (see _span_codes).
+SPAN_SLOTS_PER_SUM = 512
 
 MAX_CUBE_GENERATORS = 24
 
@@ -593,8 +600,64 @@ def dim_bounds(lam: GroundSet, k: int = 1, budget: int | None = None) -> Dimensi
 # Spans and covering numbers
 
 
+def _span_codes(parts: list, modulus: int | None):
+    """Every sum of one code from each part, added mod ``modulus`` when it
+    is not None.
+
+    ``parts[j]`` lists, ascending, the codes of the multiples -k..k of the
+    j-th element of S, so the sums are the codes of Span_k(S); mod N the
+    residue 0 comes first.  Returns (state, base): a bitset whose bit i
+    stands for the code base + i when base is not None, else a set of codes.
+
+    The box of the sums has sum(max - min) + 1 slots over the parts, and N
+    mod N.  While it has at most ``DENSE_RANGE_LIMIT`` slots and at most
+    ``SPAN_SLOTS_PER_SUM`` slots per sum of the (2k+1)^|S| enumerated, the
+    state is a bitset: each part ORs into the bitset its shifts by the
+    part's codes less their minimum, which the base adds, and mod N the bits
+    past N fold back.  Otherwise it is a set of codes.
+    """
+    sums, width = 1, 1
+    for part in parts:
+        sums *= len(part)
+        width += part[-1] - part[0]
+    if modulus is not None:
+        width = modulus
+    if width <= DENSE_RANGE_LIMIT and width <= SPAN_SLOTS_PER_SUM * sums:
+        bits, base = 1, 0
+        if modulus is None:
+            for part in parts:
+                low = part[0]
+                base += low
+                out = bits
+                for d in part[1:]:
+                    out |= bits << d - low
+                bits = out
+            return bits, base
+        mask = (1 << modulus) - 1
+        for part in parts:
+            out = bits
+            for d in part[1:]:
+                out |= bits << d
+            bits = (out & mask) | (out >> modulus)
+        return bits, 0
+    if not parts:
+        return {0}, None
+    cur = set(parts[0])
+    if modulus is None:
+        for part in parts[1:]:
+            cur = {v + d for d in part for v in cur}
+    else:
+        for part in parts[1:]:
+            cur = {(v + d) % modulus for d in part for v in cur}
+    return cur, None
+
+
 def span_k(s: GroundSet, k: int, size_cap: int | None = None) -> GroundSet:
-    """{sum eps_i s_i : |eps_i| <= k}; requires (2k+1)^|S| within the cap."""
+    """{sum eps_i s_i : |eps_i| <= k}; requires (2k+1)^|S| within the cap.
+
+    The sums are formed once on ``_int_view`` codes by ``_span_codes``,
+    which picks a bitset or a set of codes, and decoded once at the end.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     cap = size_cap if size_cap is not None else DEFAULT_SPAN_CAP
@@ -607,13 +670,9 @@ def span_k(s: GroundSet, k: int, size_cap: int | None = None) -> GroundSet:
     amb = s.ambient
     steps = [[amb.scale(c, x) for c in range(-k, k + 1)] for x in s.elements]
     codes, n, decode = _int_view(amb, [(part, "+") for part in steps])
-    cur = {0}
-    for part in codes:
-        if n is None:
-            cur = {v + d for v in cur for d in part}
-        else:
-            cur = {(v + d) % n for v in cur for d in part}
-    return GroundSet(amb, _decoded(sorted(cur), decode))
+    state, base = _span_codes(list(map(sorted, codes)), n)
+    out = sorted(state) if base is None else _set_bits(state, base)
+    return GroundSet(amb, _decoded(out, decode))
 
 
 def _min_size_for_span(count: int, k: int) -> int:
@@ -630,13 +689,15 @@ def _span_test(a: GroundSet, k: int):
     """``covers(cand)``: whether Span_k(cand) holds A, for cand a nonempty
     tuple of A's elements.
 
-    Runs on int codes of A's elements and of their multiples -k..k, built
-    once: the elements themselves on the line, residues mod N, and on Z^r
-    Kronecker codes sum_i v_i * W_i whose weights come from the box
-    -k*sum|x_i| .. k*sum|x_i| over A, which holds every span.  A cand that
-    ``span_k`` refuses, because (2k+1)^|cand| exceeds ``DEFAULT_SPAN_CAP`` or
-    because k*sum|x_i| over cand leaves int64 in some coordinate, goes
-    through ``span_k`` itself and raises its error.
+    Runs ``_span_codes`` on int codes of A's elements and of their multiples
+    -k..k, built once: the elements themselves on the line, residues mod N,
+    and on Z^r Kronecker codes sum_i v_i * W_i whose weights come from the
+    box -k*sum|x_i| .. k*sum|x_i| over A, which holds every span.  A span
+    in a bitset is tested with one shift and one AND against the bitset of
+    A's codes, unless they leave its range.  A cand that ``span_k`` refuses, because (2k+1)^|cand|
+    exceeds ``DEFAULT_SPAN_CAP`` or because k*sum|x_i| over cand leaves
+    int64 in some coordinate, goes through ``span_k`` itself and raises its
+    error.
     """
     amb = a.ambient
     elems = a.elements
@@ -653,23 +714,26 @@ def _span_test(a: GroundSet, k: int):
         codes = [sum(map(mul, x, weights)) for x in elems]
     coeffs = range(-k, k + 1)
     if modulus is None:
-        mults = {x: [c * v for c in coeffs] for x, v in zip(elems, codes)}
+        mults = {x: sorted(c * v for c in coeffs) for x, v in zip(elems, codes)}
     else:
-        mults = {x: [c * v % modulus for c in coeffs] for x, v in zip(elems, codes)}
+        mults = {x: sorted(c * v % modulus for c in coeffs) for x, v in zip(elems, codes)}
     target = set(codes)
+    low, high = min(target), max(target)
+    target_bits = None  # built at the first bitset span that A's codes fit
     risky = modulus is None and extent(elems) > INT64_MAX
 
     def covers(cand: tuple) -> bool:
+        nonlocal target_bits
         if (2 * k + 1) ** len(cand) > DEFAULT_SPAN_CAP or (risky and extent(cand) > INT64_MAX):
             return set(elems) <= set(span_k(GroundSet(amb, cand), k).elements)
-        cur = {0}
-        for x in cand:
-            part = mults[x]
-            if modulus is None:
-                cur = {v + d for v in cur for d in part}
-            else:
-                cur = {(v + d) % modulus for v in cur for d in part}
-        return target <= cur
+        state, base = _span_codes([mults[x] for x in cand], modulus)
+        if base is None:
+            return target <= state
+        if low < base or high - base >= state.bit_length():
+            return False
+        if target_bits is None:
+            target_bits = sum(1 << v - low for v in target)
+        return (state >> low - base) & target_bits == target_bits
 
     return covers
 

@@ -14,10 +14,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .._ntheory import first_primes
+from .._ntheory import first_primes, next_prime
 from ..dissociation import cube as _cube
 from ..errors import PreconditionError, VerificationFailedError
-from ..groundset import GroundSet, integers, sumset
+from ..groundset import GroundSet, _check64, integers, sumset
 from ..modular import subgroup as _subgroup
 
 ES_SIZE_CAP = 4096
@@ -124,8 +124,15 @@ def _gen_es_product(seed: int, s: int, h: int) -> GroundSet:
         raise PreconditionError("need s >= 1 and h >= 1")
     if h**s > ES_SIZE_CAP:
         raise PreconditionError(f"h^s = {h ** s} exceeds the {ES_SIZE_CAP} instance cap")
+    # Every value is a multiple of the product of the first s primes, so
+    # the first partial product past int64 raises before more primes come.
+    primes, p, product = [], 1, 1
+    for _ in range(s):
+        p = next_prime(p)
+        product = _check64(product * p)
+        primes.append(p)
     values = [1]
-    for p in first_primes(s):
+    for p in primes:
         values = [v * p**e for v in values for e in range(1, h + 1)]
     # Unique factorization keeps all h^s products distinct; the ambient
     # validation raises on 64-bit overflow.

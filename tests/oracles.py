@@ -237,11 +237,16 @@ def naive_dim_k(xs, k, modulus=None):
     return best
 
 
-def naive_span(xs, k):
-    xs = sorted(xs)
+def naive_span(xs, k, modulus=None):
+    """Sorted distinct sums c_1 x_1 + ... with every c_i in [-k, k]: ints,
+    residues mod ``modulus``, or equal-length int tuples."""
     out = set()
     for coeffs in product(range(-k, k + 1), repeat=len(xs)):
-        out.add(sum(c * x for c, x in zip(coeffs, xs)))
+        terms = [
+            tuple(c * v for v in x) if isinstance(x, tuple) else c * x
+            for c, x in zip(coeffs, xs)
+        ]
+        out.add(_total(terms, modulus))
     return sorted(out)
 
 
@@ -257,14 +262,7 @@ def naive_d_k(xs, k, modulus=None):
     zero = tuple(0 for _ in xs[0]) if xs and isinstance(xs[0], tuple) else 0
     target = set(xs) - {zero}  # every span holds zero
     for sub in subsets(xs):
-        span = set()
-        for coeffs in product(range(-k, k + 1), repeat=len(sub)):
-            terms = [
-                tuple(c * v for v in x) if isinstance(x, tuple) else c * x
-                for c, x in zip(coeffs, sub)
-            ]
-            span.add(_total(terms, modulus))
-        if target <= span:
+        if target <= set(naive_span(sub, k, modulus)):
             return sub
     raise AssertionError("the whole set always spans itself")
 

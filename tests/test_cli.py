@@ -205,6 +205,16 @@ def test_gen_prints_set_format(capsys):
     assert out.splitlines()[1:] == ["1", "2", "3", "4"]
 
 
+@pytest.mark.parametrize("s", ["16", "17", "20000"])
+def test_es_product_past_int64_names_the_first_product_out_of_range(capsys, s):
+    # Every value is a multiple of the product of the first s primes, which
+    # leaves int64 at the 16th prime, so s = 20 000 fails there too instead
+    # of building a 20 000-prime product.
+    code, out, err = run(capsys, "gen", "es_product", f"s={s}", "h=1")
+    assert code == 1 and out == ""
+    assert err == "error: coordinate 32589158477190044730 outside signed 64-bit range\n"
+
+
 def test_bad_set_argument_errors(capsys):
     code, out, err = run(capsys, "dim", "no-such-file.txt")
     assert code == 1

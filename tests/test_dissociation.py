@@ -22,7 +22,8 @@ from adlab import (
     span_k,
     vectors,
 )
-from adlab.dissociation import _extender
+from adlab import dissociation
+from adlab.dissociation import _extender, _span_codes
 from adlab.groundset import Residues
 
 from oracles import (
@@ -346,6 +347,38 @@ def test_span_residues():
     assert set(sp.elements) == {0, 3, 4}
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize(
+    "a, bitset",
+    [
+        # Dense line sets, small moduli and small Z^2 boxes take bitsets;
+        # sparse line sets, moduli past 2^22 and wide Z^2 boxes take sets.
+        (integers([-9, 2, 5, 7]), True),
+        (integers([-1, 0, 1]), True),
+        (integers([1, 10**6, -3 * 10**5]), False),
+        (residues([3, 40, 77], 97), True),
+        (residues([0, 1, 6], 12), True),
+        (residues([3, 40, 77, 1 << 21], (1 << 22) + 1), False),
+        (vectors([(1, -2), (3, 0), (-2, 5)], 2), True),
+        (vectors([(1, -2 * 10**5), (3 * 10**4, 0)], 2), False),
+        (vectors([(1, 0, -1), (0, 2, 1)], 3), True),
+    ],
+)
+def test_span_matches_naive_on_both_states(monkeypatch, a, bitset, k):
+    kinds = []
+
+    def recording(parts, modulus):
+        state, base = _span_codes(parts, modulus)
+        kinds.append(base is not None)
+        return state, base
+
+    monkeypatch.setattr(dissociation, "_span_codes", recording)
+    amb = a.ambient
+    modulus = amb.modulus if isinstance(amb, Residues) else None
+    assert list(span_k(a, k).elements) == naive_span(a.elements, k, modulus)
+    assert kinds == [bitset]
+
+
 def test_d_k_exact_small():
     # naive minimum spanning subset for A = [6]
     a = integers(range(1, 7))
@@ -395,8 +428,12 @@ def test_d_k_antitone_in_k():
 
 
 def _cover_sets():
-    """Small sets on the line (negatives too), mod N (past 2^22 too), in Z^2 and in Z^3."""
-    line = st.lists(st.integers(-30, 30), max_size=5).map(integers)
+    """Small sets on the line (negatives too; dense enough for bitset spans
+    at small t, or so sparse that the spans stay sets), mod N (past 2^22
+    too), in Z^2 and in Z^3."""
+    line = st.sampled_from([30, 3000, 1 << 23]).flatmap(
+        lambda r: st.lists(st.integers(-r, r), max_size=5).map(integers)
+    )
     mod = st.sampled_from([2, 5, 12, 97, (1 << 22) + 1]).flatmap(
         lambda n: st.lists(st.integers(0, n - 1), max_size=5).map(lambda xs: residues(xs, n))
     )
@@ -407,6 +444,8 @@ def _cover_sets():
 
 @settings(max_examples=200, deadline=None)
 @given(_cover_sets(), st.integers(1, 3))
+# A bitset span of {1, 2} cannot reach the codes of A, which spread past 2^22.
+@example(integers([1, 2, 3, 1 << 23]), 1)
 def test_d_k_finds_the_first_covering_subset(a, k):
     amb = a.ambient
     modulus = amb.modulus if isinstance(amb, Residues) else None
@@ -448,6 +487,25 @@ def test_d_k_finds_the_first_covering_subset(a, k):
                 2, 5, False, 334, ((-2, 2, 0), (0, -2, 2), (1, 1, -2), (2, -1, 1), (2, 2, 2)),
                 "search truncated by budget",
             ),
+        ),
+        # Rows 9-12 pin both span states: gp(2, 10) and the Z^2 set take
+        # bitsets, as does mod 97, while criterion 4's random set 38, whose
+        # box fits 2^22, stays on sets.
+        (
+            integers([2**i for i in range(10)]), 1, 500_000,
+            (
+                8, 10, False, 503587, tuple(2**i for i in range(10)),
+                "search truncated by budget",
+            ),
+        ),
+        (
+            integers([49330, 74645, 130414, 156929, 266486, 392932, 513342]), 1, None,
+            (7, 7, True, 17034, (49330, 74645, 130414, 156929, 266486, 392932, 513342), ""),
+        ),
+        (residues([2, 3, 11, 29, 40, 58, 71, 90], 97), 2, None, (3, 3, True, 1208, (2, 3, 58), "")),
+        (
+            vectors([(3, 1), (-1, 2), (2, 2), (5, -1), (-4, 3), (1, -5), (6, 4)], 2), 1, None,
+            (6, 6, True, 9808, ((-4, 3), (-1, 2), (1, -5), (2, 2), (3, 1), (5, -1)), ""),
         ),
     ],
 )
