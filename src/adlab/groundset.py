@@ -515,14 +515,95 @@ def _packed_product(entries: dict, ints: list, modulus: int | None) -> dict | No
     return {i: c for i, c in enumerate(counts) if c}
 
 
+# From this many pairs on, a sparse step sorts its pair sums as int64
+# arrays instead of adding them into a dict one by one.
+SORTED_MIN_PAIRS = 2048
+
+# A sorted step forms at most this many pair sums at once, or as many as
+# the support found so far, whichever is larger.
+SORTED_BLOCK_PAIRS = 1 << 14
+
+
+def _support_cap_error(size_cap: int) -> SizeCapExceededError:
+    return SizeCapExceededError(
+        f"representation support exceeds cap {size_cap}", cap=size_cap, stage="rep_fn"
+    )
+
+
+def _sorted_sums(
+    entries: dict, ints: list, modulus: int | None, size_cap: int | None
+) -> dict | None:
+    """``_convolve``'s counts by sorting the pair sums, or None where a dict is better.
+
+    Needs at least ``SORTED_MIN_PAIRS`` pairs, every code and sum inside
+    int64, and max(counts) * len(ints) below 2^63.  A block of rows of
+    ``entries`` forms its pair sums as one int64 array, sorts them, and
+    adds the counts of equal neighbours (``argsort`` + ``add.reduceat``);
+    each block's counts merge into the sorted support found so far, and
+    the cap is checked after each block.  Keys come out ascending.
+    """
+    pairs = len(entries) * len(ints)
+    if pairs < SORTED_MIN_PAIRS:
+        return None
+    if modulus is None:
+        lo_e, hi_e, lo_y, hi_y = min(entries), max(entries), min(ints), max(ints)
+        lo, hi = min(lo_e, lo_y, lo_e + lo_y), max(hi_e, hi_y, hi_e + hi_y)
+        if lo < INT64_MIN or hi > INT64_MAX:
+            return None
+    elif 2 * modulus > INT64_MAX:
+        return None
+    if max(entries.values()) * len(ints) > INT64_MAX:
+        return None
+    import numpy as np
+
+    keys = np.fromiter(entries, np.int64, len(entries))
+    counts = np.fromiter(entries.values(), np.int64, len(entries))
+    ys = np.array(ints, np.int64)
+    out_keys = out_counts = None
+
+    def reduced(sums, weights, kind):
+        order = sums.argsort(kind=kind)
+        sums, weights = sums[order], weights[order]
+        del order  # one pair-sized array fewer at the peak
+        starts = np.flatnonzero(sums[1:] != sums[:-1]) + 1
+        starts = np.concatenate(([0], starts))
+        return sums[starts], np.add.reduceat(weights, starts)
+
+    start = 0
+    while start < len(keys):
+        support = 0 if out_keys is None else len(out_keys)
+        stop = start + max(1, max(SORTED_BLOCK_PAIRS, support) // len(ys))
+        sums = (keys[start:stop, None] + ys).ravel()
+        if modulus is not None:
+            sums[sums >= modulus] -= modulus
+        block = reduced(sums, np.repeat(counts[start:stop], len(ys)), "quicksort")
+        if out_keys is None:
+            out_keys, out_counts = block
+        else:
+            # Two ascending runs: a stable sort merges them in linear time.
+            merged = np.concatenate((out_keys, block[0])), np.concatenate((out_counts, block[1]))
+            out_keys, out_counts = reduced(*merged, "stable")
+        if size_cap is not None and len(out_keys) > size_cap:
+            raise _support_cap_error(size_cap)
+        start = stop
+    return dict(zip(out_keys.tolist(), out_counts.tolist()))
+
+
 def _convolve(entries: dict, ints: list, modulus: int | None, size_cap: int | None) -> dict:
     """Counts of x + y (mod ``modulus``) over x in ``entries``, with its count, and y in ``ints``.
 
-    Raises SizeCapExceededError when the support of the result passes
-    ``size_cap``; the dict path checks after each row, since its support
-    only grows, and so stops at the first row past the cap.
+    Three kernels return the same dict.  ``_packed_product`` takes every
+    dense step (see its rules); ``_sorted_sums`` takes a sparse step of at
+    least ``SORTED_MIN_PAIRS`` pairs whose codes, sums and counts fit
+    int64, and imports numpy the first time it runs; the dict loop takes
+    the rest.  Raises SizeCapExceededError when the support of the result
+    passes ``size_cap``; the support only grows, so the dict loop checks
+    after each row and the sorted kernel after each block, and each stops
+    at the first one past the cap.
     """
     out = _packed_product(entries, ints, modulus)
+    if out is None:
+        out = _sorted_sums(entries, ints, modulus, size_cap)
     if out is None:
         out = {}
         for x, c in entries.items():
@@ -532,9 +613,7 @@ def _convolve(entries: dict, ints: list, modulus: int | None, size_cap: int | No
             if size_cap is not None and len(out) > size_cap:
                 break
     if size_cap is not None and len(out) > size_cap:
-        raise SizeCapExceededError(
-            f"representation support exceeds cap {size_cap}", cap=size_cap, stage="rep_fn"
-        )
+        raise _support_cap_error(size_cap)
     return out
 
 
@@ -543,6 +622,12 @@ def rep_fn(parts: Sequence[tuple[GroundSet, str]], size_cap: int | None = None) 
 
     ``parts`` is a sequence of (set, sign) pairs.  The count at x is the
     number of tuples (a_1, ..., a_j) with sum of signed a_i equal to x.
+    The counts are built one part at a time by ``_convolve``, on
+    ``_int_view`` codes.  Each step takes one of three kernels, by the
+    size of its input: the packed big-integer product for a dense step,
+    sorted int64 arrays for a sparse step of at least ``SORTED_MIN_PAIRS``
+    pairs whose sums and counts fit int64, and a dict loop otherwise.  The
+    kernel changes the order of ``entries`` only, never a count.
     """
     if not parts:
         raise ValueError("rep_fn needs at least one part")

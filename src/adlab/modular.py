@@ -25,6 +25,10 @@ from .records import ClaimRecord, ExperimentReport, canonical
 DIRICHLET_SCAN_CAP = 1 << 20
 FOURIER_SIZE_CAP = 1 << 22
 
+# dirichlet_min scans q in blocks of at most this many (q, element) table
+# reads, or one q per block when |A| is larger.
+DIRICHLET_BLOCK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class SubgroupSpec:
@@ -102,7 +106,10 @@ def dirichlet_min(a: GroundSet, s: int = 2, modulus: Optional[int] = None) -> Di
     (N ||r/N||)^s for the N residues r, so the value is an exact Fraction
     and argmin_q is the first q that reaches it.  The sum at N - q equals
     the sum at q, so the first minimizer is at most N/2 and the scan stops
-    there.  It is refused with SizeCapExceededError for N > 2^20
+    there.  The totals of a block of q are formed together, at most
+    ``DIRICHLET_BLOCK_CELLS`` table reads a block, and a block's first
+    least total is kept only if it beats every earlier block.  It is
+    refused with SizeCapExceededError for N > 2^20
     (``DIRICHLET_SCAN_CAP``).
     """
     if not isinstance(s, int) or s < 1:
@@ -118,10 +125,16 @@ def dirichlet_min(a: GroundSet, s: int = 2, modulus: Optional[int] = None) -> Di
         )
     table = [min(r, n - r) ** s for r in range(n)]
     best_num = best_q = None
-    for q in range(1, n // 2 + 1):
-        total = sum([table[q * x % n] for x in elems])
-        if best_num is None or total < best_num:
-            best_num, best_q = total, q
+    top = n // 2 + 1
+    step = max(1, DIRICHLET_BLOCK_CELLS // len(elems))
+    for lo in range(1, top, step):
+        hi = min(lo + step, top)
+        # One column of table values over the block's q per element.
+        columns = [[table[q * x % n] for q in range(lo, hi)] for x in elems]
+        totals = list(map(sum, zip(*columns)))
+        least = min(totals)
+        if best_num is None or least < best_num:
+            best_num, best_q = least, lo + totals.index(least)
     return DirichletValue(value=Fraction(best_num, n**s), argmin_q=best_q, s=s, modulus=n)
 
 

@@ -45,12 +45,16 @@ from adlab.harness import evaluate_claim
 
 for argv in (
     ["subgroup", "--p", "1009", "--t", "12"],
+    ["dim", "1,2,3"],
     ["energy", "6,10,15,21", "--op", "mul"],
     ["gen", "primes", "count=12"],
     ["gen", "es_product", "s=2", "h=2"],
 ):
     if main(argv) != 0:
         sys.exit(f"exit code {argv}")
+    if "numpy" in sys.modules:
+        sys.exit(f"{argv} loaded numpy")
+# fourier_dim runs a dense FFT, the first step here that imports numpy.
 sub13 = {"generator": "subgroup", "params": {"p": 13, "t": 4}}
 records = [r for cid in ("fourier_dim", "subgroup_coverage")
            for r in evaluate_claim(cid, subgroup(13, 4).members, sub13)]
@@ -62,7 +66,9 @@ print(json.dumps([[r.claim, r.violated, r.note] for r in records]))
 def test_runs_without_sympy():
     """``import adlab`` loads neither sympy nor numpy, and every command that
     once called sympy (primality, primitive roots, totients, factoring, the
-    next prime, the first primes) runs with sympy blocked."""
+    next prime, the first primes) runs with sympy blocked.  The commands
+    up to the Fourier claim, among them the start-ups ``subgroup --p 1009
+    --t 12`` and ``dim 1,2,3``, load no numpy either."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from fractions import Fraction
@@ -30,6 +31,7 @@ from adlab import (
     translate,
     vectors,
 )
+from adlab import groundset
 
 from oracles import naive_iterated, naive_neg, naive_rep, naive_sigma, naive_sumset, naive_tk
 
@@ -203,14 +205,155 @@ def _check_rep_fn_cap(parts, cap, want):
 
 
 def test_rep_fn_cap_on_a_wide_set():
-    # 40 elements spread over [1, 10^9]: every convolution takes the dict
-    # path, and r_{3B} has C(42, 3) = 11 480 entries.
+    # 40 elements spread over [1, 10^9]: the first two convolutions take
+    # the dict path and the third (820 x 40 pairs) the sorted kernel, and
+    # r_{3B} has C(42, 3) = 11 480 entries.
     rng = random.Random(3)
     b = integers(rng.sample(range(1, 10**9), 40))
     parts = [(b, "+")] * 3
     want = naive_rep([(b.elements, "+")] * 3)
     assert len(want) == 11_480
     for cap in (0, 39, 40, 819, 820, 5_000, 11_479, 11_480, 11_481):
+        _check_rep_fn_cap(parts, cap, want)
+
+
+def _kernels(monkeypatch):
+    """The kernel that returned the counts of each ``_convolve`` step, in order."""
+    ran = []
+    packed, sorted_sums = groundset._packed_product, groundset._sorted_sums
+
+    def packed_recording(entries, ints, modulus):
+        out = packed(entries, ints, modulus)
+        if out is not None:
+            ran.append("packed")
+        return out
+
+    def sorted_recording(entries, ints, modulus, size_cap):
+        out = sorted_sums(entries, ints, modulus, size_cap)
+        ran.append("dict" if out is None else "sorted")
+        return out
+
+    monkeypatch.setattr(groundset, "_packed_product", packed_recording)
+    monkeypatch.setattr(groundset, "_sorted_sums", sorted_recording)
+    return ran
+
+
+def _sample_sets(ambient, draw, sizes):
+    return [GroundSet.of(ambient, {draw() for _ in range(size)}) for size in sizes]
+
+
+def _kernel_cases():
+    rng = random.Random(23)
+    top, huge = 2**62, 2**62 + 1
+    wide = lambda: rng.randrange(-(10**6), 10**6)
+    cases = {
+        "line": (IntegerLattice(1), wide, (64, 40), "+-", ["dict", "sorted"]),
+        "line-t3": (IntegerLattice(1), wide, (16, 16, 16), "+++", ["dict", "dict", "sorted"]),
+        # Codes near +2^62 and, signed, near -2^62: every sum fits int64.
+        "line-2^62": (IntegerLattice(1), lambda: top - rng.randrange(10**6), (64, 40), "+-",
+                      ["dict", "sorted"]),
+        "mod-97": (Residues(97), lambda: rng.randrange(97), (60, 60, 60), "+++",
+                   ["dict", "packed", "packed"]),
+        "mod-2^22+15": (Residues(2**22 + 15), lambda: rng.randrange(2**22 + 15), (64, 40), "+-",
+                        ["dict", "sorted"]),
+        "mod-10^9+7": (Residues(10**9 + 7), lambda: rng.randrange(10**9 + 7), (64, 40), "++",
+                       ["dict", "sorted"]),
+        # Residues near 2^62 mod N > 2^62: a sum of two can pass int64.
+        "mod-2^62+1": (Residues(huge), lambda: huge - 1 - rng.randrange(10**6), (64, 40), "+-",
+                       ["dict", "dict"]),
+        "z2": (IntegerLattice(2), lambda: (wide() // 1000, wide() // 1000), (64, 40), "+-",
+               ["dict", "sorted"]),
+        "z3": (IntegerLattice(3), lambda: tuple(rng.randrange(-50, 51) for _ in range(3)),
+               (48, 48), "+-", ["dict", "sorted"]),
+        # Spreads near 2^24 per coordinate: the Kronecker codes reach 2^72.
+        "z3-past-int64": (IntegerLattice(3), lambda: tuple(rng.randrange(-(2**22), 2**22)
+                                                           for _ in range(3)),
+                          (48, 48), "+-", ["dict", "dict"]),
+    }
+    return {name: (_sample_sets(amb, draw, sizes), signs, amb, ran)
+            for name, (amb, draw, sizes, signs, ran) in cases.items()}
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_rep_fn_kernels_match_naive_and_the_dict_loop(monkeypatch, name):
+    sets, signs, amb, want_ran = KERNEL_CASES[name]
+    modulus = amb.modulus if isinstance(amb, Residues) else None
+    parts = list(zip(sets, signs))
+    want = naive_rep([(gs.elements, sign) for gs, sign in parts], modulus)
+    ran = _kernels(monkeypatch)
+    assert rep_fn(parts).entries == want
+    assert ran == want_ran
+    ran.clear()
+    monkeypatch.setattr(groundset, "SORTED_MIN_PAIRS", 1 << 62)
+    assert rep_fn(parts).entries == want
+    assert "sorted" not in ran
+
+
+def _naive_convolve(entries, ints):
+    out = Counter()
+    for x, c in entries.items():
+        for y in ints:
+            out[x + y] += c
+    return dict(out)
+
+
+def test_sorted_kernel_falls_back_when_a_sum_or_a_count_can_leave_int64(monkeypatch):
+    ints = list(range(0, 2048 * 10**6, 10**6))
+    # The count bound is max(count) * len(ints) = count * 2^11; the two
+    # rows overlap, so the largest actual count is twice the row count.
+    cases = [
+        ({0: 2**52 - 1, 10**6: 2**52 - 1}, ints, "sorted"),
+        ({0: 2**52, 10**6: 1}, ints, "dict"),
+        ({0: 2**62, 10**6: 2**62}, ints, "dict"),  # an actual count of 2^63
+        # Sums at INT64_MAX fit, one past it does not; likewise at INT64_MIN.
+        ({MAX64 - ints[-1] - 5: 1, MAX64 - ints[-1]: 1}, ints, "sorted"),
+        ({MAX64 - ints[-1] - 5: 1, MAX64 - ints[-1] + 1: 1}, ints, "dict"),
+        ({MIN64 + 5: 1, MIN64: 1}, ints, "sorted"),
+        ({MIN64 + 5: 1, MIN64: 1}, [-1] + ints[1:], "dict"),
+    ]
+    for entries, ys, kernel in cases:
+        ran = _kernels(monkeypatch)
+        assert groundset._convolve(entries, ys, None, None) == _naive_convolve(entries, ys)
+        assert ran == [kernel]
+
+
+def test_sorted_kernel_merges_blocks_and_checks_the_cap_after_each(monkeypatch):
+    # Blocks of 100 pairs to start with, so each step merges many blocks.
+    monkeypatch.setattr(groundset, "SORTED_BLOCK_PAIRS", 100)
+    rng = random.Random(5)
+    b = integers(rng.sample(range(-(10**6), 10**6), 30))
+    cyc = residues(rng.sample(range(10**9 + 7), 50), 10**9 + 7)
+    for parts, modulus in (([(b, "+")] * 3, None), ([(cyc, "+"), (cyc, "-")], 10**9 + 7)):
+        want = naive_rep([(gs.elements, sign) for gs, sign in parts], modulus)
+        ran = _kernels(monkeypatch)
+        assert rep_fn(parts).entries == want
+        assert ran[-1] == "sorted"
+        for cap in (0, 99, 100, len(want) - 1, len(want), len(want) + 1):
+            _check_rep_fn_cap(parts, cap, want)
+    # The kernel raises itself, after the first block past the cap, rather
+    # than returning the whole support for _convolve to measure.
+    entries = dict.fromkeys(range(0, 64 * 10**6, 10**6), 1)
+    with pytest.raises(SizeCapExceededError, match="^representation support exceeds cap 100$"):
+        groundset._sorted_sums(entries, list(range(0, 64 * 7, 7)), None, 100)
+
+
+@pytest.mark.parametrize("kind", AMBIENT_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sorted_kernel_on_every_step_matches_naive(kind, data):
+    # With no pair minimum, every sparse step of these small sums is sorted.
+    count = data.draw(st.integers(1, 4))
+    sets, modulus = data.draw(ambient_sets(kind, count, 6))
+    signs = data.draw(st.lists(st.sampled_from("+-"), min_size=count, max_size=count))
+    parts = list(zip(sets, signs))
+    want = naive_rep([(gs.elements, sign) for gs, sign in parts], modulus)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groundset, "SORTED_MIN_PAIRS", 1)
+        assert rep_fn(parts).entries == want
+        cap = data.draw(st.integers(0, len(want) + 2))
         _check_rep_fn_cap(parts, cap, want)
 
 

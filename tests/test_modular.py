@@ -20,6 +20,7 @@ from adlab import (
     subgroup_growth_experiment,
     verify_dirichlet_dim,
 )
+from adlab import modular
 from adlab.modular import DIRICHLET_SCAN_CAP
 
 from oracles import naive_dft_peak, naive_dirichlet
@@ -113,6 +114,24 @@ def test_dirichlet_full_scan_keeps_the_first_minimiser():
                 assert (got.value, got.argmin_q) == (_dirichlet_at(elems, first, s, n), first)
     ints = dirichlet_min(integers([-3, 4, 10]), s=2, modulus=101)
     assert ints.argmin_q == min(range(1, 101), key=lambda q: _dirichlet_at([-3, 4, 10], q, 2, 101))
+
+
+@pytest.mark.parametrize("cells", [None, 1, 7])
+def test_dirichlet_ties_on_subgroup_cosets_keep_the_first_q(monkeypatch, cells):
+    # The sum at q depends only on the coset q*Gamma, so every minimum is
+    # tied across a whole coset; blocks of 1 and 7 // |Gamma| q put the
+    # ties in different blocks.
+    if cells is not None:
+        monkeypatch.setattr(modular, "DIRICHLET_BLOCK_CELLS", cells)
+    for p, t in ((13, 4), (31, 5), (61, 6), (101, 10)):
+        spec = subgroup(p, t)
+        elems = list(spec.members.elements)
+        for s in (1, 2, 3):
+            got = dirichlet_min(spec.members, s=s)
+            assert got.value == naive_dirichlet(elems, s, p)
+            ties = [q for q in range(1, p) if _dirichlet_at(elems, q, s, p) == got.value]
+            assert got.argmin_q == ties[0]
+            assert len(ties) % t == 0 and spec.generator * ties[0] % p in ties
 
 
 @pytest.mark.parametrize("s", [0, 1.5])
