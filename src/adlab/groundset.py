@@ -451,18 +451,46 @@ def iterated_sumset(
 # Representation functions
 
 
-@dataclass(frozen=True)
 class RepFn:
-    """Counting function x -> #representations, with exact integer counts."""
+    """Counting function x -> #representations, with exact integer counts.
 
-    ambient: Ambient
-    entries: dict
+    ``entries`` maps each x of the support to its count.  When the last
+    step of ``rep_fn`` sorted its sums, the RepFn keeps that step's
+    ascending int64 arrays of codes and counts instead: ``entries`` builds
+    the dict from them when first read, and ``square_sum`` sums the counts
+    without it, so an energy never builds the dict.
+    """
+
+    def __init__(self, ambient: Ambient, entries: dict):
+        self.ambient = ambient
+        self._entries = entries
+        self._sorted = None
+
+    @classmethod
+    def _of_sorted(cls, ambient: Ambient, codes, counts, decode) -> "RepFn":
+        r = cls(ambient, None)
+        r._sorted = (codes, counts, decode)
+        return r
+
+    @property
+    def entries(self) -> dict:
+        if self._entries is None:
+            codes, counts, decode = self._sorted
+            codes = codes.tolist()
+            self._entries = dict(zip(codes if decode is None else decode(codes), counts.tolist()))
+            self._sorted = None
+        return self._entries
 
     def __getitem__(self, x) -> int:
         return self.entries.get(x, 0)
 
     def square_sum(self) -> int:
-        return sum(c * c for c in self.entries.values())
+        if self._entries is not None:
+            return sum(c * c for c in self._entries.values())
+        counts = self._sorted[1]
+        if int(counts.max()) ** 2 * len(counts) <= INT64_MAX:
+            return int(counts @ counts)
+        return sum(c * c for c in counts.tolist())
 
 
 # Array typecodes for the packed counts of a dense convolution, narrowest first.
@@ -473,7 +501,28 @@ _COUNT_TYPES = [(code, array(code).itemsize) for code in "BHIQ"]
 PACKED_MIN_PAIRS = 256
 
 
-def _packed_product(entries: dict, ints: list, modulus: int | None) -> dict | None:
+def _support(entries) -> int:
+    """Number of codes in a dict of counts or in a sorted step's arrays."""
+    return len(entries) if isinstance(entries, dict) else len(entries[0])
+
+
+def _extent(entries) -> tuple:
+    """(least code, greatest code, greatest count) of a dict or of sorted arrays."""
+    if isinstance(entries, dict):
+        return min(entries), max(entries), max(entries.values())
+    codes, counts = entries
+    return int(codes[0]), int(codes[-1]), int(counts.max())
+
+
+def _items(entries):
+    """The (code, count) pairs of a dict or of sorted arrays."""
+    if isinstance(entries, dict):
+        return entries.items()
+    codes, counts = entries
+    return zip(codes.tolist(), counts.tolist())
+
+
+def _packed_product(entries, ints: list, modulus: int | None) -> dict | None:
     """``_convolve``'s counts by one big-integer product, or None where a dict is better.
 
     The product needs at least ``PACKED_MIN_PAIRS`` pairs, at least two
@@ -483,21 +532,22 @@ def _packed_product(entries: dict, ints: list, modulus: int | None) -> dict | No
     indicator of ``ints`` packed the same way; no slot carries, because no
     count of the product exceeds that bound.
     """
-    pairs = len(entries) * len(ints)
+    pairs = _support(entries) * len(ints)
     if pairs < PACKED_MIN_PAIRS:
         return None
-    lo_e, lo_y = (min(entries), min(ints)) if modulus is None else (0, 0)
-    width = max(entries) - lo_e + 1
+    lo, hi, top = _extent(entries)
+    lo_e, lo_y = (lo, min(ints)) if modulus is None else (0, 0)
+    width = hi - lo_e + 1
     reach = max(ints) - lo_y + 1
     span = width + reach - 1 if modulus is None else modulus
     if span > DENSE_RANGE_LIMIT or pairs < 2 * span:
         return None
-    bits = (max(entries.values()) * len(ints)).bit_length()
+    bits = (top * len(ints)).bit_length()
     if bits > 64:
         return None
     code, size = next(t for t in _COUNT_TYPES if bits <= 8 * t[1])
     row = array(code, bytes(size * width))
-    for x, c in entries.items():
+    for x, c in _items(entries):
         row[x - lo_e] = c
     part = array(code, bytes(size * reach))
     for y in ints:
@@ -530,34 +580,37 @@ def _support_cap_error(size_cap: int) -> SizeCapExceededError:
     )
 
 
-def _sorted_sums(
-    entries: dict, ints: list, modulus: int | None, size_cap: int | None
-) -> dict | None:
+def _sorted_sums(entries, ints: list, modulus: int | None, size_cap: int | None):
     """``_convolve``'s counts by sorting the pair sums, or None where a dict is better.
 
     Needs at least ``SORTED_MIN_PAIRS`` pairs, every code and sum inside
-    int64, and max(counts) * len(ints) below 2^63.  A block of rows of
-    ``entries`` forms its pair sums as one int64 array, sorts them, and
-    adds the counts of equal neighbours (``argsort`` + ``add.reduceat``);
-    each block's counts merge into the sorted support found so far, and
-    the cap is checked after each block.  Keys come out ascending.
+    int64, and max(counts) * len(ints) below 2^63.  ``entries`` is a dict
+    or the arrays of an earlier sorted step.  A block of its rows forms
+    its pair sums as one int64 array, sorts them, and adds the counts of
+    equal neighbours (``argsort`` + ``add.reduceat``); each block's counts
+    merge into the sorted support found so far, and the cap is checked
+    after each block.  Returns the ascending int64 arrays (codes, counts).
     """
-    pairs = len(entries) * len(ints)
-    if pairs < SORTED_MIN_PAIRS:
+    support = _support(entries)
+    if support * len(ints) < SORTED_MIN_PAIRS:
         return None
+    lo_e, hi_e, top = _extent(entries)
     if modulus is None:
-        lo_e, hi_e, lo_y, hi_y = min(entries), max(entries), min(ints), max(ints)
+        lo_y, hi_y = min(ints), max(ints)
         lo, hi = min(lo_e, lo_y, lo_e + lo_y), max(hi_e, hi_y, hi_e + hi_y)
         if lo < INT64_MIN or hi > INT64_MAX:
             return None
     elif 2 * modulus > INT64_MAX:
         return None
-    if max(entries.values()) * len(ints) > INT64_MAX:
+    if top * len(ints) > INT64_MAX:
         return None
     import numpy as np
 
-    keys = np.fromiter(entries, np.int64, len(entries))
-    counts = np.fromiter(entries.values(), np.int64, len(entries))
+    if isinstance(entries, dict):
+        keys = np.fromiter(entries, np.int64, support)
+        counts = np.fromiter(entries.values(), np.int64, support)
+    else:
+        keys, counts = entries
     ys = np.array(ints, np.int64)
     out_keys = out_counts = None
 
@@ -570,9 +623,9 @@ def _sorted_sums(
         return sums[starts], np.add.reduceat(weights, starts)
 
     start = 0
-    while start < len(keys):
-        support = 0 if out_keys is None else len(out_keys)
-        stop = start + max(1, max(SORTED_BLOCK_PAIRS, support) // len(ys))
+    while start < support:
+        found = 0 if out_keys is None else len(out_keys)
+        stop = start + max(1, max(SORTED_BLOCK_PAIRS, found) // len(ys))
         sums = (keys[start:stop, None] + ys).ravel()
         if modulus is not None:
             sums[sums >= modulus] -= modulus
@@ -586,27 +639,31 @@ def _sorted_sums(
         if size_cap is not None and len(out_keys) > size_cap:
             raise _support_cap_error(size_cap)
         start = stop
-    return dict(zip(out_keys.tolist(), out_counts.tolist()))
+    return out_keys, out_counts
 
 
-def _convolve(entries: dict, ints: list, modulus: int | None, size_cap: int | None) -> dict:
+def _convolve(entries, ints: list, modulus: int | None, size_cap: int | None):
     """Counts of x + y (mod ``modulus``) over x in ``entries``, with its count, and y in ``ints``.
 
-    Three kernels return the same dict.  ``_packed_product`` takes every
-    dense step (see its rules); ``_sorted_sums`` takes a sparse step of at
-    least ``SORTED_MIN_PAIRS`` pairs whose codes, sums and counts fit
-    int64, and imports numpy the first time it runs; the dict loop takes
-    the rest.  Raises SizeCapExceededError when the support of the result
-    passes ``size_cap``; the support only grows, so the dict loop checks
-    after each row and the sorted kernel after each block, and each stops
-    at the first one past the cap.
+    ``entries`` and the result are each a dict of counts or the ascending
+    int64 arrays (codes, counts) that ``_sorted_sums`` returns, so that
+    consecutive sorted steps build no dict between them.  Three kernels
+    give the same counts.  ``_packed_product`` takes every dense step (see
+    its rules) and returns a dict; ``_sorted_sums`` takes a sparse step of
+    at least ``SORTED_MIN_PAIRS`` pairs whose codes, sums and counts fit
+    int64, returns arrays, and imports numpy the first time it runs; the
+    dict loop takes the rest.  Raises SizeCapExceededError when the
+    support of the result passes ``size_cap``; the support only grows, so
+    the dict loop checks after each row and the sorted kernel after each
+    block, and each stops at the first one past the cap.
     """
     out = _packed_product(entries, ints, modulus)
     if out is None:
-        out = _sorted_sums(entries, ints, modulus, size_cap)
-    if out is None:
+        arrays = _sorted_sums(entries, ints, modulus, size_cap)
+        if arrays is not None:
+            return arrays
         out = {}
-        for x, c in entries.items():
+        for x, c in _items(entries):
             for y in ints:
                 z = x + y if modulus is None else (x + y) % modulus
                 out[z] = out.get(z, 0) + c
@@ -627,7 +684,9 @@ def rep_fn(parts: Sequence[tuple[GroundSet, str]], size_cap: int | None = None) 
     size of its input: the packed big-integer product for a dense step,
     sorted int64 arrays for a sparse step of at least ``SORTED_MIN_PAIRS``
     pairs whose sums and counts fit int64, and a dict loop otherwise.  The
-    kernel changes the order of ``entries`` only, never a count.
+    kernel changes the order of ``entries`` only, never a count.  A last
+    sorted step hands its arrays to the RepFn, which builds ``entries``
+    from them only when it is read.
     """
     if not parts:
         raise ValueError("rep_fn needs at least one part")
@@ -649,6 +708,8 @@ def rep_fn(parts: Sequence[tuple[GroundSet, str]], size_cap: int | None = None) 
     entries = {0: 1}
     for ints in codes:
         entries = _convolve(entries, ints, n, size_cap)
+    if not isinstance(entries, dict):
+        return RepFn._of_sorted(amb, *entries, decode)
     if decode is not None:
         entries = dict(zip(decode(list(entries)), entries.values()))
     return RepFn(amb, entries)

@@ -269,6 +269,12 @@ def _kernel_cases():
         "z3-past-int64": (IntegerLattice(3), lambda: tuple(rng.randrange(-(2**22), 2**22)
                                                            for _ in range(3)),
                           (48, 48), "+-", ["dict", "dict"]),
+        # The arrays of one sorted step feed the next sorted step, and the
+        # packed product once the sums fill the cycle.
+        "line-t4": (IntegerLattice(1), wide, (16, 16, 16, 16), "++++",
+                    ["dict", "dict", "sorted", "sorted"]),
+        "mod-5003": (Residues(5003), lambda: rng.randrange(5003), (60, 60, 60), "+++",
+                     ["dict", "sorted", "packed"]),
     }
     return {name: (_sample_sets(amb, draw, sizes), signs, amb, ran)
             for name, (amb, draw, sizes, signs, ran) in cases.items()}
@@ -284,7 +290,10 @@ def test_rep_fn_kernels_match_naive_and_the_dict_loop(monkeypatch, name):
     parts = list(zip(sets, signs))
     want = naive_rep([(gs.elements, sign) for gs, sign in parts], modulus)
     ran = _kernels(monkeypatch)
-    assert rep_fn(parts).entries == want
+    r = rep_fn(parts)
+    # Read before entries: a last sorted step's square sum comes from its arrays.
+    assert r.square_sum() == sum(c * c for c in want.values())
+    assert r.entries == want
     assert ran == want_ran
     ran.clear()
     monkeypatch.setattr(groundset, "SORTED_MIN_PAIRS", 1 << 62)
@@ -298,6 +307,14 @@ def _naive_convolve(entries, ints):
         for y in ints:
             out[x + y] += c
     return dict(out)
+
+
+def _as_arrays(entries):
+    """``entries`` as the ascending (codes, counts) arrays of a sorted step."""
+    import numpy as np
+
+    codes = sorted(entries)
+    return np.array(codes, np.int64), np.array([entries[x] for x in codes], np.int64)
 
 
 def test_sorted_kernel_falls_back_when_a_sum_or_a_count_can_leave_int64(monkeypatch):
@@ -315,9 +332,42 @@ def test_sorted_kernel_falls_back_when_a_sum_or_a_count_can_leave_int64(monkeypa
         ({MIN64 + 5: 1, MIN64: 1}, [-1] + ints[1:], "dict"),
     ]
     for entries, ys, kernel in cases:
+        want = _naive_convolve(entries, ys)
         ran = _kernels(monkeypatch)
-        assert groundset._convolve(entries, ys, None, None) == _naive_convolve(entries, ys)
+        assert dict(groundset._items(groundset._convolve(entries, ys, None, None))) == want
+        # The same counts as a sorted step's arrays take the same kernel.
+        out = groundset._convolve(_as_arrays(entries), ys, None, None)
+        assert dict(groundset._items(out)) == want
+        assert ran == [kernel, kernel]
+
+
+def test_sorted_arrays_feed_every_kernel(monkeypatch):
+    rng = random.Random(7)
+    sparse = dict.fromkeys(rng.sample(range(-(10**6), 10**6), 100), 3)
+    dense = {x: x % 5 + 1 for x in range(0, 300, 2)}
+    cases = [
+        (sparse, rng.sample(range(10**6), 30), "sorted"),
+        (sparse, [0, 7], "dict"),  # 200 pairs
+        (dense, list(range(10)), "packed"),
+    ]
+    for entries, ys, kernel in cases:
+        ran = _kernels(monkeypatch)
+        out = groundset._convolve(_as_arrays(entries), ys, None, None)
+        assert dict(groundset._items(out)) == _naive_convolve(entries, ys)
         assert ran == [kernel]
+        assert isinstance(out, dict) == (kernel != "sorted")
+
+
+def test_square_sum_of_sorted_counts_leaves_int64_exactly():
+    # 3 037 000 499^2 is the largest square in int64; two of them are not.
+    import numpy as np
+
+    for counts in ([3], [2**31, 5], [3_037_000_499], [3_037_000_499] * 2, [2**40, 3]):
+        r = groundset.RepFn._of_sorted(
+            IntegerLattice(1), np.arange(len(counts)), np.array(counts, np.int64), None
+        )
+        assert r.square_sum() == sum(c * c for c in counts)
+        assert r.entries == dict(enumerate(counts))
 
 
 def test_sorted_kernel_merges_blocks_and_checks_the_cap_after_each(monkeypatch):
@@ -352,6 +402,7 @@ def test_sorted_kernel_on_every_step_matches_naive(kind, data):
     want = naive_rep([(gs.elements, sign) for gs, sign in parts], modulus)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groundset, "SORTED_MIN_PAIRS", 1)
+        assert rep_fn(parts).square_sum() == sum(c * c for c in want.values())
         assert rep_fn(parts).entries == want
         cap = data.draw(st.integers(0, len(want) + 2))
         _check_rep_fn_cap(parts, cap, want)
