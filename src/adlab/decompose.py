@@ -198,7 +198,7 @@ def _energy_chain(b: GroundSet, l: int, size_cap: int) -> tuple[list[RepFn], lis
     reps = [rep_fn([(b, "+")])]
     energies = [reps[0].square_sum()]
     for i in range(1, l + 1):
-        if len(reps[-1].entries) ** 2 > 8 * size_cap:
+        if reps[-1].support_size() ** 2 > 8 * size_cap:
             break
         try:
             nxt = rep_fn([(b, "+")] * 2**i, size_cap=size_cap)

@@ -338,27 +338,110 @@ def _set_bits(bits: int, base: int) -> list:
     return list(compress(range(base, base + len(flags)), flags))
 
 
+# From this many pairs on, a sparse step sorts its pair sums as int64
+# arrays instead of adding them into a set or a dict one by one.
+SORTED_MIN_PAIRS = 2048
+
+# A sorted step forms at most this many pair sums at once, or as many as
+# the support found so far, whichever is larger.
+SORTED_BLOCK_PAIRS = 1 << 14
+
+
+def _cap_error(stage: str, size_cap: int) -> SizeCapExceededError:
+    subject = "sumset" if stage == "sumset" else "representation support"
+    return SizeCapExceededError(f"{subject} exceeds cap {size_cap}", cap=size_cap, stage=stage)
+
+
+def _sums_fit64(lo_x: int, hi_x: int, ys: Sequence[int], modulus: int | None) -> bool:
+    """Whether the codes in [lo_x, hi_x], the codes ``ys`` and every sum of
+    one of each fit int64; mod N the codes lie in [0, N) and each sum below 2N."""
+    if modulus is not None:
+        return 2 * modulus <= INT64_MAX
+    lo_y, hi_y = min(ys), max(ys)
+    lo, hi = min(lo_x, lo_y, lo_x + lo_y), max(hi_x, hi_y, hi_x + hi_y)
+    return INT64_MIN <= lo and hi <= INT64_MAX
+
+
+def _sorted_blocks(keys, counts, ys, modulus: int | None, size_cap: int | None, stage: str):
+    """The sums x + y (mod ``modulus``) of int64 arrays ``keys`` and ``ys``, sorted.
+
+    A block of rows of ``keys`` (at least ``SORTED_BLOCK_PAIRS`` pairs, or
+    as many as the support found so far) forms its pair sums as one int64
+    array, sorts them and drops equal neighbours, adding their counts
+    (``argsort`` + ``add.reduceat``) when ``counts``, the int64 count of
+    each key, is not None.  Each block merges into the sorted support found
+    so far, and the cap of ``stage`` raises after the first block past
+    ``size_cap``; the support only grows, so it raises iff the whole
+    support passes the cap.  Returns the ascending int64 arrays (codes,
+    counts), counts None when ``counts`` is.
+    """
+    import numpy as np
+
+    def reduced(sums, weights, kind):
+        # ``sums`` is a fresh array, so a sort without counts runs in place.
+        if weights is None:
+            sums.sort(kind=kind)
+        else:
+            order = sums.argsort(kind=kind)
+            sums, weights = sums[order], weights[order]
+            del order  # one pair-sized array fewer at the peak
+        first = np.empty(len(sums), bool)
+        first[0] = True
+        np.not_equal(sums[1:], sums[:-1], out=first[1:])
+        if weights is None:
+            return sums[first], None
+        starts = np.flatnonzero(first)
+        return sums[starts], np.add.reduceat(weights, starts)
+
+    out_keys = out_counts = None
+    start = 0
+    while start < len(keys):
+        found = 0 if out_keys is None else len(out_keys)
+        stop = start + max(1, max(SORTED_BLOCK_PAIRS, found) // len(ys))
+        sums = (keys[start:stop, None] + ys).ravel()
+        if modulus is not None:
+            sums[sums >= modulus] -= modulus
+        weights = None if counts is None else np.repeat(counts[start:stop], len(ys))
+        block_keys, block_counts = reduced(sums, weights, "quicksort")
+        if out_keys is None:
+            out_keys, out_counts = block_keys, block_counts
+        else:
+            # Two ascending runs: a stable sort merges them in linear time.
+            merged = np.concatenate((out_keys, block_keys))
+            weights = None if counts is None else np.concatenate((out_counts, block_counts))
+            out_keys, out_counts = reduced(merged, weights, "stable")
+        if size_cap is not None and len(out_keys) > size_cap:
+            raise _cap_error(stage, size_cap)
+        start = stop
+    return out_keys, out_counts
+
+
 def _sum_codes(xs, base: int | None, ys: Sequence[int], modulus: int | None, size_cap: int | None):
     """X + Y on plain-int codes, added mod ``modulus`` when it is not None.
 
-    X is ``xs``, a bitset whose bit i stands for the code base + i when
-    ``base`` is not None, else a collection of codes; Y is the sequence
-    ``ys``.  Both are nonempty.  Returns (state, base, count): X + Y in the
-    same form, and its size.
+    X is ``xs``: a bitset whose bit i stands for the code base + i when
+    ``base`` is not None, else a collection of codes or the ascending int64
+    array of an earlier sorted step; Y is the sequence ``ys``.  Both are
+    nonempty.  Returns (state, base, count): X + Y in one of those forms,
+    and its size as an int.
 
     With at least one pair per four slots of the sums' index range (at
     most ``DENSE_RANGE_LIMIT`` slots; mod N the range is N), X + Y is a
     bitset: Y's shifts of X's bitset are OR-ed, and mod N the bits past N
-    fold back.  Otherwise it is a set, built one row per element of the
-    shorter of X and Y, checking the cap after every row.  Either way the
-    cap raises iff |X + Y| > cap.
+    fold back.  Otherwise, with at least ``SORTED_MIN_PAIRS`` pairs whose
+    codes and sums fit int64, it is the ascending int64 array that
+    ``_sorted_blocks`` leaves, which imports numpy the first time it runs.
+    Otherwise it is a set, built one row per element of the shorter of X
+    and Y, checking the cap after every row.  Every path raises iff
+    |X + Y| > cap.
     """
-    if base is None:
-        count = len(xs)
-        lo_x, hi_x = min(xs), max(xs)
-    else:
+    in_array = base is None and not isinstance(xs, (set, list, tuple))
+    if base is not None:
         count = xs.bit_count()
         lo_x, hi_x = base, base + xs.bit_length() - 1
+    else:
+        count = len(xs)
+        lo_x, hi_x = (int(xs[0]), int(xs[-1])) if in_array else (min(xs), max(xs))
     if modulus is None:
         lo_y = min(ys)
         span = hi_x - lo_x + max(ys) - lo_y + 1
@@ -369,7 +452,7 @@ def _sum_codes(xs, base: int | None, ys: Sequence[int], modulus: int | None, siz
         if base is None:
             # One digit per slot, most significant first: linear in the width.
             flags = bytearray(b"0") * (hi_x - lo_x + 1)
-            for x in xs:
+            for x in xs.tolist() if in_array else xs:
                 flags[hi_x - x] = 49
             xs = int(flags, 2)
         out = 0
@@ -379,21 +462,25 @@ def _sum_codes(xs, base: int | None, ys: Sequence[int], modulus: int | None, siz
             out = (out & ((1 << modulus) - 1)) | (out >> modulus)
         count = out.bit_count()
         if size_cap is not None and count > size_cap:
-            raise SizeCapExceededError(
-                f"sumset exceeds cap {size_cap}", cap=size_cap, stage="sumset"
-            )
+            raise _cap_error("sumset", size_cap)
         return out, lo_x + lo_y, count
     if base is not None:
         xs = _set_bits(xs, base)
+    if count * len(ys) >= SORTED_MIN_PAIRS and _sums_fit64(lo_x, hi_x, ys, modulus):
+        import numpy as np
+
+        keys = xs if in_array else np.fromiter(xs, np.int64, count)
+        out, _ = _sorted_blocks(keys, None, np.array(ys, np.int64), modulus, size_cap, "sumset")
+        return out, None, len(out)
+    if in_array:
+        xs = xs.tolist()
     rows, cols = (ys, xs) if len(ys) <= count else (xs, ys)
     out = set()
     for r in rows:
         sums = map(r.__add__, cols)
         out.update(sums if modulus is None else map(modulus.__rmod__, sums))
         if size_cap is not None and len(out) > size_cap:
-            raise SizeCapExceededError(
-                f"sumset exceeds cap {size_cap}", cap=size_cap, stage="sumset"
-            )
+            raise _cap_error("sumset", size_cap)
     return out, None, len(out)
 
 
@@ -401,8 +488,9 @@ def sumset(a: GroundSet, b: GroundSet, sign: str = "+", size_cap: int | None = N
     """A + B or A - B as a ground set.
 
     The sums are formed once on ``_int_view`` codes by ``_sum_codes``,
-    which picks a bitset or a set of codes, and decoded once at the end.
-    The cap raises iff |A +- B| > cap.
+    which picks a bitset, a sorted int64 array or a set of codes, and
+    decoded once at the end (an array through one ``tolist``).  The cap
+    raises iff |A +- B| > cap.
     """
     amb = _require_same_ambient(a, b)
     if sign not in ("+", "-"):
@@ -411,7 +499,10 @@ def sumset(a: GroundSet, b: GroundSet, sign: str = "+", size_cap: int | None = N
         return GroundSet(amb, ())
     (xs, ys), n, decode = _int_view(amb, [(a.elements, "+"), (b.elements, sign)])
     out, base, _count = _sum_codes(xs, None, ys, n, size_cap)
-    codes = sorted(out) if base is None else _set_bits(out, base)
+    if base is not None:
+        codes = _set_bits(out, base)
+    else:
+        codes = sorted(out) if isinstance(out, set) else out.tolist()
     return GroundSet(amb, _decoded(codes, decode))
 
 
@@ -457,8 +548,9 @@ class RepFn:
     ``entries`` maps each x of the support to its count.  When the last
     step of ``rep_fn`` sorted its sums, the RepFn keeps that step's
     ascending int64 arrays of codes and counts instead: ``entries`` builds
-    the dict from them when first read, and ``square_sum`` sums the counts
-    without it, so an energy never builds the dict.
+    the dict from them when first read, while ``support_size`` and
+    ``square_sum`` read the arrays, so a support size or an energy never
+    builds the dict.
     """
 
     def __init__(self, ambient: Ambient, entries: dict):
@@ -483,6 +575,9 @@ class RepFn:
 
     def __getitem__(self, x) -> int:
         return self.entries.get(x, 0)
+
+    def support_size(self) -> int:
+        return _support(self._entries if self._entries is not None else self._sorted[:2])
 
     def square_sum(self) -> int:
         if self._entries is not None:
@@ -565,44 +660,20 @@ def _packed_product(entries, ints: list, modulus: int | None) -> dict | None:
     return {i: c for i, c in enumerate(counts) if c}
 
 
-# From this many pairs on, a sparse step sorts its pair sums as int64
-# arrays instead of adding them into a dict one by one.
-SORTED_MIN_PAIRS = 2048
-
-# A sorted step forms at most this many pair sums at once, or as many as
-# the support found so far, whichever is larger.
-SORTED_BLOCK_PAIRS = 1 << 14
-
-
-def _support_cap_error(size_cap: int) -> SizeCapExceededError:
-    return SizeCapExceededError(
-        f"representation support exceeds cap {size_cap}", cap=size_cap, stage="rep_fn"
-    )
-
-
 def _sorted_sums(entries, ints: list, modulus: int | None, size_cap: int | None):
     """``_convolve``'s counts by sorting the pair sums, or None where a dict is better.
 
     Needs at least ``SORTED_MIN_PAIRS`` pairs, every code and sum inside
     int64, and max(counts) * len(ints) below 2^63.  ``entries`` is a dict
-    or the arrays of an earlier sorted step.  A block of its rows forms
-    its pair sums as one int64 array, sorts them, and adds the counts of
-    equal neighbours (``argsort`` + ``add.reduceat``); each block's counts
-    merge into the sorted support found so far, and the cap is checked
-    after each block.  Returns the ascending int64 arrays (codes, counts).
+    or the arrays of an earlier sorted step; ``_sorted_blocks`` forms the
+    sums and adds the counts.  Returns the ascending int64 arrays (codes,
+    counts).
     """
     support = _support(entries)
     if support * len(ints) < SORTED_MIN_PAIRS:
         return None
     lo_e, hi_e, top = _extent(entries)
-    if modulus is None:
-        lo_y, hi_y = min(ints), max(ints)
-        lo, hi = min(lo_e, lo_y, lo_e + lo_y), max(hi_e, hi_y, hi_e + hi_y)
-        if lo < INT64_MIN or hi > INT64_MAX:
-            return None
-    elif 2 * modulus > INT64_MAX:
-        return None
-    if top * len(ints) > INT64_MAX:
+    if not _sums_fit64(lo_e, hi_e, ints, modulus) or top * len(ints) > INT64_MAX:
         return None
     import numpy as np
 
@@ -611,35 +682,7 @@ def _sorted_sums(entries, ints: list, modulus: int | None, size_cap: int | None)
         counts = np.fromiter(entries.values(), np.int64, support)
     else:
         keys, counts = entries
-    ys = np.array(ints, np.int64)
-    out_keys = out_counts = None
-
-    def reduced(sums, weights, kind):
-        order = sums.argsort(kind=kind)
-        sums, weights = sums[order], weights[order]
-        del order  # one pair-sized array fewer at the peak
-        starts = np.flatnonzero(sums[1:] != sums[:-1]) + 1
-        starts = np.concatenate(([0], starts))
-        return sums[starts], np.add.reduceat(weights, starts)
-
-    start = 0
-    while start < support:
-        found = 0 if out_keys is None else len(out_keys)
-        stop = start + max(1, max(SORTED_BLOCK_PAIRS, found) // len(ys))
-        sums = (keys[start:stop, None] + ys).ravel()
-        if modulus is not None:
-            sums[sums >= modulus] -= modulus
-        block = reduced(sums, np.repeat(counts[start:stop], len(ys)), "quicksort")
-        if out_keys is None:
-            out_keys, out_counts = block
-        else:
-            # Two ascending runs: a stable sort merges them in linear time.
-            merged = np.concatenate((out_keys, block[0])), np.concatenate((out_counts, block[1]))
-            out_keys, out_counts = reduced(*merged, "stable")
-        if size_cap is not None and len(out_keys) > size_cap:
-            raise _support_cap_error(size_cap)
-        start = stop
-    return out_keys, out_counts
+    return _sorted_blocks(keys, counts, np.array(ints, np.int64), modulus, size_cap, "rep_fn")
 
 
 def _convolve(entries, ints: list, modulus: int | None, size_cap: int | None):
@@ -652,7 +695,9 @@ def _convolve(entries, ints: list, modulus: int | None, size_cap: int | None):
     its rules) and returns a dict; ``_sorted_sums`` takes a sparse step of
     at least ``SORTED_MIN_PAIRS`` pairs whose codes, sums and counts fit
     int64, returns arrays, and imports numpy the first time it runs; the
-    dict loop takes the rest.  Raises SizeCapExceededError when the
+    dict loop takes the rest.  The sorted kernel runs the block loop of
+    ``_sorted_blocks`` with counts, the one that ``_sum_codes`` runs
+    without them for distinct sums.  Raises SizeCapExceededError when the
     support of the result passes ``size_cap``; the support only grows, so
     the dict loop checks after each row and the sorted kernel after each
     block, and each stops at the first one past the cap.
@@ -670,7 +715,7 @@ def _convolve(entries, ints: list, modulus: int | None, size_cap: int | None):
             if size_cap is not None and len(out) > size_cap:
                 break
     if size_cap is not None and len(out) > size_cap:
-        raise _support_cap_error(size_cap)
+        raise _cap_error("rep_fn", size_cap)
     return out
 
 

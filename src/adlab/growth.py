@@ -61,15 +61,18 @@ def growth_sequence(a: GroundSet, n_max: int) -> GrowthCurve:
     """Compute |nA| for n = 1..n_max, stopping early if an iterate would
     exceed ``DEFAULT_GROWTH_CAP`` elements.
 
-    One running state of the codes of nA (a bitset while dense, else a set;
-    see ``groundset._sum_codes``) takes A's codes once per n, and its size
-    is read off; nA is never decoded.  Codes are the elements on the line,
-    residues mod N, and on Z^r Kronecker codes sum_i v_i * W_i, with the
-    weights of a box that holds every sum up to n_max, so no two sums of
-    nA share a code.  On the line and Z^r, int64 is checked on n times A's
-    per-coordinate minima, then maxima, before step n, so the first value
-    outside the range raises ``CoordinateOverflowError`` where a checked
-    sumset would; a cap hit at a smaller n returns the curve first.
+    One running state of the codes of nA (a bitset while dense, else an
+    ascending int64 array from a step of at least ``SORTED_MIN_PAIRS``
+    pairs, else a set; see ``groundset._sum_codes``) takes A's codes once
+    per n, and its size is read off as an int; nA is never decoded.  Codes
+    are the elements on the line, residues mod N, and on Z^r Kronecker
+    codes sum_i v_i * W_i, with the weights of a box that holds every sum
+    up to n_max, so no two sums of nA share a code.  On the line and Z^r,
+    int64 is checked on n times A's per-coordinate minima, then maxima,
+    before step n, so the first value outside the range raises
+    ``CoordinateOverflowError`` where a checked sumset would; a cap hit at
+    a smaller n returns the curve first.  A Kronecker code past int64
+    only keeps a step off the sorted array.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be at least 1")

@@ -49,6 +49,7 @@ for argv in (
     ["energy", "6,10,15,21", "--op", "mul"],
     ["gen", "primes", "count=12"],
     ["gen", "es_product", "s=2", "h=2"],
+    ["sumset", "1,10,100,1000", "--n", "3"],
 ):
     if main(argv) != 0:
         sys.exit(f"exit code {argv}")
@@ -68,7 +69,8 @@ def test_runs_without_sympy():
     once called sympy (primality, primitive roots, totients, factoring, the
     next prime, the first primes) runs with sympy blocked.  The commands
     up to the Fourier claim, among them the start-ups ``subgroup --p 1009
-    --t 12`` and ``dim 1,2,3``, load no numpy either."""
+    --t 12`` and ``dim 1,2,3`` and a small ``sumset``, load no numpy
+    either."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(

@@ -34,6 +34,7 @@ from adlab import (
 from adlab import groundset
 
 from oracles import naive_iterated, naive_neg, naive_rep, naive_sigma, naive_sumset, naive_tk
+from helpers import AMBIENT_KINDS, ambient_sets, record_sum_kernels
 
 small_int_sets = st.sets(st.integers(-50, 50), min_size=1, max_size=8)
 
@@ -115,27 +116,6 @@ def test_sumset_matches_naive(xs, ys):
     a, b = integers(xs), integers(ys)
     assert list(sumset(a, b).elements) == naive_sumset(xs, ys)
     assert list(sumset(a, b, "-").elements) == naive_sumset(xs, [-y for y in ys])
-
-
-AMBIENT_KINDS = ("line", "mod", "z2", "z3")
-
-
-@st.composite
-def ambient_sets(draw, kind, count, max_size):
-    """``count`` nonempty sets in one ambient of the kind, and its modulus."""
-    if kind == "line":
-        amb, elem, modulus = IntegerLattice(1), st.integers(-12, 12), None
-    elif kind == "mod":
-        modulus = draw(st.integers(2, 13))
-        amb, elem = Residues(modulus), st.integers(0, modulus - 1)
-    else:
-        rank = int(kind[1])
-        amb, elem, modulus = IntegerLattice(rank), st.tuples(*[st.integers(-3, 3)] * rank), None
-    sets = [
-        GroundSet.of(amb, draw(st.lists(elem, min_size=1, max_size=max_size)))
-        for _ in range(count)
-    ]
-    return sets, modulus
 
 
 @pytest.mark.parametrize("kind", AMBIENT_KINDS)
@@ -291,9 +271,13 @@ def test_rep_fn_kernels_match_naive_and_the_dict_loop(monkeypatch, name):
     want = naive_rep([(gs.elements, sign) for gs, sign in parts], modulus)
     ran = _kernels(monkeypatch)
     r = rep_fn(parts)
-    # Read before entries: a last sorted step's square sum comes from its arrays.
+    # Read before entries: a last sorted step's square sum and support
+    # size come from its arrays.
     assert r.square_sum() == sum(c * c for c in want.values())
+    assert r.support_size() == len(want)
+    assert (r._entries is None) == (ran[-1] == "sorted")
     assert r.entries == want
+    assert r.support_size() == len(want)
     assert ran == want_ran
     ran.clear()
     monkeypatch.setattr(groundset, "SORTED_MIN_PAIRS", 1 << 62)
@@ -429,6 +413,116 @@ def test_sumset_dense_rows_of_two_thousand_elements():
         assert list(sumset(a, b).elements) == naive_sumset(a.elements, b.elements, modulus)
         ys = naive_neg(b.elements, modulus)
         assert list(sumset(a, b, "-").elements) == naive_sumset(a.elements, ys, modulus)
+
+
+def _sumset_cases():
+    rng = random.Random(24)
+    top, huge = 2**62, 2**62 + 1
+    wide = lambda: rng.randrange(-(10**6), 10**6)
+    cases = {
+        "line": (IntegerLattice(1), wide, "sorted"),
+        # Codes near +2^62 and, signed, near -2^62: every sum fits int64.
+        "line-2^62": (IntegerLattice(1), lambda: top - rng.randrange(10**6), "sorted"),
+        "mod-2^22+15": (Residues(2**22 + 15), lambda: rng.randrange(2**22 + 15), "sorted"),
+        "mod-10^9+7": (Residues(10**9 + 7), lambda: rng.randrange(10**9 + 7), "sorted"),
+        # Residues near 2^62 mod N > 2^62: a sum of two can pass int64.
+        "mod-2^62+1": (Residues(huge), lambda: huge - 1 - rng.randrange(10**6), "set"),
+        "z2": (IntegerLattice(2), lambda: (wide() // 1000, wide() // 1000), "sorted"),
+        "z3": (IntegerLattice(3), lambda: tuple(rng.randrange(-50, 51) for _ in range(3)), "sorted"),
+        # Spreads near 2^24 per coordinate: the Kronecker codes reach 2^72.
+        "z3-past-int64": (IntegerLattice(3),
+                          lambda: tuple(rng.randrange(-(2**22), 2**22) for _ in range(3)), "set"),
+    }
+    return {name: (_sample_sets(amb, draw, (64, 40)), amb, kernel)
+            for name, (amb, draw, kernel) in cases.items()}
+
+
+SUMSET_CASES = _sumset_cases()
+
+
+@pytest.mark.parametrize("name", sorted(SUMSET_CASES))
+def test_sumset_kernels_match_naive_and_the_set_loop(monkeypatch, name):
+    sum_kernels = record_sum_kernels(monkeypatch)
+    # 64 x 40 = 2 560 pairs, past SORTED_MIN_PAIRS, in a sparse range.
+    (a, b), amb, kernel = SUMSET_CASES[name]
+    modulus = amb.modulus if isinstance(amb, Residues) else None
+    for sign, ys in (("+", b.elements), ("-", naive_neg(b.elements, modulus))):
+        want = naive_sumset(a.elements, ys, modulus)
+        got = sumset(a, b, sign).elements
+        assert list(got) == want
+        assert sum_kernels[-1] == kernel
+        # Decoded from Python ints, never from numpy scalars.
+        assert {type(c) for x in got for c in (x if isinstance(x, tuple) else (x,))} == {int}
+        with monkeypatch.context() as mp:
+            mp.setattr(groundset, "SORTED_MIN_PAIRS", 1 << 62)
+            assert list(sumset(a, b, sign).elements) == want
+            assert sum_kernels[-1] == "set"
+
+
+def test_sum_codes_falls_back_when_a_sum_can_leave_int64(monkeypatch):
+    sum_kernels = record_sum_kernels(monkeypatch)
+    ys = list(range(0, 2048 * 10**6, 10**6))
+    # Sums at INT64_MAX fit, one past it does not; likewise at INT64_MIN.
+    cases = [
+        ([MAX64 - ys[-1] - 5, MAX64 - ys[-1]], ys, "sorted"),
+        ([MAX64 - ys[-1] - 5, MAX64 - ys[-1] + 1], ys, "set"),
+        ([MIN64 + 5, MIN64], ys, "sorted"),
+        ([MIN64 + 5, MIN64], [-1] + ys[1:], "set"),
+    ]
+    for xs, cols, kernel in cases:
+        want = naive_sumset(xs, cols)
+        state, base, count = groundset._sum_codes(xs, None, cols, None, None)
+        assert base is None and type(count) is int and count == len(want)
+        assert sorted(state) == want if kernel == "set" else state.tolist() == want
+        assert sum_kernels == [kernel]
+        sum_kernels.clear()
+
+
+def test_sorted_sums_check_the_cap_after_each_block(monkeypatch):
+    # Blocks of 100 pairs, so each step merges many blocks.
+    monkeypatch.setattr(groundset, "SORTED_BLOCK_PAIRS", 100)
+    sum_kernels = record_sum_kernels(monkeypatch)
+    rng = random.Random(6)
+    line = integers(rng.sample(range(-(10**6), 10**6), 64))
+    cyc = residues(rng.sample(range(10**9 + 7), 64), 10**9 + 7)
+    for a, modulus in ((line, None), (cyc, 10**9 + 7)):
+        b = GroundSet(a.ambient, a.elements[:40])
+        size = len(naive_sumset(a.elements, b.elements, modulus))
+        assert len(sumset(a, b, size_cap=size)) == size
+        assert sum_kernels[-1] == "sorted"
+        with pytest.raises(SizeCapExceededError) as info:
+            sumset(a, b, size_cap=size - 1)
+        err = info.value
+        assert (str(err), err.cap, err.stage) == (
+            f"sumset exceeds cap {size - 1}", size - 1, "sumset"
+        )
+    # The kernel raises itself, after the first block past the cap.
+    xs, ys = list(range(0, 64 * 10**6, 10**6)), list(range(0, 64 * 7, 7))
+    with pytest.raises(SizeCapExceededError, match="^sumset exceeds cap 100$"):
+        groundset._sum_codes(xs, None, ys, None, 100)
+
+
+@pytest.mark.parametrize("kind", AMBIENT_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sorted_sums_on_every_step_match_naive(kind, data):
+    # With no pair minimum and no dense range, every sumset step is sorted.
+    (a, b), modulus = data.draw(ambient_sets(kind, 2, 12))
+    sign = data.draw(st.sampled_from("+-"))
+    ys = b.elements if sign == "+" else naive_neg(b.elements, modulus)
+    want = naive_sumset(a.elements, ys, modulus)
+    cap = data.draw(st.integers(0, len(want) + 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groundset, "SORTED_MIN_PAIRS", 1)
+        mp.setattr(groundset, "DENSE_RANGE_LIMIT", 0)
+        ran = record_sum_kernels(mp)
+        assert list(sumset(a, b, sign).elements) == want
+        assert ran == ["sorted"]
+        if len(want) > cap:
+            with pytest.raises(SizeCapExceededError):
+                sumset(a, b, sign, size_cap=cap)
+        else:
+            assert list(sumset(a, b, sign, size_cap=cap).elements) == want
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import adlab.growth
 from adlab import (
@@ -24,7 +25,9 @@ from adlab import (
     verify_growth_bounds,
     verify_span_isomorphism,
 )
+from adlab import groundset
 
+from helpers import AMBIENT_KINDS, ambient_sets, record_sum_kernels
 from oracles import naive_growth_sizes, naive_iterated
 
 
@@ -98,6 +101,84 @@ def test_growth_sequence_checks_int64_before_each_step(monkeypatch):
     # A cap passed at n = 2 returns the curve before the overflow at n = 3.
     monkeypatch.setattr(adlab.growth, "DEFAULT_GROWTH_CAP", 5)
     assert growth_sequence(a, 3) == adlab.growth.GrowthCurve((3,), truncated_at=2)
+
+
+def _sorted_growth_cases():
+    """(set, modulus, n_max, kernel of each step n = 2..n_max)."""
+    rng = random.Random(24)
+    wide = integers(rng.sample(range(1, 10**6), 20))
+    signed = integers(rng.sample(range(-(10**6), 10**6), 20))
+    # 50 codes near +2^62 or -2^62: 2A (2 500 pairs) reaches +-2^63 and fits.
+    near_top = integers([2**62 - rng.randrange(10**9) for _ in range(50)])
+    near_bottom = integers([-(2**62) + rng.randrange(10**9) for _ in range(50)])
+    cyc = residues(rng.sample(range(10**9 + 7), 20), 10**9 + 7)
+    huge = 2**62 + 1
+    big_cyc = residues([huge - 1 - rng.randrange(10**6) for _ in range(20)], huge)
+    plane = vectors([(rng.randrange(-1000, 1000), rng.randrange(-1000, 1000)) for _ in range(20)], 2)
+    box = vectors([tuple(rng.randrange(-50, 51) for _ in range(3)) for _ in range(20)], 3)
+    # Spreads near 2^21 per coordinate at n_max = 3: the codes reach 2^67.
+    past = vectors([tuple(rng.randrange(-(2**20), 2**20) for _ in range(3)) for _ in range(20)], 3)
+    # 20 values in [0, 10^4): 2A is sparse and small, 3A sparse and past
+    # SORTED_MIN_PAIRS, and 4A dense, so the array turns into a bitset.
+    mixed = integers(rng.sample(range(10**4), 20))
+    return {
+        "line": (wide, None, 4, ["set", "sorted", "sorted"]),
+        "line-negatives": (signed, None, 4, ["set", "sorted", "sorted"]),
+        "line-2^62": (near_top, None, 2, ["sorted"]),
+        "line-minus-2^62": (near_bottom, None, 2, ["sorted"]),
+        "mod-10^9+7": (cyc, 10**9 + 7, 4, ["set", "sorted", "sorted"]),
+        "mod-2^62+1": (big_cyc, huge, 3, ["set", "set"]),
+        "z2": (plane, None, 4, ["set", "sorted", "sorted"]),
+        "z3": (box, None, 4, ["set", "sorted", "sorted"]),
+        "z3-past-int64": (past, None, 3, ["set", "set"]),
+        "set-sorted-bitset": (mixed, None, 5, ["set", "sorted", "bitset", "bitset"]),
+    }
+
+
+SORTED_GROWTH_CASES = _sorted_growth_cases()
+
+
+@pytest.mark.parametrize("name", sorted(SORTED_GROWTH_CASES))
+def test_growth_sequence_kernels_match_the_oracle_and_the_set_loop(monkeypatch, name):
+    a, modulus, n_max, kernels = SORTED_GROWTH_CASES[name]
+    want = tuple(naive_growth_sizes(a.elements, n_max, modulus))
+    ran = record_sum_kernels(monkeypatch)
+    gc = growth_sequence(a, n_max)
+    assert gc == adlab.growth.GrowthCurve(want)
+    assert {type(size) for size in gc.sizes} == {int}
+    assert ran == kernels
+    ran.clear()
+    monkeypatch.setattr(groundset, "SORTED_MIN_PAIRS", 1 << 62)
+    assert growth_sequence(a, n_max).sizes == want
+    assert "sorted" not in ran
+
+
+def test_growth_sequence_cap_on_sorted_steps(monkeypatch):
+    # Blocks of 100 pairs, so each sorted step merges many blocks.
+    monkeypatch.setattr(groundset, "SORTED_BLOCK_PAIRS", 100)
+    a = SORTED_GROWTH_CASES["line"][0]
+    sizes = tuple(naive_growth_sizes(a.elements, 4))
+    for n in (3, 4):
+        monkeypatch.setattr(adlab.growth, "DEFAULT_GROWTH_CAP", sizes[n - 1])
+        assert growth_sequence(a, 4).sizes[: n] == sizes[: n]
+        monkeypatch.setattr(adlab.growth, "DEFAULT_GROWTH_CAP", sizes[n - 1] - 1)
+        assert growth_sequence(a, 4) == adlab.growth.GrowthCurve(sizes[: n - 1], truncated_at=n)
+
+
+@pytest.mark.parametrize("kind", AMBIENT_KINDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_growth_sequence_sorted_on_every_step_matches_the_oracle(kind, data):
+    # With no pair minimum and no dense range, every step n >= 2 is sorted.
+    (a,), modulus = data.draw(ambient_sets(kind, 1, 8))
+    want = tuple(naive_growth_sizes(a.elements, 4, modulus))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groundset, "SORTED_MIN_PAIRS", 1)
+        mp.setattr(groundset, "DENSE_RANGE_LIMIT", 0)
+        ran = record_sum_kernels(mp)
+        gc = growth_sequence(a, 4)
+    assert gc.sizes == want and {type(size) for size in gc.sizes} == {int}
+    assert ran == ["sorted"] * 3
 
 
 def test_growth_bounds_interval_clean():
