@@ -49,7 +49,6 @@ from .groundset import (
     MultEmbedding,
     Residues,
     combination,
-    dilate,
     format_set,
     integers,
     iterated_sumset,

@@ -56,6 +56,7 @@ from .groundset import (
     _set_bits,
     by_magnitude,
     combination,
+    sigma_k,
 )
 
 DEFAULT_SPAN_CAP = 1 << 22
@@ -807,12 +808,8 @@ def d_star_lower(a: GroundSet, lam: GroundSet) -> int:
 
 
 def cube(lam: GroundSet) -> tuple[GroundSet, bool]:
-    """Subset-sum cube of L and whether it is proper (|Q| = 2^|L|)."""
+    """Subset-sum cube Sigma(L) = Sigma_|L|(L) and whether it is proper (|Q| = 2^|L|)."""
     if len(lam) > MAX_CUBE_GENERATORS:
         raise PreconditionError(f"cube limited to {MAX_CUBE_GENERATORS} generators")
-    amb = lam.ambient
-    sums = {amb.zero}
-    for x in lam.elements:
-        sums |= {amb.add(s, x) for s in sums}
-    q = GroundSet(amb, tuple(sorted(sums)))
+    q = sigma_k(lam, len(lam))
     return q, len(q) == 1 << len(lam)

@@ -506,13 +506,6 @@ def sumset(a: GroundSet, b: GroundSet, sign: str = "+", size_cap: int | None = N
     return GroundSet(amb, _decoded(codes, decode))
 
 
-def dilate(a: GroundSet, lam: int) -> GroundSet:
-    """lam * A elementwise; lam must be nonzero."""
-    if lam == 0:
-        raise PreconditionError("dilation by 0 collapses the set")
-    return GroundSet.of(a.ambient, (a.ambient.scale(lam, x) for x in a.elements))
-
-
 def translate(a: GroundSet, x: Element) -> GroundSet:
     """A + x elementwise."""
     amb = a.ambient
@@ -836,7 +829,7 @@ def mult_embed(a: GroundSet) -> MultEmbedding:
             vec = vec[0]
         forward[x] = vec
         backward[vec] = x
-    image = GroundSet.of(IntegerLattice(rank), forward.values())
+    image = vectors(forward.values(), rank)
     return MultEmbedding(
         primes=tuple(primes),
         image=image,

@@ -109,20 +109,27 @@ def _skip(claim: Claim, instance, reason: str):
     return [_rec(claim, instance, {}, note=f"skipped: {reason}")]
 
 
-def _retag(claim: Claim, instance, inner_records, only_prefix: str, exact: bool = False):
-    """Adopt records produced by a library experiment under a registry id."""
-    out = []
-    for r in inner_records:
-        if exact:
-            if r.claim != only_prefix:
-                continue
-        elif not r.claim.startswith(only_prefix):
-            continue
-        measured = dict(r.measured)
-        if r.claim != claim.id:
-            measured["variant"] = r.claim
-        out.append(_rec(claim, instance, measured, r.fitted_constant, r.violated, r.note))
-    return out
+def _adopt(report, family=None, exact=False, degenerate=None):
+    """An evaluator adopting the records of report(a, inst, budget), a library
+    experiment, whose claim starts with family (or is family, when exact).
+
+    family defaults to the registry id; a record under another name keeps it
+    as ``variant``.  With no record adopted the claim skips, noted
+    degenerate, or gives no record when degenerate is None.
+    """
+
+    def ev(claim, a, inst, budget):
+        fam = family or claim.id
+        out = []
+        for r in report(a, inst, budget).records:
+            if (r.claim == fam) if exact else r.claim.startswith(fam):
+                measured = dict(r.measured)
+                if r.claim != claim.id:
+                    measured["variant"] = r.claim
+                out.append(_rec(claim, inst, measured, r.fitted_constant, r.violated, r.note))
+        return out or (_skip(claim, inst, degenerate) if degenerate else [])
+
+    return ev
 
 
 def _compact_for_amplified_k(a: GroundSet, inst=None) -> bool:
@@ -363,39 +370,26 @@ def _ev_energy_dim_lower(claim, a, inst, budget):
     return [_rec(claim, inst, dict(measured, checks=checks), violated=not all(checks.values()))]
 
 
-def _ev_dirichlet(claim, a, inst, budget):
+def _dirichlet_report(a, inst, budget):
+    # product_doubling_dim needs residues, so it reads dirichlet_dim_lower's fact.
     modulus = None if isinstance(a.ambient, Residues) else 101
-    rep = _fact(verify_dirichlet_dim, a, s=2, modulus=modulus, budget=budget)
-    return _retag(claim, inst, rep.records, "dirichlet_dim_lower", exact=True) or _skip(
-        claim, inst, "bound degenerate on this instance"
-    )
+    return _fact(verify_dirichlet_dim, a, s=2, modulus=modulus, budget=budget)
 
 
-def _ev_growth_bounds(prefix: str, degenerate: str = "window degenerate at this size"):
-    """Records of the instance's growth-bounds experiment whose claim starts with prefix."""
-
-    def ev(claim, a, inst, budget):
-        rep = _fact(verify_growth_bounds, a, budget=budget)
-        return _retag(claim, inst, rep.records, prefix) or _skip(claim, inst, degenerate)
-
-    return ev
+def _growth_report(a, inst, budget):
+    return _fact(verify_growth_bounds, a, budget=budget)
 
 
-def _ev_shift(prefix: str):
-    """Records of the one shift experiment per instance; zero is always its first shift."""
-
-    def ev(claim, a, inst, budget):
-        amb = a.ambient
-        if isinstance(amb, Residues):
-            shifts = tuple(dict.fromkeys(x % amb.modulus for x in (0, 1, 2, amb.modulus - 1)))
-        elif amb.rank == 1:
-            shifts = (0, 1, -1, 7)
-        else:
-            shifts = (amb.zero, tuple(1 if i == 0 else 0 for i in range(amb.rank)))
-        rep = _fact(dim_shift_ratio, a, shifts, budget=budget)
-        return _retag(claim, inst, rep.records, prefix)
-
-    return ev
+def _shift_report(a, inst, budget):
+    """The one shift experiment per instance; zero is always its first shift."""
+    amb = a.ambient
+    if isinstance(amb, Residues):
+        shifts = tuple(dict.fromkeys(x % amb.modulus for x in (0, 1, 2, amb.modulus - 1)))
+    elif amb.rank == 1:
+        shifts = (0, 1, -1, 7)
+    else:
+        shifts = (amb.zero, tuple(1 if i == 0 else 0 for i in range(amb.rank)))
+    return _fact(dim_shift_ratio, a, shifts, budget=budget)
 
 
 def _ev_witness_reverify(claim, a, inst, budget):
@@ -508,11 +502,8 @@ def _ev_decomposition(claim, a, inst, budget):
 # Fitted claims
 
 
-def _ev_poly_growth(claim, a, inst, budget):
-    rep = _fact(polynomial_growth_fit, a, budget=budget)
-    return _retag(claim, inst, rep.records, "poly_growth") or _skip(
-        claim, inst, "window degenerate at this size"
-    )
+def _poly_report(a, inst, budget):
+    return _fact(polynomial_growth_fit, a, budget=budget)
 
 
 def _ev_dim_compare(claim, a, inst, budget):
@@ -694,14 +685,6 @@ def _ev_product_set_energy(claim, a, inst, budget):
     return [_rec(claim, inst, measured, fitted=c)]
 
 
-def _ev_product_doubling_dim(claim, a, inst, budget):
-    # The same fact as _ev_dirichlet's on residues.
-    rep = _fact(verify_dirichlet_dim, a, s=2, modulus=None, budget=budget)
-    return _retag(claim, inst, rep.records, "dirichlet_dim_lower_product") or _skip(
-        claim, inst, "bound degenerate on this instance"
-    )
-
-
 def _mult_dim_lower(a: GroundSet, budget) -> int:
     """Certified lower bound for the multiplicative dimension.
 
@@ -814,23 +797,14 @@ def _subgroup_params(inst) -> Optional[tuple[int, int]]:
     return None
 
 
-def _subgroup_sweep(inst, budget):
+def _subgroup_sweep(a, inst, budget):
     """The growth experiment of a subgroup instance, shared by its claims."""
     p, t = _subgroup_params(inst)
     return _fact(subgroup_growth_experiment, p, t, n_max=4, k_max=3, budget=budget)
 
 
-def _ev_subgroup(prefix: str):
-    def ev(claim, a, inst, budget):
-        return _retag(claim, inst, _subgroup_sweep(inst, budget).records, prefix) or _skip(
-            claim, inst, "degenerate at this size"
-        )
-
-    return ev
-
-
 def _ev_subgroup_coverage(claim, a, inst, budget):
-    rep = _subgroup_sweep(inst, budget)
+    rep = _subgroup_sweep(a, inst, budget)
     p, t = rep.params["p"], rep.params["t"]
     half_cover = rep.measured["half_cover_n"]
     ln_p = math.log(p)
@@ -933,6 +907,10 @@ _SUBGROUP_SWEEP = (
 
 
 def _claims() -> dict[str, Claim]:
+    # Skip notes of the claims that adopt experiment records and find none.
+    no_bound = "bound degenerate on this instance"
+    no_window = "window degenerate at this size"
+    too_small = "degenerate at this size"
     entries = [
         # hard
         ("growth_monotone", "hard", "none", "|nA| is nondecreasing; torsion-free floor n(|A|-1)+1", _ev_growth_monotone),
@@ -942,9 +920,9 @@ def _claims() -> dict[str, Claim]:
         ("dim_chain", "hard", "none", "d* <= d <= dim at k = 1, exact or certified-bounds form", _ev_dim_chain),
         ("dim_counting_lower", "hard", "none", "|A| and |kA| against (2k+1)^dim boxes (gcd-corrected at k = 2)", _ev_dim_counting),
         ("energy_dim_lower", "hard", "none", "T_k(A) (2k+1)^dim >= |A|^{2k}", _ev_energy_dim_lower, (_ENERGY_CAP,)),
-        ("dirichlet_dim_lower", "hard", "none", "dim >= s log(N-1)/log(dim * |A|/D) for the Dirichlet minimum D", _ev_dirichlet, ((lambda a, inst: a.ambient.rank == 1, "needs residues or rank-1 integers"),)),
-        ("split_block_growth", "hard", "none", "|nS| (2^n n!)^m >= prod k^n |L_j|^n for split dissociated blocks", _ev_growth_bounds("split_block_growth", "certified dimension below 4; no eligible (n, m)"), (_COMPACT,)),
-        ("shift_zero_fixed", "hard", "none", "shifting by 0 fixes the set and its dimension bounds", _ev_shift("shift_zero_fixed")),
+        ("dirichlet_dim_lower", "hard", "none", "dim >= s log(N-1)/log(dim * |A|/D) for the Dirichlet minimum D", _adopt(_dirichlet_report, exact=True, degenerate=no_bound), ((lambda a, inst: a.ambient.rank == 1, "needs residues or rank-1 integers"),)),
+        ("split_block_growth", "hard", "none", "|nS| (2^n n!)^m >= prod k^n |L_j|^n for split dissociated blocks", _adopt(_growth_report, degenerate="certified dimension below 4; no eligible (n, m)"), (_COMPACT,)),
+        ("shift_zero_fixed", "hard", "none", "shifting by 0 fixes the set and its dimension bounds", _adopt(_shift_report)),
         ("witness_reverify", "hard", "none", "certificates and witnesses re-verify through their own module", _ev_witness_reverify),
         # freiman_model lists the p - 1 dilations mod p ~ 4 max|x|, for a singleton too.
         ("freiman_isomorphism", "hard", "none", "the modular model is a verified Freiman 2-isomorphism", _ev_freiman,
@@ -954,23 +932,23 @@ def _claims() -> dict[str, Claim]:
         ("decomposition_energy", "hard", "none", "additive/multiplicative split partitions A with matching traced energies", _ev_decomposition,
          (_POSITIVE, (lambda a, inst: len(a) <= 32 and max(a.elements) <= 10**6, "decomposition sweep is kept to |A| <= 32, values <= 10^6"))),
         # fitted
-        ("growth_stage1", "fitted", "upper", "first growth window: |nA| >= |A| (dim/(C log|A|))^{n-1}", _ev_growth_bounds("growth_stage1"), (_COMPACT,)),
-        ("growth_stage2", "fitted", "upper", "second growth window: |nA| >= (dim/(C n))^{n-1}", _ev_growth_bounds("growth_stage2"), (_COMPACT,)),
-        ("growth_stage3", "fitted", "upper", "third growth window at amplified dissociation order", _ev_growth_bounds("growth_stage3"), (_COMPACT,)),
-        ("poly_growth", "fitted", "upper", "polynomial growth exponent against dim_k log dim_k", _ev_poly_growth,
+        ("growth_stage1", "fitted", "upper", "first growth window: |nA| >= |A| (dim/(C log|A|))^{n-1}", _adopt(_growth_report, degenerate=no_window), (_COMPACT,)),
+        ("growth_stage2", "fitted", "upper", "second growth window: |nA| >= (dim/(C n))^{n-1}", _adopt(_growth_report, degenerate=no_window), (_COMPACT,)),
+        ("growth_stage3", "fitted", "upper", "third growth window at amplified dissociation order", _adopt(_growth_report, degenerate=no_window), (_COMPACT,)),
+        ("poly_growth", "fitted", "upper", "polynomial growth exponent against dim_k log dim_k", _adopt(_poly_report, degenerate=no_window),
          ((lambda a, inst: len(a) >= 2, "needs at least two elements"), (_compact_for_amplified_k, "set too wide for the growth sweep"))),
         ("dim_compare", "fitted", "upper", "dim_l against dim_k log_{l+1}(k dim_k)", _ev_dim_compare, ((lambda a, inst: len(a) <= 16, "exact two-parameter dimensions are kept to |A| <= 16"),)),
         ("small_doubling_dim", "fitted", "upper", "amplified dim against log|A|/loglog|A| + K log^6(2K) loglog(4K)", _ev_small_doubling_dim, ((lambda a, inst: len(a) >= 4, "needs |A| >= 4"), _COMPACT)),
         ("bounded_growth_dim", "fitted", "upper", "amplified dim against K log|A|/log(K log|A|)", _ev_bounded_growth_dim, ((lambda a, inst: len(a) >= 3, "needs |A| >= 3"), _COMPACT)),
         ("sigma_dissociated_dim", "fitted", "upper", "dim of the subset-sum set of a dissociated block vs n log n", _ev_sigma_dim, ((_compact_for_amplified_k, "set too wide for order-2 dissociation states"),)),
         ("cube_dim_ratio", "fitted", "upper", "dim_k at amplified k against K dim/log dim via the subset-sum cube", _ev_cube_dim_ratio, (_COMPACT,)),
-        ("shift_dim_ratio", "fitted", "upper", "worst two-sided dimension ratio under translation", _ev_shift("shift_dim_ratio")),
+        ("shift_dim_ratio", "fitted", "upper", "worst two-sided dimension ratio under translation", _adopt(_shift_report)),
         ("dim_alpha_bound", "fitted", "upper", "relative dimension against k/kappa at alpha = 1/2", _ev_dim_alpha, ((lambda a, inst: len(a) <= 10, "exact relative dimension is kept to |A| <= 10"),)),
         ("rudin_constant", "fitted", "upper", "T_k(L)^{1/k}/(k |L|) over verified dissociated sets", _ev_rudin),
         ("fourier_dim", "fitted", "lower", "dim against log p under a flat Fourier spectrum", _ev_fourier_dim, (_RESIDUES, (_prime_modulus_to_4096, "needs a prime modulus <= 4096"))),
         ("product_set_energy", "fitted", "upper", "T_k against |A|^{2k} (k D^6 log^2 d / d)^k for product-ratio D", _ev_product_set_energy,
          (_POSITIVE, (lambda a, inst: len(a) <= 48 and max(a.elements) <= 10**6, "product set sweep is kept to |A| <= 48, values <= 10^6"))),
-        ("product_doubling_dim", "fitted", "lower", "Dirichlet dimension window with the product-ratio correction", _ev_product_doubling_dim, (_RESIDUES, (lambda a, inst: 0 not in a, "needs 0 outside A"))),
+        ("product_doubling_dim", "fitted", "lower", "Dirichlet dimension window with the product-ratio correction", _adopt(_dirichlet_report, "dirichlet_dim_lower_product", degenerate=no_bound), (_RESIDUES, (lambda a, inst: 0 not in a, "needs 0 outside A"))),
         ("sum_product_doubling", "fitted", "lower", "dimensions under small sumset or product set", _ev_sum_product_doubling,
          ((lambda a, inst: len(a) >= 3 and _positive_ints(a, inst), "needs at least three positive integers"), _SUM_PRODUCT_ENVELOPE)),
         ("sum_product_dim", "fitted", "lower", "max of both dimensions against the double-log window", _ev_sum_product_dim,
@@ -979,11 +957,11 @@ def _claims() -> dict[str, Claim]:
          ((lambda a, inst: len(a) >= 2 and _positive_ints(a, inst), "needs at least two positive integers"), (lambda a, inst: len(a) <= 40, "extraction sweep is kept to |A| <= 40"))),
         ("ratio_box_growth", "fitted", "lower", "ratio box size against exp(c log|A|/log K)", _ev_ratio_box_growth,
          ((lambda a, inst: len(a) >= 3 and _rank1_ints(a, inst), "needs at least three rank-1 integers"), _PAIR_SCAN)),
-        ("subgroup_dim_lower", "fitted", "lower", "subgroup dimension against min(log p/loglog p, log p/log t, phi(t))", _ev_subgroup("subgroup_dim_lower"), _SUBGROUP_SWEEP),
-        ("subgroup_energy_upper", "fitted", "upper", "subgroup T_k against the regime-dependent window", _ev_subgroup("subgroup_energy_upper"), _SUBGROUP_SWEEP),
-        ("subgroup_growth_rate", "fitted", "lower", "|n Gamma| against (t/(n log^3 t))^n", _ev_subgroup("subgroup_growth_rate"), _SUBGROUP_SWEEP),
-        ("subgroup_dim_alpha", "fitted", "lower", "relative dimension of a subgroup against alpha dim/log t", _ev_subgroup("subgroup_dim_alpha"), _SUBGROUP_SWEEP),
-        ("subgroup_dirichlet_prediction", "fitted", "none", "lattice prediction for the subgroup Dirichlet value (logged only)", _ev_subgroup("subgroup_dirichlet_prediction"), _SUBGROUP_SWEEP),
+        ("subgroup_dim_lower", "fitted", "lower", "subgroup dimension against min(log p/loglog p, log p/log t, phi(t))", _adopt(_subgroup_sweep, degenerate=too_small), _SUBGROUP_SWEEP),
+        ("subgroup_energy_upper", "fitted", "upper", "subgroup T_k against the regime-dependent window", _adopt(_subgroup_sweep, degenerate=too_small), _SUBGROUP_SWEEP),
+        ("subgroup_growth_rate", "fitted", "lower", "|n Gamma| against (t/(n log^3 t))^n", _adopt(_subgroup_sweep, degenerate=too_small), _SUBGROUP_SWEEP),
+        ("subgroup_dim_alpha", "fitted", "lower", "relative dimension of a subgroup against alpha dim/log t", _adopt(_subgroup_sweep, degenerate=too_small), _SUBGROUP_SWEEP),
+        ("subgroup_dirichlet_prediction", "fitted", "none", "lattice prediction for the subgroup Dirichlet value (logged only)", _adopt(_subgroup_sweep, degenerate=too_small), _SUBGROUP_SWEEP),
         ("subgroup_coverage", "fitted", "upper", "first n with |n Gamma|^2 >= p against log^2 p/loglog p", _ev_subgroup_coverage, _SUBGROUP_SWEEP),
         ("difference_in_subgroup", "fitted", "upper", "largest A with nonzero differences inside Gamma", _ev_difference_in_subgroup, (_SUBGROUP, (_subgroup_p_at_most(300), "clique search is kept to p <= 300"))),
     ]

@@ -75,6 +75,11 @@ def naive_sigma(xs, k):
     return sorted(out)
 
 
+def naive_cube(xs, zero=0, modulus=None):
+    """Sums over all subsets of xs, the empty sum being ``zero``."""
+    return sorted({_total(combo, modulus) if combo else zero for combo in subsets(xs)})
+
+
 def naive_relation(xs, k, modulus=None):
     """A nonzero coefficient vector in [-k, k]^n summing to zero, or None.
 

@@ -12,7 +12,6 @@ from adlab import (
     cube,
     d_k_exact,
     d_star_lower,
-    dilate,
     dim_bounds,
     dim_k_exact,
     integers,
@@ -27,6 +26,7 @@ from adlab.dissociation import _extender, _span_codes
 from adlab.groundset import Residues
 
 from oracles import (
+    naive_cube,
     naive_d_k,
     naive_dim_k,
     naive_dim_k1,
@@ -312,8 +312,9 @@ def test_dim_antitone_in_k():
 )
 def test_dim_dilation_invariant(xs, lam):
     a = integers(xs)
-    assert dim_k_exact(a, 1).value == dim_k_exact(dilate(a, lam), 1).value
-    assert dim_k_exact(a, 2).value == dim_k_exact(dilate(a, lam), 2).value
+    dilated = integers(a.ambient.scale(lam, x) for x in a.elements)
+    assert dim_k_exact(a, 1).value == dim_k_exact(dilated, 1).value
+    assert dim_k_exact(a, 2).value == dim_k_exact(dilated, 2).value
 
 
 def test_counting_floor_k1():
@@ -604,6 +605,14 @@ def test_cube_proper_and_improper():
     assert set(q.elements) == {0, 1, 10, 11, 100, 101, 110, 111}
     q2, proper2 = cube(integers([1, 2, 3]))
     assert not proper2 and len(q2) < 8
+    # {3, 5, 6} mod 7 reaches every residue; the Z^2 set has (1, 0) + (0, 1) = (1, 1).
+    for lam, zero, modulus, size in (
+        (residues([3, 5, 6], 7), 0, 7, 7),
+        (vectors([(1, 0), (0, 1), (1, 1), (2, -3)], 2), (0, 0), None, 14),
+    ):
+        q, proper = cube(lam)
+        assert list(q.elements) == naive_cube(lam.elements, zero, modulus)
+        assert (len(q), proper) == (size, False)
 
 
 def test_cube_generator_cap():

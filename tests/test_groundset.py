@@ -14,7 +14,6 @@ from adlab import (
     Residues,
     SizeCapExceededError,
     combination,
-    dilate,
     format_set,
     integers,
     iterated_sumset,
@@ -546,13 +545,9 @@ def test_size_cap_enforced():
 
 def test_dilate_translate():
     a = integers([1, 2, 4])
-    assert dilate(a, 3).elements == (3, 6, 12)
-    assert dilate(a, -1).elements == (-4, -2, -1)
     assert translate(a, 10).elements == (11, 12, 14)
     assert translate(residues([1, 5], 7), 3).elements == (1, 4)
     assert translate(vectors([(0, 1), (1, -1)], 2), (-1, 2)).elements == ((-1, 3), (0, 1))
-    with pytest.raises(Exception):
-        dilate(a, 0)
 
 
 def test_combination():

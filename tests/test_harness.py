@@ -30,6 +30,7 @@ from adlab.harness import (
     run_suite,
     spec,
 )
+from adlab.harness.runner import CORE_BUDGET
 from adlab.modular import subgroup
 
 
@@ -550,6 +551,72 @@ def test_skip_notes_off_the_core_instances(case):
     finally:
         clear_caches()
     assert got == {cid: expected.get(cid, "not skipped") for cid in REGISTRY}
+
+
+# The claims that adopt a library experiment's records: claim -> (report,
+# family, whether a record's claim must equal the family rather than start
+# with it, note of the skip when no record is adopted or None for no record).
+_ADOPTED = {
+    "dirichlet_dim_lower": (claims._dirichlet_report, "dirichlet_dim_lower", True, "bound degenerate on this instance"),
+    "product_doubling_dim": (claims._dirichlet_report, "dirichlet_dim_lower_product", False, "bound degenerate on this instance"),
+    "split_block_growth": (claims._growth_report, "split_block_growth", False, "certified dimension below 4; no eligible (n, m)"),
+    "growth_stage1": (claims._growth_report, "growth_stage1", False, "window degenerate at this size"),
+    "growth_stage2": (claims._growth_report, "growth_stage2", False, "window degenerate at this size"),
+    "growth_stage3": (claims._growth_report, "growth_stage3", False, "window degenerate at this size"),
+    "poly_growth": (claims._poly_report, "poly_growth", False, "window degenerate at this size"),
+    "shift_zero_fixed": (claims._shift_report, "shift_zero_fixed", False, None),
+    "shift_dim_ratio": (claims._shift_report, "shift_dim_ratio", False, None),
+    **{
+        cid: (claims._subgroup_sweep, cid, False, "degenerate at this size")
+        for cid in _SUBGROUP_CLAIMS[:5]
+    },
+}
+_ADOPTION_CASES = [
+    (generate(s), s.to_json())
+    for s in (
+        spec("interval", n=4),
+        spec("interval", n=8),
+        spec("gp", base=2, length=10),
+        spec("subgroup", p=13, t=4),
+        spec("subgroup", p=31, t=5),
+        spec("subgroup", p=7, t=1),
+    )
+] + [
+    (vectors([(0, 0), (1, 0), (0, 1), (2, 3), (5, -1)], 2), _LITERAL),
+    (residues([1, 3, 9, 10, 12], 13), _LITERAL),
+]
+
+
+def test_adopted_claims_keep_their_family_records_in_order():
+    compared = {cid: 0 for cid in _ADOPTED}
+    empty = 0
+    clear_caches()
+    try:
+        for a, inst in _ADOPTION_CASES:
+            for cid, (report, family, exact, degenerate) in _ADOPTED.items():
+                if not all(test(a, inst) for test, _reason in REGISTRY[cid].requires):
+                    continue
+                compared[cid] += 1
+                got = evaluate_claim(cid, a, inst, budget=CORE_BUDGET)
+                kept = [
+                    r for r in report(a, inst, CORE_BUDGET).records
+                    if (r.claim == family if exact else r.claim.startswith(family))
+                ]
+                if not kept:
+                    empty += 1
+                    assert [r.note for r in got] == ([] if degenerate is None else [f"skipped: {degenerate}"])
+                    continue
+                assert len(got) == len(kept), (cid, a)
+                for g, r in zip(got, kept):
+                    assert ("variant" in g.measured) == (r.claim != cid)
+                    variant = {"variant": r.claim} if r.claim != cid else {}
+                    assert g.measured == {**r.measured, **variant}
+                    assert (g.claim, g.klass, g.instance) == (cid, REGISTRY[cid].klass, inst)
+                    assert (g.fitted_constant, g.violated, g.note) == (r.fitted_constant, r.violated, r.note)
+    finally:
+        clear_caches()
+    assert all(compared.values()), compared
+    assert empty
 
 
 def test_core_suite_clean():
