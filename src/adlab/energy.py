@@ -6,15 +6,20 @@ the prime-exponent embedding, which is an exact isomorphism onto vector
 addition.  All values are unbounded Python integers.
 
 dim_{alpha,k}(A), the least dim(B) over B subset of A with T_k(B) >= alpha *
-T_k(A), is exact up to ``EXACT_ALPHA_THRESHOLD`` elements.  A depth-first
-search over index-increasing subsets carries each subset's representation
-functions, adding one element per step, and stops at the first subset that
-qualifies.  It also carries the functions of B together with every later
-element, removing one element per step, and returns from a node once even
-that superset falls short of the threshold.  ``dim_k_exact`` then searches
-the minimal qualifying subsets in (size, elements) order, skipping a subset
-that holds a dissociated set already found of the best size or more.  One
-meter state is one representation entry read by an add or remove step.
+T_k(A), is exact up to ``EXACT_ALPHA_THRESHOLD`` elements.  A relation
+table lists A's k-multisets of indices, groups them by sum, and gives
+every support mask S a weight, so that T_k(B) is the total weight of the
+supports inside B; bit-sliced over the supports, that is a few big-int
+operations for any subset B.  A depth-first search over index-increasing
+subsets, held as index masks, stops at the first subset that qualifies,
+and returns from a node once B together with every later element falls
+short of the threshold.  ``dim_k_exact`` then searches the minimal
+qualifying subsets in (size, elements) order, skipping a subset that
+holds a dissociated set already found of the best size or more.  The
+energy search charges one meter state per k-multiset listed, one per
+ordered pair of multisets with equal sums and one per subset energy read,
+after ``check_feasible`` has refused a table of more multisets than the
+budget leaves.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .budget import as_meter
 from .dissociation import (
@@ -32,7 +38,7 @@ from .dissociation import (
     max_dissociated_greedy,
 )
 from .errors import PreconditionError
-from .groundset import GroundSet, _int_view, mult_embed, rep_fn
+from .groundset import GroundSet, _int_view, _set_bits, mult_embed, rep_fn
 
 # dim_alpha_k searches the minimal qualifying subsets exactly up to this
 # size, and probes energy-heavy subsets beyond it.
@@ -101,7 +107,8 @@ def dim_alpha_k(
     with B, so the minimum is reached on a minimal qualifying B, and a
     depth-first search over index-increasing subsets that stops extending a
     subset once it qualifies reaches every such B.  The search skips every
-    subtree whose superset B + (later elements) misses the threshold (see
+    subtree whose superset B + (later elements) misses the threshold, and
+    reads each subset's T_k from a relation table on A's k-multisets (see
     ``_qualifying_subsets``).  Candidates are then taken in (size, sorted
     elements) order and searched with ``dim_k_exact`` unless dim(B) >=
     ceil(log_3 |B|), or a dissociated set of the best size or more that an
@@ -111,12 +118,14 @@ def dim_alpha_k(
     a subset precedes its supersets in that order, so the witness is the
     first minimal qualifying subset whose dimension is the minimum.
 
-    The meter counts one state per representation-function entry an add
-    or remove step of the energy search reads, building A's functions
-    included, then the states of the greedy and exact dimension
-    searches.  Beyond the threshold a sound upper bound is produced by
-    probing energy-heavy subsets obtained from block peeling, with the
-    threshold inequality re-checked exactly.
+    The meter counts the energy search's states, one per k-multiset of A
+    listed, one per ordered pair of multisets with equal sums and one per
+    subset energy read, then the states of the greedy and exact dimension
+    searches.  A budget that leaves fewer states than the C(n + k - 1, k)
+    multisets is refused before the table is listed.  Beyond the threshold
+    a sound upper bound is produced by probing energy-heavy subsets
+    obtained from block peeling, with the threshold inequality re-checked
+    exactly.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -204,87 +213,113 @@ def _qualifying_subsets(a: GroundSet, k: int, need: int, den: int, meter) -> lis
 
     A subset that qualifies is recorded and not extended.  T_k grows with
     B, so every proper prefix of a minimal qualifying subset fails and the
-    search reaches it.  Each node carries r_j, the j-fold representation
-    function of B, for j = 0..k, and T_k(B) = sum r_k(x)^2; adding y gives
-    r_j(B + y) = sum_i C(j, i) * r_{j-i}(B) shifted by i*y (see ``step``).
+    search reaches it.  A node also tests U = B + elems[idx:], the largest
+    set any child from index idx on, or any of its descendants, can reach,
+    and returns once T_k(U) * den < need.  A child's first U is its
+    parent's U at the child's index, which passed, so it is not read again.
 
-    A node also carries the functions and T_k of U = B + elems[idx:], the
-    largest set any child from index idx on, or any of its descendants,
-    can reach.  Once T_k(U) * den < need none of them qualifies, and the
-    node returns.  After each child, y = elems[idx] leaves U by the remove
-    step, and the child starts from the parent's U at its own index.
+    Subsets are n-bit index masks, and T_k(B) is read from a relation
+    table.  T_k(B) counts the ordered pairs (m, m') of k-multisets of B's
+    indices with equal code sums, each weighted by c(m) * c(m'), where
+    c(m) = k! / prod(mult!) counts the ordered k-tuples that m arranges
+    into.  So with weight[S] the sum of c(m) * c(m') over the equal-sum
+    pairs whose supports join to S, T_k(B) = sum weight[S] over S inside B.
+    Each distinct S gets one bit t; ``inside`` tables, one per half of the
+    index mask, hold the bits of the supports whose part in that half lies
+    inside B's, and the column of digit b holds the bits of the supports
+    whose weight has bit b set.  Then T_k(B) = sum_b popcount(digit_b &
+    inside_lo & inside_hi) << b: a few big-int operations per subset, and
+    the digits that no weight sets are left out.
 
-    The walk adds ``_int_view`` codes, so int64 is checked once, on the
-    k-fold extremes; on Z^r the codes are Kronecker codes.  The meter is
-    ticked once per representation entry a step reads, before the step,
-    and building A's functions at the root is charged the same way.
+    The multisets add ``_int_view`` codes, so int64 is checked once, on the
+    k-fold extremes; on Z^r the codes are Kronecker codes.  The meter
+    refuses, by ``check_feasible``, a table of more multisets than it has
+    states left, and then counts one state per multiset listed, one per
+    ordered equal-sum pair of multisets and one per subset energy read.
     """
     elems = a.elements
     n = len(elems)
     part_codes, modulus, _decode = _int_view(a.ambient, [(elems, "+")] * k)
-    binom = [[math.comb(j, i) for i in range(j + 1)] for j in range(k + 1)]
-    shifts = []
-    for y in part_codes[0]:  # the k parts are identical, and so are their codes
-        row = [i * y for i in range(k + 1)]
-        shifts.append(row if modulus is None else [d % modulus for d in row])
+    codes = part_codes[0]  # the k parts are identical, and so are their codes
+    multisets = math.comb(n + k - 1, k)
+    meter.check_feasible(multisets, "relation table")
+    meter.tick(multisets)
+    fact_k = math.factorial(k)
+    by_sum: dict = {}
+    for m in combinations_with_replacement(range(n), k):
+        mask = total = run = 0
+        arrangements, prev = fact_k, -1
+        for i in m:
+            run = run + 1 if i == prev else 1
+            arrangements //= run
+            mask |= 1 << i
+            total += codes[i]
+            prev = i
+        if modulus is not None:
+            total %= modulus
+        by_sum.setdefault(total, []).append((mask, arrangements))
+    weight: dict = {}
+    for group in by_sum.values():
+        meter.tick(len(group) ** 2)
+        for x, (s, c) in enumerate(group):
+            weight[s] = weight.get(s, 0) + c * c
+            for s2, c2 in group[x + 1 :]:
+                u = s | s2
+                weight[u] = weight.get(u, 0) + 2 * c * c2
+
+    def columns(values, width: int) -> list:
+        # Column j has bit t set when values[t] has bit j set.  The values
+        # are written as width-digit binary text, the last one first, so a
+        # column is every width-th character: one slice and one int(..., 2).
+        text = "".join(map(f"{{:0{width}b}}".format, reversed(values)))
+        return [int(text[width - 1 - j :: width], 2) for j in range(width)]
+
+    # Bit t of every column below stands for the t-th support in ``weight``:
+    # holds[e] has the supports that contain element e, and digit b the
+    # supports whose weight has bit b set.
+    holds = columns(list(weight), n)
+    bits = max(weight.values(), default=0).bit_length()
+    digits = [(b, col) for b, col in enumerate(columns(list(weight.values()), bits)) if col]
+    every = (1 << len(weight)) - 1
+    half = n // 2
+    low = (1 << half) - 1
+
+    def inside(cols: list) -> list:
+        # entry m: the supports that miss every element of cols outside m
+        missing = [0]
+        for col in cols:
+            missing += [x | col for x in missing]
+        return [every ^ x for x in reversed(missing)]
+
+    inside_lo = inside(holds[:half])
+    inside_hi = inside(holds[half:])
+    tick = meter.tick
+
+    def energy(mask: int) -> int:
+        tick()
+        kept = inside_lo[mask & low] & inside_hi[mask >> half]
+        total = 0
+        for b, col in digits:
+            total += (col & kept).bit_count() << b
+        return total
+
+    suffix = [((1 << n) - 1) >> idx << idx for idx in range(n + 1)]
     found: list = []
-    chosen: list = []
 
-    def step(reps: list, energy: int, shift: list, sign: int) -> tuple:
-        """The functions and T_k of X + y (sign 1) or X - y (sign -1).
-
-        Adding reads X's functions: r_j(X + y) = r_j(X) + sum_{i>=1}
-        C(j, i) * r_{j-i}(X) shifted by i*y.  Removing reads the ones it
-        has already formed, for ascending j: r_j(X - y) = r_j(X) - sum_{i>=1}
-        C(j, i) * r_{j-i}(X - y) shifted by i*y.  An entry going from v to
-        v + w changes T_k by w * (2v + w), and one that reaches 0 is dropped.
-        """
-        out = [reps[0]]
-        src = reps if sign > 0 else out
-        for j in range(1, k + 1):
-            meter.tick(len(reps[j]) + sum(map(len, src[:j])))
-            cur = dict(reps[j])
-            get = cur.get
-            for i in range(1, j + 1):
-                c = sign * binom[j][i]
-                rep = src[j - i]
-                zs = map(shift[i].__add__, rep)
-                if modulus is not None:
-                    zs = map(modulus.__rmod__, zs)
-                for z, v in zip(zs, rep.values()):
-                    old = get(z, 0)
-                    w = c * v
-                    new = old + w
-                    if new:
-                        cur[z] = new
-                    else:
-                        del cur[z]
-                    if j == k:
-                        energy += w * (old + new)
-            out.append(cur)
-        return out, energy
-
-    def walk(start: int, reps: list, energy: int, u_reps: list, u_energy: int) -> None:
+    def walk(start: int, mask: int) -> None:
+        # The caller has found T_k(mask | suffix[start]) * den >= need.
         for idx in range(start, n):
-            if u_energy * den < need:
-                return
-            shift = shifts[idx]
-            child, child_energy = step(reps, energy, shift, 1)
-            chosen.append(elems[idx])
-            if child_energy * den >= need:
-                found.append(tuple(chosen))
+            child = mask | 1 << idx
+            if energy(child) * den >= need:
+                found.append(child)
             else:
-                walk(idx + 1, child, child_energy, u_reps, u_energy)
-            chosen.pop()
-            if idx + 1 < n:
-                u_reps, u_energy = step(u_reps, u_energy, shift, -1)
+                walk(idx + 1, child)
+            if idx + 1 < n and energy(mask | suffix[idx + 1]) * den < need:
+                return
 
-    empty = [{0: 1}] + [{} for _ in range(k)]
-    whole, whole_energy = empty, 0
-    for shift in shifts:
-        whole, whole_energy = step(whole, whole_energy, shift, 1)
-    walk(0, empty, 0, whole, whole_energy)
-    return found
+    if energy(suffix[0]) * den >= need:
+        walk(0, 0)
+    return [tuple(elems[i] for i in _set_bits(m, 0)) for m in found]
 
 
 def _floor_log(n: int, base: int) -> int:

@@ -760,12 +760,24 @@ def rep_fn(parts: Sequence[tuple[GroundSet, str]], size_cap: int | None = None) 
 def sigma_k(a: GroundSet, k: int, size_cap: int | None = None) -> GroundSet:
     """All sums over subsets of A of size at most k (distinct elements).
 
-    Always contains 0 (the empty subset).  Layered dynamic programming over
-    subset sizes with per-layer deduplication.
+    Always contains 0 (the empty subset).  Once k >= |A| every subset
+    counts, and one running set of sums takes each element in turn, with
+    ``size_cap`` checked against it.  Below that, layered dynamic
+    programming over subset sizes with per-layer deduplication, and the
+    cap checked against each layer.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     amb = a.ambient
+    if k >= len(a):
+        sums = {amb.zero}
+        for x in a.elements:
+            sums |= {amb.add(s, x) for s in sums}
+            if size_cap is not None and len(sums) > size_cap:
+                raise SizeCapExceededError(
+                    f"sigma_k exceeds cap {size_cap}", cap=size_cap, stage="sigma_k"
+                )
+        return GroundSet(amb, tuple(sorted(sums)))
     layers: list[set] = [{amb.zero}] + [set() for _ in range(k)]
     for x in a.elements:
         for t in range(min(k, len(layers) - 1), 0, -1):

@@ -66,12 +66,12 @@ def naive_growth_sizes(xs, n_max, modulus=None):
     return [len(naive_iterated(xs, n, modulus=modulus)) for n in range(1, n_max + 1)]
 
 
-def naive_sigma(xs, k):
-    """Sums of at most k distinct elements (the empty sum included)."""
+def naive_sigma(xs, k, zero=0, modulus=None):
+    """Sums of at most k distinct elements, the empty sum being ``zero``."""
     out = set()
     for size in range(0, k + 1):
         for combo in combinations(sorted(xs), size):
-            out.add(sum(combo))
+            out.add(_total(combo, modulus) if combo else zero)
     return sorted(out)
 
 
@@ -319,6 +319,72 @@ def naive_minimal_qualifying(xs, alpha, k, modulus=None):
     energy = {sub: e for sub, e, _ in rows}
     energy[()] = 0
     return [(sub, dim) for sub, e, dim in rows if e >= need > energy[sub[:-1]]]
+
+
+def reference_qualifying_subsets(a, k, need, den):
+    """The list ``energy._qualifying_subsets(a, k, need, den, meter)``
+    returns, from a walk that carries representation functions.
+
+    The same index-increasing depth-first search and the same two tests: a
+    node returns once T_k(U) * den < need for U = B + a.elements[idx:], and
+    records B + y, without extending it, once T_k(B + y) * den >= need.
+    Each node carries r_j, the j-fold representation function of B, for j
+    = 0..k, and T_k(B) = sum r_k(x)^2; adding y gives r_j(B + y) = sum_i
+    C(j, i) * r_{j-i}(B) shifted by i*y, and removing y from U inverts
+    that step for ascending j.  The codes are the library's ``_int_view``
+    codes, so int64 is checked as there.  No meter.
+    """
+    from math import comb
+
+    from adlab.groundset import _int_view
+
+    elems = a.elements
+    n = len(elems)
+    part_codes, modulus, _decode = _int_view(a.ambient, [(elems, "+")] * k)
+    binom = [[comb(j, i) for i in range(j + 1)] for j in range(k + 1)]
+
+    def step(reps, energy, y, sign):
+        out = [reps[0]]
+        src = reps if sign > 0 else out
+        for j in range(1, k + 1):
+            cur = dict(reps[j])
+            for i in range(1, j + 1):
+                for x, v in src[j - i].items():
+                    z = x + i * y if modulus is None else (x + i * y) % modulus
+                    old = cur.get(z, 0)
+                    new = old + sign * binom[j][i] * v
+                    if new:
+                        cur[z] = new
+                    else:
+                        del cur[z]
+                    if j == k:
+                        energy += new * new - old * old
+            out.append(cur)
+        return out, energy
+
+    found = []
+    chosen = []
+
+    def walk(start, reps, energy, u_reps, u_energy):
+        for idx in range(start, n):
+            if u_energy * den < need:
+                return
+            y = part_codes[0][idx]
+            child, child_energy = step(reps, energy, y, 1)
+            chosen.append(elems[idx])
+            if child_energy * den >= need:
+                found.append(tuple(chosen))
+            else:
+                walk(idx + 1, child, child_energy, u_reps, u_energy)
+            chosen.pop()
+            u_reps, u_energy = step(u_reps, u_energy, y, -1)
+
+    empty = [{0: 1}] + [{} for _ in range(k)]
+    whole, whole_energy = empty, 0
+    for y in part_codes[0]:
+        whole, whole_energy = step(whole, whole_energy, y, 1)
+    walk(0, empty, 0, whole, whole_energy)
+    return found
 
 
 def naive_energy(xs, ys):

@@ -81,12 +81,13 @@ def test_claims_spend_only_the_claim_budget(meters):
     assert 50_000 in limits
 
 
-# dim_alpha_k(DIM_ALPHA_SET, 1/2, k=2) reads 11 813 representation entries in
-# its energy search; the greedy and exact dimension searches after it bring
-# the call to 12 112 states.
+# dim_alpha_k(DIM_ALPHA_SET, 1/2, k=2) spends 409 states in its energy
+# search: 55 listed 2-multisets, 61 ordered equal-sum pairs of them and 293
+# subset energy reads.  The greedy and exact dimension searches after it
+# bring the call to 708 states.
 DIM_ALPHA_SET = [1, 2, 4, 8, 16, 32, 64, 128, 256, 3]
-DIM_ALPHA_ENERGY_STATES = 11_813
-DIM_ALPHA_STATES = 12_112
+DIM_ALPHA_ENERGY_STATES = 409
+DIM_ALPHA_STATES = 708
 
 
 @pytest.fixture
@@ -122,12 +123,26 @@ def test_dim_alpha_energy_search_is_charged_before_any_dimension_search(dimensio
     assert dimension_searches[0] == "dim_k_exact"
 
 
+def test_dim_alpha_relation_table_is_checked_before_it_is_listed(dimension_searches):
+    # The 55 2-multisets of the 10 elements do not fit in 54 states, so the
+    # table is refused before any state is spent or any dimension search
+    # starts.
+    a = integers(DIM_ALPHA_SET)
+    with pytest.raises(BudgetExceededError) as exc:
+        dim_alpha_k(a, Fraction(1, 2), k=2, budget=54)
+    e = exc.value
+    assert (str(e), e.budget, e.states) == (
+        "relation table needs about 55 states, budget leaves 54", 54, 0
+    )
+    assert dimension_searches == []
+
+
 def test_dim_alpha_budget_exhaustion_is_a_skip(dimension_searches):
     # Each budget lets the energy search finish and runs out in the
     # dimension searches that follow it.
     # The error is the meter's own: its text, budget and states.
     a = integers(DIM_ALPHA_SET)
-    for b, states in ((11_850, 11_851), (11_950, 11_951), (12_050, 12_051)):
+    for b, states in ((446, 447), (546, 547), (646, 647)):
         assert DIM_ALPHA_ENERGY_STATES < b < DIM_ALPHA_STATES
         dimension_searches.clear()
         with pytest.raises(BudgetExceededError) as exc:
@@ -138,7 +153,7 @@ def test_dim_alpha_budget_exhaustion_is_a_skip(dimension_searches):
             f"state budget exhausted ({states} > {b})", b, states
         )
     clear_caches()
-    recs = evaluate_claim("dim_alpha_bound", a, {"generator": "literal"}, budget=11_950)
+    recs = evaluate_claim("dim_alpha_bound", a, {"generator": "literal"}, budget=546)
     clear_caches()
     assert len(recs) == 1
     assert recs[0].note.startswith("skipped: budget exhausted")

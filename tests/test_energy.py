@@ -23,7 +23,14 @@ from adlab import (
 
 from adlab.budget import WorkMeter
 from adlab.energy import _qualifying_subsets
-from oracles import naive_dim_alpha, naive_energy, naive_minimal_qualifying, naive_tk, subsets
+from oracles import (
+    naive_dim_alpha,
+    naive_energy,
+    naive_minimal_qualifying,
+    naive_tk,
+    reference_qualifying_subsets,
+    subsets,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +230,28 @@ def test_dim_alpha_value_and_witness_match_full_enumeration(a, modulus, k):
         got = (res.value, res.lower_witness.elements)
         assert got == naive_dim_alpha(xs, alpha, k, modulus), (alpha, got)
         assert got[1] == next(sub for sub, dim in family if dim == got[0]), (alpha, got)
+
+
+def _walk_cases():
+    yield "subgroup(1009,12)", subgroup(1009, 12).members, 2
+    yield "subgroup(61,12)", subgroup(61, 12).members, 2
+    yield "range(1,17)", integers(range(1, 17)), 2
+    wide = integers(random.Random(26).sample(range(1, 10**6), 16))
+    yield "wide16_k2", wide, 2
+    yield "wide16_k3", wide, 3
+    for name, a, _modulus in _alpha_cases():
+        yield f"{name}_k3", a, 3
+
+
+@pytest.mark.parametrize("a, k", [c[1:] for c in _walk_cases()], ids=[c[0] for c in _walk_cases()])
+def test_qualifying_subsets_match_the_dict_walk(a, k):
+    # Sets of 12 to 16 elements are past naive enumeration; the reference
+    # walks the same subsets carrying representation functions.
+    total = t_k(a, k).value
+    for alpha in (Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(1)):
+        need, den = alpha.numerator * total, alpha.denominator
+        walked = _qualifying_subsets(a, k, need, den, WorkMeter(None))
+        assert walked == reference_qualifying_subsets(a, k, need, den), alpha
 
 
 @pytest.mark.parametrize(

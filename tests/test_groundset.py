@@ -564,6 +564,25 @@ def test_sigma_k_matches_naive(xs, k):
     assert list(sigma_k(a, k).elements) == naive_sigma(xs, k)
 
 
+@pytest.mark.parametrize(
+    "a, zero, modulus",
+    [
+        (integers([-7, 0, 3, 5, 11]), 0, None),
+        (residues([1, 2, 4, 6, 9], 11), 0, 11),
+        (vectors([(0, 1), (1, 0), (1, 1), (-2, 3)], 2), (0, 0), None),
+    ],
+    ids=["line", "residues", "z2"],
+)
+def test_sigma_k_below_at_and_past_the_size_of_a(a, zero, modulus):
+    # From k = |A| on, sigma_k keeps one running set of subset sums.
+    for k in range(len(a) + 3):
+        expected = naive_sigma(a.elements, k, zero, modulus)
+        assert list(sigma_k(a, k).elements) == expected, k
+    with pytest.raises(SizeCapExceededError):
+        sigma_k(a, len(a) + 1, size_cap=len(expected) - 1)
+    assert len(sigma_k(a, len(a) + 1, size_cap=len(expected))) == len(expected)
+
+
 def test_sigma_k_contains_zero():
     # the empty sum always contributes
     a = integers([3, 5])
