@@ -5,6 +5,16 @@ k-fold representation counts.  Multiplicative energies are computed through
 the prime-exponent embedding, which is an exact isomorphism onto vector
 addition.  All values are unbounded Python integers.
 
+T_k needs only the squared counts, not kA itself, so it reads them from
+A's ``_int_view`` codes, which are formed, and checked against int64,
+once.  A dense set takes one packed big-integer power of A's indicator,
+with no dict and no numpy.  A sparse set lists its C(n + k - 1, k)
+k-multisets with their arrangement counts and sorts their sums once,
+up to k times fewer sums than the pairs of the chain's last step.  The
+rest takes ``rep_fn``'s chain of convolution steps (see ``_tk_kernel``).
+``rep_fn`` and ``additive_energy`` keep the chain, so E(A, A) = T_2(A)
+compares two independent paths.
+
 dim_{alpha,k}(A), the least dim(B) over B subset of A with T_k(B) >= alpha *
 T_k(A), is exact up to ``EXACT_ALPHA_THRESHOLD`` elements.  A relation
 table lists A's k-multisets of indices, groups them by sum, and gives
@@ -25,9 +35,12 @@ budget leaves.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import mul
 
 from .budget import as_meter
 from .dissociation import (
@@ -38,7 +51,22 @@ from .dissociation import (
     max_dissociated_greedy,
 )
 from .errors import PreconditionError
-from .groundset import GroundSet, _int_view, _set_bits, mult_embed, rep_fn
+from .groundset import (
+    _COUNT_TYPES,
+    DENSE_RANGE_LIMIT,
+    INT64_MAX,
+    INT64_MIN,
+    SORTED_MIN_PAIRS,
+    GroundSet,
+    _cap_error,
+    _chain,
+    _int_view,
+    _reduced,
+    _set_bits,
+    _square_sum,
+    mult_embed,
+    rep_fn,
+)
 
 # dim_alpha_k searches the minimal qualifying subsets exactly up to this
 # size, and probes energy-heavy subsets beyond it.
@@ -59,12 +87,126 @@ class EnergyValue:
 
 
 def _additive_tk(a: GroundSet, k: int, size_cap: int | None) -> int:
+    """T_k(A) from A's ``_int_view`` codes, by the kernel ``_tk_kernel`` picks.
+
+    ``size_cap`` raises iff |kA| > cap, on every kernel.
+    """
     if len(a) == 0:
         return 0
     if k == 1:
         return len(a)
-    r = rep_fn([(a, "+")] * k, size_cap=size_cap)
-    return r.square_sum()
+    part_codes, modulus, _decode = _int_view(a.ambient, [(a.elements, "+")] * k)
+    codes = part_codes[0]  # the k parts are identical, and so are their codes
+    return _tk_kernel(codes, k, modulus, size_cap)(codes, k, modulus, size_cap)
+
+
+def _tk_kernel(codes: list, k: int, modulus: int | None, size_cap: int | None):
+    """The kernel for T_k of these n codes, by n, k and the k-fold code range R.
+
+    R is N mod N, and k * spread + 1 otherwise.  ``_tk_packed_power`` takes
+    a range of at most ``DENSE_RANGE_LIMIT`` slots and four slots per
+    k-multiset, when n^(k-1), the largest count of kA, fits 64 bits.
+    ``_tk_table`` takes a set sparse enough that its C(n + k - 1, k)
+    multisets fit in R, when the chain's last step would have sorted
+    anyway (so no path that is numpy-free starts importing numpy), the
+    k-fold sums fit int64, and so do n^k, the total of all counts, and
+    k * n^(k-1), the largest product c * size it forms.  Under a size cap
+    it also needs no more multisets than the cap: the chain raises at its
+    first step past a smaller cap, before it has formed them all.
+    ``_tk_chain`` takes the rest.
+    """
+    n = len(codes)
+    lo, hi = min(codes), max(codes)
+    slots = modulus if modulus is not None else k * (hi - lo) + 1
+    multisets = math.comb(n + k - 1, k)
+    if slots <= DENSE_RANGE_LIMIT and slots <= 4 * multisets and n ** (k - 1) < 1 << 64:
+        return _tk_packed_power
+    if (
+        n * math.comb(n + k - 2, k - 1) >= SORTED_MIN_PAIRS
+        and multisets <= slots
+        and INT64_MIN <= k * lo
+        and k * hi <= INT64_MAX
+        and max(n, k) * n ** (k - 1) <= INT64_MAX
+        and (size_cap is None or multisets <= size_cap)
+    ):
+        return _tk_table
+    return _tk_chain
+
+
+def _tk_packed_power(codes: list, k: int, modulus: int | None, size_cap: int | None) -> int:
+    """T_k as the sum of the squared slots of P^k, P the indicator of the codes.
+
+    P packs one W-bit slot per code (offset by the least code on the line
+    and on Z^r), W the narrowest width of ``_COUNT_TYPES`` that holds
+    n^(k-1).  On the line and on Z^r, P^k is one power.  Mod N it is
+    square-and-multiply, and each product folds slot i + N onto slot i;
+    every folded slot is a count of jA mod N for some j <= k, at most
+    n^(k-1), so no slot carries.
+    """
+    n = len(codes)
+    bits = (n ** (k - 1)).bit_length()
+    code, size = next(t for t in _COUNT_TYPES if bits <= 8 * t[1])
+    lo = 0 if modulus is not None else min(codes)
+    row = array(code, bytes(size * (max(codes) - lo + 1)))
+    for c in codes:
+        row[c - lo] = 1
+    p = int.from_bytes(row.tobytes(), sys.byteorder)
+    if modulus is None:
+        slots = len(row) * k - k + 1
+        q = p**k
+    else:
+        slots = modulus
+        shift = 8 * size * modulus
+        mask = (1 << shift) - 1
+        q = p
+        for bit in bin(k)[3:]:
+            q *= q
+            q = (q & mask) + (q >> shift)
+            if bit == "1":
+                q *= p
+                q = (q & mask) + (q >> shift)
+    counts = array(code, q.to_bytes(size * slots, sys.byteorder))
+    if size_cap is not None and slots - counts.count(0) > size_cap:
+        raise _cap_error("rep_fn", size_cap)
+    return sum(map(mul, counts, counts))
+
+
+def _tk_table(codes: list, k: int, modulus: int | None, size_cap: int | None) -> int:
+    """T_k as the sum of the squared counts of the k-fold sums, from A's k-multisets.
+
+    The multisets of indices are built one index at a time, each new index
+    at least the last.  Each carries its code sum and its arrangement count
+    c(m) = k! / prod(mult!), the number of k-tuples it orders into, updated
+    as c * size / run when the new index makes a run of ``run`` equal
+    indices.  One sort groups equal sums, and ``add.reduceat`` adds their
+    counts.
+    """
+    import numpy as np
+
+    n = len(codes)
+    values = np.array(codes, np.int64)
+    last = np.arange(n)
+    sums, counts, runs = values, np.ones(n, np.int64), np.ones(n, np.int64)
+    for size in range(2, k + 1):
+        reach = n - last  # the indices a multiset can take next
+        ends = np.cumsum(reach)
+        rows = np.repeat(np.arange(len(last)), reach)
+        new = np.arange(ends[-1]) - (ends - reach - last)[rows]
+        runs = np.where(new == last[rows], runs[rows] + 1, 1)
+        counts = counts[rows] * size // runs
+        sums = sums[rows] + values[new]
+        last = new
+    if modulus is not None:
+        sums %= modulus
+    sums, counts = _reduced(sums, counts, "quicksort")
+    if size_cap is not None and len(sums) > size_cap:
+        raise _cap_error("rep_fn", size_cap)
+    return _square_sum((sums, counts))
+
+
+def _tk_chain(codes: list, k: int, modulus: int | None, size_cap: int | None) -> int:
+    """T_k from the k-fold representation counts of ``rep_fn``'s step loop."""
+    return _square_sum(_chain([codes] * k, modulus, size_cap))
 
 
 def t_k(a: GroundSet, k: int, op: str = "+", size_cap: int | None = None) -> EnergyValue:

@@ -362,36 +362,43 @@ def _sums_fit64(lo_x: int, hi_x: int, ys: Sequence[int], modulus: int | None) ->
     return INT64_MIN <= lo and hi <= INT64_MAX
 
 
+def _reduced(sums, weights, kind: str):
+    """The distinct values of the nonempty int64 array ``sums``, ascending,
+    each with the total of its ``weights`` (None when ``weights`` is).
+
+    ``sums`` must be a fresh array: a sort without weights runs in place.
+    """
+    import numpy as np
+
+    if weights is None:
+        sums.sort(kind=kind)
+    else:
+        order = sums.argsort(kind=kind)
+        sums, weights = sums[order], weights[order]
+        del order  # one pair-sized array fewer at the peak
+    first = np.empty(len(sums), bool)
+    first[0] = True
+    np.not_equal(sums[1:], sums[:-1], out=first[1:])
+    if weights is None:
+        return sums[first], None
+    starts = np.flatnonzero(first)
+    return sums[starts], np.add.reduceat(weights, starts)
+
+
 def _sorted_blocks(keys, counts, ys, modulus: int | None, size_cap: int | None, stage: str):
     """The sums x + y (mod ``modulus``) of int64 arrays ``keys`` and ``ys``, sorted.
 
     A block of rows of ``keys`` (at least ``SORTED_BLOCK_PAIRS`` pairs, or
     as many as the support found so far) forms its pair sums as one int64
-    array, sorts them and drops equal neighbours, adding their counts
-    (``argsort`` + ``add.reduceat``) when ``counts``, the int64 count of
-    each key, is not None.  Each block merges into the sorted support found
-    so far, and the cap of ``stage`` raises after the first block past
-    ``size_cap``; the support only grows, so it raises iff the whole
-    support passes the cap.  Returns the ascending int64 arrays (codes,
-    counts), counts None when ``counts`` is.
+    array, and ``_reduced`` sorts them and drops equal neighbours, adding
+    their counts when ``counts``, the int64 count of each key, is not
+    None.  Each block merges into the sorted support found so far, and
+    the cap of ``stage`` raises after the first block past ``size_cap``;
+    the support only grows, so it raises iff the whole support passes the
+    cap.  Returns the ascending int64 arrays (codes, counts), counts None
+    when ``counts`` is.
     """
     import numpy as np
-
-    def reduced(sums, weights, kind):
-        # ``sums`` is a fresh array, so a sort without counts runs in place.
-        if weights is None:
-            sums.sort(kind=kind)
-        else:
-            order = sums.argsort(kind=kind)
-            sums, weights = sums[order], weights[order]
-            del order  # one pair-sized array fewer at the peak
-        first = np.empty(len(sums), bool)
-        first[0] = True
-        np.not_equal(sums[1:], sums[:-1], out=first[1:])
-        if weights is None:
-            return sums[first], None
-        starts = np.flatnonzero(first)
-        return sums[starts], np.add.reduceat(weights, starts)
 
     out_keys = out_counts = None
     start = 0
@@ -402,14 +409,14 @@ def _sorted_blocks(keys, counts, ys, modulus: int | None, size_cap: int | None, 
         if modulus is not None:
             sums[sums >= modulus] -= modulus
         weights = None if counts is None else np.repeat(counts[start:stop], len(ys))
-        block_keys, block_counts = reduced(sums, weights, "quicksort")
+        block_keys, block_counts = _reduced(sums, weights, "quicksort")
         if out_keys is None:
             out_keys, out_counts = block_keys, block_counts
         else:
             # Two ascending runs: a stable sort merges them in linear time.
             merged = np.concatenate((out_keys, block_keys))
             weights = None if counts is None else np.concatenate((out_counts, block_counts))
-            out_keys, out_counts = reduced(merged, weights, "stable")
+            out_keys, out_counts = _reduced(merged, weights, "stable")
         if size_cap is not None and len(out_keys) > size_cap:
             raise _cap_error(stage, size_cap)
         start = stop
@@ -573,12 +580,7 @@ class RepFn:
         return _support(self._entries if self._entries is not None else self._sorted[:2])
 
     def square_sum(self) -> int:
-        if self._entries is not None:
-            return sum(c * c for c in self._entries.values())
-        counts = self._sorted[1]
-        if int(counts.max()) ** 2 * len(counts) <= INT64_MAX:
-            return int(counts @ counts)
-        return sum(c * c for c in counts.tolist())
+        return _square_sum(self._entries if self._entries is not None else self._sorted[:2])
 
 
 # Array typecodes for the packed counts of a dense convolution, narrowest first.
@@ -600,6 +602,16 @@ def _extent(entries) -> tuple:
         return min(entries), max(entries), max(entries.values())
     codes, counts = entries
     return int(codes[0]), int(codes[-1]), int(counts.max())
+
+
+def _square_sum(entries) -> int:
+    """Sum of the squared counts of a dict or of sorted arrays, exact past int64."""
+    if isinstance(entries, dict):
+        return sum(c * c for c in entries.values())
+    counts = entries[1]
+    if int(counts.max()) ** 2 * len(counts) <= INT64_MAX:
+        return int(counts @ counts)
+    return sum(c * c for c in counts.tolist())
 
 
 def _items(entries):
@@ -712,6 +724,15 @@ def _convolve(entries, ints: list, modulus: int | None, size_cap: int | None):
     return out
 
 
+def _chain(codes: list, modulus: int | None, size_cap: int | None):
+    """Counts of the sums of one code from each list of ``codes``, one
+    ``_convolve`` step per list: a dict or a last sorted step's arrays."""
+    entries = {0: 1}
+    for ints in codes:
+        entries = _convolve(entries, ints, modulus, size_cap)
+    return entries
+
+
 def rep_fn(parts: Sequence[tuple[GroundSet, str]], size_cap: int | None = None) -> RepFn:
     """Representation counts of eps_1 A_1 + ... + eps_j A_j, eps in {+, -}.
 
@@ -743,9 +764,7 @@ def rep_fn(parts: Sequence[tuple[GroundSet, str]], size_cap: int | None = None) 
     codes, n, decode = _int_view(amb, formed)
     if len(formed) < len(parts):
         return RepFn(amb, {})
-    entries = {0: 1}
-    for ints in codes:
-        entries = _convolve(entries, ints, n, size_cap)
+    entries = _chain(codes, n, size_cap)
     if not isinstance(entries, dict):
         return RepFn._of_sorted(amb, *entries, decode)
     if decode is not None:

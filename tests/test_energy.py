@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -21,11 +22,13 @@ from adlab import (
     vectors,
 )
 
+from adlab import energy
 from adlab.budget import WorkMeter
 from adlab.energy import _qualifying_subsets
 from oracles import (
     naive_dim_alpha,
     naive_energy,
+    naive_iterated,
     naive_minimal_qualifying,
     naive_tk,
     reference_qualifying_subsets,
@@ -99,6 +102,123 @@ def test_tk_rejects_bad_arguments():
 def test_tk_size_cap_enforced():
     with pytest.raises(SizeCapExceededError):
         t_k(integers(range(1, 40)), 3, size_cap=5)
+
+
+# ---------------------------------------------------------------------------
+# T_k kernels: packed power, k-multiset table and convolution chain
+
+KERNELS = ("_tk_packed_power", "_tk_table", "_tk_chain")
+
+
+def _record_kernels(mp):
+    """The name of the kernel ``_tk_kernel`` picks on each call, in order."""
+    ran = []
+    pick = energy._tk_kernel
+
+    def recording(codes, k, modulus, size_cap):
+        kernel = pick(codes, k, modulus, size_cap)
+        ran.append(kernel.__name__)
+        return kernel
+
+    mp.setattr(energy, "_tk_kernel", recording)
+    return ran
+
+
+def _check_tk(a, k, want, op="+"):
+    """T_k(A) == want, and ``size_cap`` raises iff |kA| > cap."""
+    assert t_k(a, k, op).value == want
+    xs = (mult_embed(a).image if op == "*" else a).elements
+    modulus = getattr(a.ambient, "modulus", None)
+    size = len(naive_iterated(xs, k, modulus=modulus))
+    assert t_k(a, k, op, size_cap=size).value == want
+    with pytest.raises(SizeCapExceededError):
+        t_k(a, k, op, size_cap=size - 1)
+
+
+def _kernel_cases():
+    rng = random.Random(27)
+    wide = rng.sample(range(-(10**6), 10**6), 20)
+    # 16 products of powers of 2, 3, 5, 7, 11 and 13: rank 6 under mult_embed.
+    mult = set()
+    while len(mult) < 16:
+        mult.add(math.prod(p ** rng.randint(0, e) for p, e in ((2, 3), (3, 3), (5, 2), (7, 2), (11, 1), (13, 1))))
+    mult = integers(mult)
+    # Rank-3 coordinates that fit int64, but whose k-fold Kronecker codes do not.
+    far = vectors([tuple(rng.randrange(2**22) for _ in range(3)) for _ in range(20)], 3)
+    yield "line-dense-k4", integers(rng.sample(range(30), 12)), 4, "+", "_tk_packed_power"
+    yield "line-dense-k2", integers(range(-5, 6)), 2, "+", "_tk_packed_power"
+    for k in (2, 3, 4, 5):  # k = 2, 4 only square, k = 3, 5 also multiply
+        yield f"mod31-k{k}", residues(rng.sample(range(31), 10), 31), k, "+", "_tk_packed_power"
+    yield "mod61-k4", residues(rng.sample(range(61), 18), 61), 4, "+", "_tk_packed_power"
+    yield "z2-dense", vectors({(x, y) for x in range(4) for y in range(4) if x != y}, 2), 3, "+", "_tk_packed_power"
+    yield "wide-k3", integers(wide), 3, "+", "_tk_table"
+    yield "wide-k4", integers(wide[:12]), 4, "+", "_tk_table"
+    yield "mult-k3", mult, 3, "*", "_tk_table"
+    yield "mod10^9+7-k3", residues(wide, 10**9 + 7), 3, "+", "_tk_table"
+    yield "mult-k4", mult, 4, "*", "_tk_table"
+    yield "z3-far-k3", far, 3, "+", "_tk_chain"
+    yield "wide-k2", integers(wide), 2, "+", "_tk_chain"
+    yield "wide-small-k3", integers(wide[:6]), 3, "+", "_tk_chain"
+    yield "mult-k2", mult, 2, "*", "_tk_chain"
+
+
+KERNEL_CASES = {name: rest for name, *rest in _kernel_cases()}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_tk_kernels_match_naive(monkeypatch, name):
+    a, k, op, kernel = KERNEL_CASES[name]
+    xs = (mult_embed(a).image if op == "*" else a).elements
+    want = naive_tk(xs, k, getattr(a.ambient, "modulus", None))
+    ran = _record_kernels(monkeypatch)
+    _check_tk(a, k, want, op)
+    # The calls are uncapped, capped at |kA| and capped at |kA| - 1; a cap
+    # below the number of k-multisets sends a table set to the chain.
+    size = len(naive_iterated(xs, k, modulus=getattr(a.ambient, "modulus", None)))
+    multisets = math.comb(len(a) + k - 1, k)
+    assert ran == [
+        "_tk_chain" if kernel == "_tk_table" and cap is not None and cap < multisets else kernel
+        for cap in (None, size, size - 1)
+    ]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_every_kernel_matches_naive_on_any_input(kernel, data):
+    modulus = data.draw(st.sampled_from([None, None, 2, 7, 30]))
+    if modulus is None:
+        elements = st.integers(min_value=-40, max_value=40)
+    else:
+        elements = st.integers(min_value=0, max_value=modulus - 1)
+    xs = sorted(data.draw(st.sets(elements, min_size=1, max_size=7)))
+    k = data.draw(st.integers(min_value=1, max_value=4))
+    a = integers(xs) if modulus is None else residues(xs, modulus)
+    want = naive_tk(a.elements, k, modulus)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy, "_tk_kernel", lambda codes, k, modulus, size_cap: getattr(energy, kernel))
+        if k == 1:
+            assert t_k(a, k).value == want == len(xs)
+        else:
+            _check_tk(a, k, want)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_every_kernel_raises_when_k_fold_sums_leave_int64(kernel):
+    # The codes are checked once, before a kernel runs: 3 * (2^61 + 5)
+    # fits int64, 4 * 2^61 does not.
+    xs = [2**61, 2**61 + 1, 2**61 + 5]
+    neg = [-x for x in xs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy, "_tk_kernel", lambda codes, k, modulus, size_cap: getattr(energy, kernel))
+        for ys in (xs, neg):
+            assert t_k(integers(ys), 3).value == naive_tk(ys, 3)
+            with pytest.raises(CoordinateOverflowError):
+                t_k(integers(ys), 4)
+        pts = [(0, x) for x in xs]
+        assert t_k(vectors(pts, 2), 3).value == naive_tk(pts, 3)
+        with pytest.raises(CoordinateOverflowError):
+            t_k(vectors(pts, 2), 4)
 
 
 # ---------------------------------------------------------------------------
