@@ -8,10 +8,13 @@ addition.  All values are unbounded Python integers.
 T_k needs only the squared counts, not kA itself, so it reads them from
 A's ``_int_view`` codes, which are formed, and checked against int64,
 once.  A dense set takes one packed big-integer power of A's indicator,
-with no dict and no numpy.  A sparse set lists its C(n + k - 1, k)
-k-multisets with their arrangement counts and sorts their sums once,
-up to k times fewer sums than the pairs of the chain's last step.  The
-rest takes ``rep_fn``'s chain of convolution steps (see ``_tk_kernel``).
+with no dict and no numpy.  A sparse set of at most
+``TABLE_MAX_MULTISETS`` k-multisets lists them with their arrangement
+counts and sorts their sums once, up to k times fewer sums than the
+pairs of the chain's last step when A's k-fold sums are nearly all
+distinct; where they collide, the bound keeps the table within a small
+factor of the chain.  The rest takes ``rep_fn``'s chain of convolution
+steps (see ``_tk_kernel``).
 ``rep_fn`` and ``additive_energy`` keep the chain, so E(A, A) = T_2(A)
 compares two independent paths.
 
@@ -35,8 +38,6 @@ budget leaves.
 from __future__ import annotations
 
 import math
-import sys
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -52,17 +53,21 @@ from .dissociation import (
 )
 from .errors import PreconditionError
 from .groundset import (
-    _COUNT_TYPES,
     DENSE_RANGE_LIMIT,
     INT64_MAX,
     INT64_MIN,
+    SORTED_BLOCK_PAIRS,
     SORTED_MIN_PAIRS,
     GroundSet,
     _cap_error,
     _chain,
+    _fold,
     _int_view,
+    _packed,
     _reduced,
     _set_bits,
+    _slot_type,
+    _slots,
     _square_sum,
     mult_embed,
     rep_fn,
@@ -71,6 +76,15 @@ from .groundset import (
 # dim_alpha_k searches the minimal qualifying subsets exactly up to this
 # size, and probes energy-heavy subsets beyond it.
 EXACT_ALPHA_THRESHOLD = 16
+
+# _tk_table lists at most this many k-multisets, one block of the sorted
+# kernel's pair sums.  The table pays only when A's k-fold sums are nearly
+# all distinct; where they collide (a dilated progression) the chain's
+# steps stay small while the table still lists every multiset.  On a
+# shared 2-core Xeon, up to this bound that worst case took at most 2.3
+# times the chain, at most 1 ms; at 2.3 to 2.6 times the bound, 2.6 to
+# 7.5 times.  Random wide sets ran 1.2 to 5 times faster on the table.
+TABLE_MAX_MULTISETS = SORTED_BLOCK_PAIRS
 
 
 @dataclass(frozen=True)
@@ -106,14 +120,15 @@ def _tk_kernel(codes: list, k: int, modulus: int | None, size_cap: int | None):
     R is N mod N, and k * spread + 1 otherwise.  ``_tk_packed_power`` takes
     a range of at most ``DENSE_RANGE_LIMIT`` slots and four slots per
     k-multiset, when n^(k-1), the largest count of kA, fits 64 bits.
-    ``_tk_table`` takes a set sparse enough that its C(n + k - 1, k)
-    multisets fit in R, when the chain's last step would have sorted
-    anyway (so no path that is numpy-free starts importing numpy), the
-    k-fold sums fit int64, and so do n^k, the total of all counts, and
-    k * n^(k-1), the largest product c * size it forms.  Under a size cap
-    it also needs no more multisets than the cap: the chain raises at its
-    first step past a smaller cap, before it has formed them all.
-    ``_tk_chain`` takes the rest.
+    ``_tk_table`` takes at most ``TABLE_MAX_MULTISETS`` of the C(n + k - 1,
+    k) multisets, and no more than R, since past R their sums must
+    collide.  It also needs the chain's last step to sort anyway (so no
+    path that is numpy-free starts importing numpy), the k-fold sums to
+    fit int64, and so n^k, the total of all counts, and k * n^(k-1), the
+    largest product c * size it forms.  Under a size cap it also needs no
+    more multisets than the cap: the chain raises at its first step past a
+    smaller cap, before it has formed them all.  ``_tk_chain`` takes the
+    rest.
     """
     n = len(codes)
     lo, hi = min(codes), max(codes)
@@ -123,7 +138,7 @@ def _tk_kernel(codes: list, k: int, modulus: int | None, size_cap: int | None):
         return _tk_packed_power
     if (
         n * math.comb(n + k - 2, k - 1) >= SORTED_MIN_PAIRS
-        and multisets <= slots
+        and multisets <= min(slots, TABLE_MAX_MULTISETS)
         and INT64_MIN <= k * lo
         and k * hi <= INT64_MAX
         and max(n, k) * n ** (k - 1) <= INT64_MAX
@@ -136,37 +151,28 @@ def _tk_kernel(codes: list, k: int, modulus: int | None, size_cap: int | None):
 def _tk_packed_power(codes: list, k: int, modulus: int | None, size_cap: int | None) -> int:
     """T_k as the sum of the squared slots of P^k, P the indicator of the codes.
 
-    P packs one W-bit slot per code (offset by the least code on the line
-    and on Z^r), W the narrowest width of ``_COUNT_TYPES`` that holds
-    n^(k-1).  On the line and on Z^r, P^k is one power.  Mod N it is
-    square-and-multiply, and each product folds slot i + N onto slot i;
-    every folded slot is a count of jA mod N for some j <= k, at most
-    n^(k-1), so no slot carries.
+    P is ``_packed`` with one slot per code (offset by the least code on
+    the line and on Z^r), in the narrowest slot that holds n^(k-1).  On
+    the line and on Z^r, P^k is one power.  Mod N it is square-and-multiply,
+    and ``_fold`` folds each product; every folded slot is a count of jA
+    mod N for some j <= k, at most n^(k-1), so no slot carries.
     """
-    n = len(codes)
-    bits = (n ** (k - 1)).bit_length()
-    code, size = next(t for t in _COUNT_TYPES if bits <= 8 * t[1])
+    slot = _slot_type(len(codes) ** (k - 1))
     lo = 0 if modulus is not None else min(codes)
-    row = array(code, bytes(size * (max(codes) - lo + 1)))
-    for c in codes:
-        row[c - lo] = 1
-    p = int.from_bytes(row.tobytes(), sys.byteorder)
+    width = max(codes) - lo + 1
+    p = _packed(slot, width, ((c - lo, 1) for c in codes))
     if modulus is None:
-        slots = len(row) * k - k + 1
+        width = width * k - k + 1
         q = p**k
     else:
-        slots = modulus
-        shift = 8 * size * modulus
-        mask = (1 << shift) - 1
+        width = modulus
         q = p
         for bit in bin(k)[3:]:
-            q *= q
-            q = (q & mask) + (q >> shift)
+            q = _fold(q * q, slot, modulus)
             if bit == "1":
-                q *= p
-                q = (q & mask) + (q >> shift)
-    counts = array(code, q.to_bytes(size * slots, sys.byteorder))
-    if size_cap is not None and slots - counts.count(0) > size_cap:
+                q = _fold(q * p, slot, modulus)
+    counts = _slots(q, slot, width)
+    if size_cap is not None and width - counts.count(0) > size_cap:
         raise _cap_error("rep_fn", size_cap)
     return sum(map(mul, counts, counts))
 

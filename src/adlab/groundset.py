@@ -586,6 +586,42 @@ class RepFn:
 # Array typecodes for the packed counts of a dense convolution, narrowest first.
 _COUNT_TYPES = [(code, array(code).itemsize) for code in "BHIQ"]
 
+
+def _slot_type(bound: int) -> tuple | None:
+    """(typecode, bytes) of the narrowest ``_COUNT_TYPES`` slot that holds
+    ``bound``, or None past 64 bits."""
+    bits = bound.bit_length()
+    return next((t for t in _COUNT_TYPES if bits <= 8 * t[1]), None)
+
+
+def _packed(slot: tuple, width: int, items) -> int:
+    """One big integer of ``width`` slots of type ``slot``, slot i holding c
+    for each (i, c) of ``items`` and 0 elsewhere.
+
+    Multiplying two such integers adds, in slot i + j, the product of
+    slot i of one and slot j of the other, as long as no slot of the
+    product passes its type: the convolution of the two rows of counts.
+    """
+    code, size = slot
+    row = array(code, bytes(size * width))
+    for i, c in items:
+        row[i] = c
+    return int.from_bytes(row.tobytes(), sys.byteorder)
+
+
+def _fold(q: int, slot: tuple, modulus: int) -> int:
+    """The packed product ``q`` of fewer than 2N slots with slot i + N
+    added onto slot i; no slot carries when no folded count passes its type."""
+    shift = 8 * slot[1] * modulus
+    return (q & ((1 << shift) - 1)) + (q >> shift)
+
+
+def _slots(q: int, slot: tuple, width: int) -> array:
+    """The first ``width`` slots of the packed integer ``q``."""
+    code, size = slot
+    return array(code, q.to_bytes(size * width, sys.byteorder))
+
+
 # Below this many pairs, setting up the packed arrays costs more than
 # adding the pairs into a dict.
 PACKED_MIN_PAIRS = 256
@@ -628,9 +664,10 @@ def _packed_product(entries, ints: list, modulus: int | None) -> dict | None:
     The product needs at least ``PACKED_MIN_PAIRS`` pairs, at least two
     pairs per slot of the sums' index range, at most ``DENSE_RANGE_LIMIT``
     slots, and max(counts) * len(ints) below 2^64.  The counts are packed
-    into fixed-width slots of one big integer and multiplied by the
-    indicator of ``ints`` packed the same way; no slot carries, because no
-    count of the product exceeds that bound.
+    by ``_packed`` into the narrowest slot that holds that bound and
+    multiplied by the indicator of ``ints`` packed the same way; no slot
+    carries, because no count of the product, folded mod N or not,
+    exceeds the bound.
     """
     pairs = _support(entries) * len(ints)
     if pairs < PACKED_MIN_PAIRS:
@@ -642,27 +679,17 @@ def _packed_product(entries, ints: list, modulus: int | None) -> dict | None:
     span = width + reach - 1 if modulus is None else modulus
     if span > DENSE_RANGE_LIMIT or pairs < 2 * span:
         return None
-    bits = (top * len(ints)).bit_length()
-    if bits > 64:
+    slot = _slot_type(top * len(ints))
+    if slot is None:
         return None
-    code, size = next(t for t in _COUNT_TYPES if bits <= 8 * t[1])
-    row = array(code, bytes(size * width))
-    for x, c in _items(entries):
-        row[x - lo_e] = c
-    part = array(code, bytes(size * reach))
-    for y in ints:
-        part[y - lo_y] = 1
-    product = int.from_bytes(row.tobytes(), sys.byteorder) * int.from_bytes(
-        part.tobytes(), sys.byteorder
+    product = _packed(slot, width, ((x - lo_e, c) for x, c in _items(entries))) * _packed(
+        slot, reach, ((y - lo_y, 1) for y in ints)
     )
-    counts = array(code, product.to_bytes(size * (width + reach - 1), sys.byteorder)).tolist()
-    if modulus is None:
-        base = lo_e + lo_y
-        return {base + i: c for i, c in enumerate(counts) if c}
-    high = counts[modulus:]
-    counts = counts[:modulus]
-    counts[: len(high)] = map(add, counts, high)
-    return {i: c for i, c in enumerate(counts) if c}
+    if modulus is not None:
+        product = _fold(product, slot, modulus)
+    base = lo_e + lo_y
+    counts = _slots(product, slot, span).tolist()
+    return {base + i: c for i, c in enumerate(counts) if c}
 
 
 def _sorted_sums(entries, ints: list, modulus: int | None, size_cap: int | None):

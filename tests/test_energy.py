@@ -15,6 +15,7 @@ from adlab import (
     dim_k_exact,
     integers,
     mult_embed,
+    rep_fn,
     residues,
     rudin_ratio,
     subgroup,
@@ -180,6 +181,23 @@ def test_tk_kernels_match_naive(monkeypatch, name):
         "_tk_chain" if kernel == "_tk_table" and cap is not None and cap < multisets else kernel
         for cap in (None, size, size - 1)
     ]
+
+
+def test_table_stops_at_its_bound(monkeypatch):
+    # 23 wide values have 14 950 4-multisets, 24 have 17 550: the bound of
+    # 2^14 falls between them.
+    assert energy.TABLE_MAX_MULTISETS == 1 << 14
+    rng = random.Random(28)
+    wide = rng.sample(range(10**6), 24)
+    ran = _record_kernels(monkeypatch)
+    for xs in (wide[:23], wide):
+        a = integers(xs)
+        assert t_k(a, 4).value == rep_fn([(a, "+")] * 4).square_sum()
+    # A dilated progression of 100 terms has 4.4 million 4-multisets but
+    # only 397 distinct 4-fold sums, so the chain's steps stay small.
+    ap = integers(range(0, 10**8, 10**6))
+    assert t_k(ap, 4).value == t_k(integers(range(100)), 4).value
+    assert ran == ["_tk_table", "_tk_chain", "_tk_chain", "_tk_packed_power"]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
