@@ -15,7 +15,9 @@ candidate tests of ``d_k_exact`` (``_span_test``) build spans with one
 builder on int codes, ``_span_codes``: a bitset over the code box while the
 box has at most 2^22 slots and at most ``SPAN_SLOTS_PER_SUM`` slots per sum
 enumerated, a set of codes otherwise.  ``d_k_exact`` checks int64 where
-``span_k`` would.
+``span_k`` would.  ``is_k_dissociated`` certifies a whole set at every k by
+one meet-in-the-middle search for a relation, on the same codes and with
+the same int64 check as ``span_k``.
 
 All searches are deterministic: elements are processed in a fixed order and
 witnesses are the lexicographically smallest among optimal ones (subsets are
@@ -74,9 +76,7 @@ class DissociationCertificate:
     verdict: str  # "dissociated" or "relation"
     k: int
     relation: tuple | None  # coefficients aligned with the sorted element order
-    # "subset-sum-distinctness", "meet-in-the-middle", or "exhaustive" when
-    # the set is empty or holds 0
-    method: str
+    method: str  # "meet-in-the-middle"
     states_visited: int
 
     @property
@@ -295,86 +295,74 @@ def _state_weight(ambient: Ambient, elems, k: int) -> int:
 
 
 def is_k_dissociated(lam: GroundSet, k: int = 1, budget: int | None = None) -> DissociationCertificate:
-    """Certified test with an explicit relation on failure.
+    """Certified test with an explicit relation on failure, by meet in the middle.
 
-    k = 1 runs incremental subset-sum distinctness; larger k runs
-    meet-in-the-middle, which visits at most about 2(2k+1)^ceil(n/2) states.
-    An empty set is trivially dissociated.  A set containing 0 fails at once
-    (coefficient 1 on the zero element is already a relation).
+    The sorted elements split into halves of floor(n/2) and ceil(n/2).  The
+    left half lists sum(eps_a * a) and the right half sum(-eps_a * a) over
+    its vectors eps in [-k, k], so a relation is a sum both halves list.
+    Sums are ints built from the ``_int_view`` codes of the multiples
+    -k*a..k*a, as in ``span_k``: a's step for c is code(c*a) - code(0).
+    Steps add like the multiples and are 0 for a = 0, so a sum of steps is
+    0 exactly when the ambient sum is (mod N on residues).
+
+    The lists start at the sum 0 and grow in turn, left first.  Element a's
+    block appends its list shifted by a's step for c = 1..k, -k..-1, so a
+    vector's index holds its coefficients as digits in radix 2k + 1.  Each
+    new sum is looked up in the other half's set; a hit joins the new,
+    nonzero vector with the other half's first vector of that sum.  A
+    relation is found by the block that lists the later of its halves.
+
+    States: one per listed sum, charged by one ``meter.tick`` before each
+    block.  A dissociated set lists every sum but the two zero vectors',
+    (2k+1)^floor(n/2) + (2k+1)^ceil(n/2) - 2 states.  The codes are checked
+    against int64 as ``span_k`` checks them, so at every k the call raises
+    ``CoordinateOverflowError`` exactly where ``span_k(lam, k)`` would.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    amb = lam.ambient
-    elems = lam.elements
-    n = len(elems)
-    if n == 0:
-        return DissociationCertificate("dissociated", k, None, "exhaustive", 0)
-    zero = amb.zero
-    if zero in lam:
-        eps = tuple(1 if x == zero else 0 for x in elems)
-        return DissociationCertificate("relation", k, eps, "exhaustive", 0)
     meter = as_meter(budget)
-    if k == 1:
-        return _subset_sum_certificate(lam, meter)
-    return _mitm_certificate(lam, k, meter)
-
-
-def _subset_sum_certificate(lam: GroundSet, meter: WorkMeter) -> DissociationCertificate:
     amb = lam.ambient
-    elems = lam.elements
-    sums = {amb.zero: 0}  # sum -> subset bitmask, first-seen wins
-    for i, x in enumerate(elems):
-        new = {}
-        for s, mask in sums.items():
-            meter.tick()
-            t = amb.add(s, x)
-            clash = sums.get(t, new.get(t))
-            if clash is not None:
-                q = mask | (1 << i)
-                eps = tuple(((q >> j) & 1) - ((clash >> j) & 1) for j in range(len(elems)))
+    n = len(lam.elements)
+    radix = 2 * k + 1
+    multiples = [[amb.scale(c, x) for c in range(-k, k + 1)] for x in lam.elements]
+    codes, modulus, _ = _int_view(amb, [(part, "+") for part in multiples])
+    coeffs = (*range(1, k + 1), *range(-k, 0))  # the digits 1..2k
+    h = n // 2  # the right half starts at element h
+    sums = ([0], [0])  # per half, its sums in index order
+    seen = ({0}, {0})  # and the set of them
+    for t in range(n - h):
+        for j in (t, h + t) if t < h else (h + t,):
+            side = 0 if j < h else 1
+            own, other, found = sums[side], sums[1 - side], seen[1 - side]
+            m = len(own)
+            meter.tick((radix - 1) * m)
+            part = codes[j]
+            new = []
+            for c in coeffs:
+                step = part[k + c if side == 0 else k - c] - part[k]
+                if modulus is None:
+                    block = [s + step for s in own]
+                else:
+                    block = [(s + step) % modulus for s in own]
+                if found.isdisjoint(block):
+                    new += block
+                    continue
+                i = next(i for i, s in enumerate(block) if s in found)
+                eps = [0] * n
+                own_index, other_index = m + len(new) + i, other.index(block[i])
+                for e, index in ((side * h, own_index), ((1 - side) * h, other_index)):
+                    while index:
+                        index, d = divmod(index, radix)
+                        eps[e] = d if d <= k else d - radix
+                        e += 1
                 cert = DissociationCertificate(
-                    "relation", 1, eps, "subset-sum-distinctness", meter.states
+                    "relation", k, tuple(eps), "meet-in-the-middle", meter.states
                 )
                 if not cert.verify(lam):
-                    raise VerificationFailedError(f"subset-sum relation {eps} does not vanish")
+                    raise VerificationFailedError(f"relation {eps} does not vanish")
                 return cert
-            new[t] = mask | (1 << i)
-        sums.update(new)
-    return DissociationCertificate("dissociated", 1, None, "subset-sum-distinctness", meter.states)
-
-
-def _mitm_certificate(lam: GroundSet, k: int, meter: WorkMeter) -> DissociationCertificate:
-    amb = lam.ambient
-    elems = lam.elements
-    n = len(elems)
-    h = n // 2
-    left, right = elems[:h], elems[h:]
-    meter.check_feasible((2 * k + 1) ** (n - h), "meet-in-the-middle table")
-    table: dict = {}
-    zero_sum_nonzero = None
-    for eps in itertools.product(range(-k, k + 1), repeat=n - h):
-        meter.tick()
-        s = combination(amb, right, eps)
-        if s not in table:
-            table[s] = eps
-        if s == amb.zero and any(eps) and zero_sum_nonzero is None:
-            zero_sum_nonzero = eps
-    for eps_l in itertools.product(range(-k, k + 1), repeat=h):
-        meter.tick()
-        s = combination(amb, left, eps_l)
-        target = amb.neg(s)
-        eps_r = table.get(target)
-        if eps_r is None:
-            continue
-        if not any(eps_l):
-            if zero_sum_nonzero is None:
-                continue
-            eps_r = zero_sum_nonzero
-        eps = tuple(eps_l) + tuple(eps_r)
-        cert = DissociationCertificate("relation", k, eps, "meet-in-the-middle", meter.states)
-        if not cert.verify(lam):
-            raise VerificationFailedError(f"meet-in-the-middle relation {eps} does not vanish")
-        return cert
+            seen[side].update(new)
+            own += new
     return DissociationCertificate("dissociated", k, None, "meet-in-the-middle", meter.states)
 
 

@@ -45,6 +45,15 @@ def test_certificate_agrees_with_naive_small():
             cert = is_k_dissociated(integers(xs), k)
             assert cert.is_dissociated == (naive_relation(xs, k) is None)
             assert cert.verify(integers(xs))
+    # residues mod 31 and Z^2, with 0 among the draws
+    for _ in range(40):
+        rs = rng.sample(range(31), rng.randint(1, 5))
+        vs = list({(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 5))})
+        for k in (1, 2, 3):
+            for lam, xs, modulus in ((residues(rs, 31), rs, 31), (vectors(vs, 2), vs, None)):
+                cert = is_k_dissociated(lam, k)
+                assert cert.is_dissociated == (naive_relation(xs, k, modulus) is None)
+                assert cert.verify(lam)
 
 
 def test_relation_certificate_replays():
@@ -55,11 +64,46 @@ def test_relation_certificate_replays():
     assert any(coeffs) and all(abs(c) <= 1 for c in coeffs)
 
 
-def test_k2_certificate_costs_two_half_tables():
-    xs = [1, 5, 25, 125, 625, 3125]
-    cert = is_k_dissociated(integers(xs), 2)
+@pytest.mark.parametrize(
+    "xs, k",
+    [
+        ([2**i for i in range(12)], 1),  # one table of all sums lists 2^12
+        ([1, 5, 25, 125, 625, 3125], 2),  # one table of all sums lists 5^6 = 15 625
+    ],
+    ids=["k1", "k2"],
+)
+def test_certificate_costs_two_half_tables(xs, k):
+    cert = is_k_dissociated(integers(xs), k)
     assert cert.is_dissociated
-    assert cert.states_visited <= 2 * 5 ** 3  # 2(2k+1)^ceil(n/2), not (2k+1)^n = 15 625
+    n = len(xs)
+    assert cert.states_visited <= (2 * k + 1) ** (n // 2) + (2 * k + 1) ** (n - n // 2)
+
+
+def test_certificate_stops_at_a_relation_among_the_first_elements():
+    # 1 + 13 - 14 = 0 is found once each half has listed its first two elements.
+    cert = is_k_dissociated(integers(range(1, 25)), 1)
+    assert cert.verdict == "relation" and cert.verify(integers(range(1, 25)))
+    assert cert.states_visited <= 54
+
+
+def test_certificate_charges_a_block_before_listing_it():
+    # 127 = 1 + 2 + ... + 64: the relation is the 27th sum of the last block,
+    # the right half's 127 (54 sums), listed after 2 + 2 + 6 + 6 + 18 + 18 +
+    # 54 = 106 states.  One state short of the block, no sum of it is listed.
+    lam = integers([1, 2, 4, 8, 16, 32, 64, 127])
+    cert = is_k_dissociated(lam, 1, budget=160)
+    assert cert.verdict == "relation" and cert.verify(lam)
+    assert cert.states_visited == 106 + 54
+    meter = WorkMeter(159)
+    with pytest.raises(BudgetExceededError, match="state budget exhausted"):
+        is_k_dissociated(lam, 1, budget=meter)
+    assert meter.states == 160  # the whole block, charged before any of its sums
+
+
+def test_certificate_on_the_line_raises_when_a_signed_sum_leaves_int64():
+    assert is_k_dissociated(integers([B62, -(B62 - 1)]), 1).is_dissociated
+    with pytest.raises(CoordinateOverflowError):
+        is_k_dissociated(integers([B62, -B62]), 1)
 
 
 def test_zero_element_is_instant_relation():
@@ -523,20 +567,27 @@ OVERFLOW = "overflow"
 @pytest.mark.parametrize(
     "xs, k, expected",
     [
-        # (greedy size, dim_bounds (lower, upper, states), d_k_exact (lower, upper, states))
-        ([(B62, 0), (B62 - 1, 1)], 1, (2, (2, 2, 4), (2, 2, 17))),
-        ([(B62, 0), (B62, 1)], 1, (OVERFLOW, OVERFLOW, OVERFLOW)),
-        ([(-B62, 0), (-B62, -1)], 1, (2, (2, 2, 4), OVERFLOW)),
-        ([(-B62 - 1, 0), (-B62, 3)], 1, (OVERFLOW, OVERFLOW, OVERFLOW)),
-        ([(B62 // 2, 1), (B62 // 2 - 1, -1)], 2, (2, (2, 2, 4), (2, 2, 37))),
-        ([(B62 // 2, 1), (B62 // 2 - 1, -1)], 3, (OVERFLOW, OVERFLOW, OVERFLOW)),
-        ([(1, B62 - 2, -1), (2, B62, 0), (0, 1, 2)], 1, (3, (3, 3, 6), (3, 3, 66))),
-        ([(1, B62 - 1, -1), (2, B62, 0), (0, 1, 2)], 1, (OVERFLOW, OVERFLOW, OVERFLOW)),
-        ([(3, -2, -B62), (-1, 0, -B62 + 1), (2, 2, -1)], 1, (3, (3, 3, 6), OVERFLOW)),
-        ([(3, -2, -B62 - 1), (-1, 0, -B62 + 1), (2, 2, -1)], 1, (OVERFLOW, OVERFLOW, OVERFLOW)),
-        ([(B62 // 2, 0, 1), (B62 // 2, 1, 0), (0, -1, 1)], 1, (2, (2, 2, 6), (2, 2, 21))),
-        ([(B62 // 2, 0, 1), (B62 // 2, 1, 0), (0, -1, 1)], 2, (OVERFLOW, OVERFLOW, OVERFLOW)),
-        ([(B62 // 2 - 1, 0, 1), (B62 // 2, 1, 0), (0, -1, 1)], 2, (3, (3, 3, 6), (3, 3, 218))),
+        # (greedy size, dim_bounds (lower, upper, states), d_k_exact (lower, upper, states),
+        # is_k_dissociated verdict)
+        ([(B62, 0), (B62 - 1, 1)], 1, (2, (2, 2, 4), (2, 2, 17), "dissociated")),
+        ([(B62, 0), (B62, 1)], 1, (OVERFLOW, OVERFLOW, OVERFLOW, OVERFLOW)),
+        ([(-B62, 0), (-B62, -1)], 1, (2, (2, 2, 4), OVERFLOW, OVERFLOW)),
+        ([(-B62 - 1, 0), (-B62, 3)], 1, (OVERFLOW, OVERFLOW, OVERFLOW, OVERFLOW)),
+        ([(B62 // 2, 1), (B62 // 2 - 1, -1)], 2, (2, (2, 2, 4), (2, 2, 37), "dissociated")),
+        ([(B62 // 2, 1), (B62 // 2 - 1, -1)], 3, (OVERFLOW, OVERFLOW, OVERFLOW, OVERFLOW)),
+        ([(1, B62 - 2, -1), (2, B62, 0), (0, 1, 2)], 1, (3, (3, 3, 6), (3, 3, 66), "dissociated")),
+        ([(1, B62 - 1, -1), (2, B62, 0), (0, 1, 2)], 1, (OVERFLOW, OVERFLOW, OVERFLOW, OVERFLOW)),
+        ([(3, -2, -B62), (-1, 0, -B62 + 1), (2, 2, -1)], 1, (3, (3, 3, 6), OVERFLOW, OVERFLOW)),
+        (
+            [(3, -2, -B62 - 1), (-1, 0, -B62 + 1), (2, 2, -1)], 1,
+            (OVERFLOW, OVERFLOW, OVERFLOW, OVERFLOW),
+        ),
+        ([(B62 // 2, 0, 1), (B62 // 2, 1, 0), (0, -1, 1)], 1, (2, (2, 2, 6), (2, 2, 21), "relation")),
+        ([(B62 // 2, 0, 1), (B62 // 2, 1, 0), (0, -1, 1)], 2, (OVERFLOW, OVERFLOW, OVERFLOW, OVERFLOW)),
+        (
+            [(B62 // 2 - 1, 0, 1), (B62 // 2, 1, 0), (0, -1, 1)], 2,
+            (3, (3, 3, 6), (3, 3, 218), "dissociated"),
+        ),
     ],
 )
 def test_lattice_searches_raise_exactly_when_a_sum_leaves_int64(xs, k, expected):
@@ -551,6 +602,7 @@ def test_lattice_searches_raise_exactly_when_a_sum_leaves_int64(xs, k, expected)
         lambda: len(max_dissociated_greedy(a, k)),
         lambda: bounds(dim_bounds(a, k)),
         lambda: bounds(d_k_exact(a, k)),
+        lambda: is_k_dissociated(a, k).verdict,
     )
     message = r"^coordinate -?\d+ outside signed 64-bit range$"
     for call, want in zip(calls, expected):
@@ -559,6 +611,13 @@ def test_lattice_searches_raise_exactly_when_a_sum_leaves_int64(xs, k, expected)
                 call()
         else:
             assert call() == want
+    # The certificate's codes are checked where span_k's are.
+    try:
+        span_k(a, k)
+    except CoordinateOverflowError:
+        assert expected[3] == OVERFLOW
+    else:
+        assert expected[3] != OVERFLOW
 
 
 def test_greedy_is_maximal_and_spans():
