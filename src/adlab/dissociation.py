@@ -23,6 +23,14 @@ All searches are deterministic: elements are processed in a fixed order and
 witnesses are the lexicographically smallest among optimal ones (subsets are
 compared as sorted tuples).
 
+``dim_k_exact`` searches each orbit of A's symmetries once, as the input
+alone decides: one element of each class {x, -x}, the smaller one, since a
+sign flip keeps a set k-dissociated; and mod N, when the units g with
+gA = A move A's least nonzero element onto every other, only subsets that
+hold it.  The lexicographically smallest optimal witness already has both
+properties, so values and witnesses are those of the search on all of A;
+only states and budget truncations move.
+
 Budget contract: every search charges one tick of its node weight per
 tried candidate, in the order it tries them and before that candidate's
 ``extend``.  ``dim_k_exact`` counts its ticks inline rather than through
@@ -56,6 +64,7 @@ from .groundset import (
     _int_view,
     _mixed_radix,
     _set_bits,
+    _unit_dilations,
     by_magnitude,
     combination,
     sigma_k,
@@ -413,6 +422,28 @@ def _ceil_root(p: int, r: int) -> int:
     return x if x**r >= p else x + 1
 
 
+def _sign_classes(lam: GroundSet, elems: list) -> list:
+    """One element of each class {x, -x} among ``elems``, A's nonzero
+    elements in order: the smaller one in element order.
+
+    That is the negative one on the line and on Z^r (its first nonzero
+    coordinate is negative), so a set with no negative element comes back
+    as it is; mod N it is the one at most N/2.  Negation is plain, so an
+    INT64_MIN coordinate raises nothing here.
+    """
+    amb = lam.ambient
+    if isinstance(amb, Residues):
+        n, index = amb.modulus, lam._index
+        return [x for x in elems if 2 * x <= n or n - x not in index]
+    zero = amb.zero
+    if elems[0] > zero:
+        return elems
+    index = lam._index
+    if amb.rank == 1:
+        return [x for x in elems if x < 0 or -x not in index]
+    return [x for x in elems if x < zero or tuple(-c for c in x) not in index]
+
+
 def dim_k_exact(lam: GroundSet, k: int = 1, budget: int | None = None) -> DimensionBounds:
     """Largest k-dissociated subset size by depth-first branch and bound.
 
@@ -420,15 +451,31 @@ def dim_k_exact(lam: GroundSet, k: int = 1, budget: int | None = None) -> Dimens
     the optimum is the lexicographically smallest one.  On budget exhaustion
     the result degrades to certified bounds with ``exact=False``.
 
-    Visit order: after the greedy pre-pass, a node tries its candidates in
-    ascending index order and charges one tick of the node weight per tried
-    candidate, before that candidate's ``extend``.  A node picks its loop
-    once: on the line at k = 1 the shift-and test of the bitset is written
-    out in the loop, and every other state goes through ``extend``.  Either
-    loop counts its ticks by the index of the next candidate, with no
-    per-candidate charge, and the search writes them back to the meter
-    when it returns; once the budget is spent it charges the meter, which
-    raises at the tick and with the states where ``WorkMeter.tick`` would.
+    Symmetry: flipping the sign of an element keeps a set k-dissociated, and
+    no k-dissociated set holds both x and -x.  So the search runs on one
+    element of each class {x, -x} of A's nonzero elements, the smaller one
+    in element order (``_sign_classes``): swapping a larger one for its
+    negative makes a witness lexicographically smaller, so the smallest
+    optimal witness uses only these, and the witness and value stay those
+    of the search on all of A.  Mod N, when the units g with gA = A
+    (``groundset._unit_dilations``) carry A's first nonzero element a0 to
+    every other, the root tries a0 alone: dilating any witness so that it
+    holds a0 and then taking the smaller element of each class gives an
+    optimal witness that holds a0, and a set holding the least element
+    precedes every set without it.  Only states and truncations move.
+
+    Visit order: after the greedy pre-pass, which runs on the same class
+    representatives, a node tries its candidates in ascending index order
+    and charges one tick of the node weight per tried candidate, before
+    that candidate's ``extend``.  A root that tries a0 alone
+    (``forced_root``) makes the root's checks and charges one tick for a0.
+    A node picks its loop once: on the line at k = 1 the shift-and test of
+    the bitset is written out in the loop, and every other state goes
+    through ``extend``.  Either loop counts its ticks by the index of the
+    next candidate, with no per-candidate charge, and the search writes
+    them back to the meter when it returns; once the budget is spent it
+    charges the meter, which raises at the tick and with the states where
+    ``WorkMeter.tick`` would.
     Bounds, witness, note and states are therefore fixed by the input and
     the budget alone.
 
@@ -455,12 +502,18 @@ def dim_k_exact(lam: GroundSet, k: int = 1, budget: int | None = None) -> Dimens
         spent = budget.states if isinstance(budget, WorkMeter) else 0
         return DimensionBounds("dim_k", k, 0, 0, True, GroundSet.of(amb, ()), None, spent)
     meter = as_meter(budget)
+    modulus = amb.modulus if isinstance(amb, Residues) else None
+    forced = False  # the root tries elems[0] alone
+    if modulus is not None:
+        forced = len({g * elems[0] % modulus for g in _unit_dilations(lam)}) == n
+    reps = _sign_classes(lam, elems)
+    classes = lam if len(reps) == n else GroundSet(amb, tuple(reps))
+    elems, n = reps, len(reps)
     weight = _state_weight(amb, elems, k)
     kmag = [k * amb.magnitude(x) for x in elems]
     reach = [0]
     for m in sorted(kmag, reverse=True):
         reach.append(reach[-1] + m)
-    modulus = amb.modulus if isinstance(amb, Residues) else None
     rank = amb.rank
     # need[t] for every depth t the search can reach: no box below exceeds
     # top, and every check stops at the first need above its box.  Mod N
@@ -478,7 +531,7 @@ def dim_k_exact(lam: GroundSet, k: int = 1, budget: int | None = None) -> Dimens
             break
         power *= kp1
 
-    greedy = max_dissociated_greedy(lam, k, budget=meter)
+    greedy = max_dissociated_greedy(classes, k, budget=meter)
     best = len(greedy) - 1
     witness: tuple | None = None
     root_cap = 0
@@ -546,9 +599,25 @@ def dim_k_exact(lam: GroundSet, k: int = 1, budget: int | None = None) -> Dimens
             meter.tick(weight)
         return dead - j
 
+    def forced_root(left: int) -> int:
+        """The root of ``dfs`` with elems[0] as its only candidate."""
+        nonlocal best, witness, thr
+        if best < 0:
+            best, witness, thr = 0, (), [None]
+        if max(map(sub, need[: best + 2], reach)) > 1:
+            return left
+        if not left:
+            meter.states += spare * weight
+            meter.tick(weight)
+        child = extend(root, steps[0], 1)
+        if child is None:
+            return left - 1
+        path[0] = elems[0]
+        return dfs(1, 1, 1 + kmag[0], child, kp1, left - 1)
+
     truncated = False
     try:
-        left = dfs(0, 0, 1, root, 1, spare)
+        left = forced_root(spare) if forced else dfs(0, 0, 1, root, 1, spare)
         meter.states += (spare - left) * weight
     except BudgetExceededError:
         truncated = True

@@ -69,6 +69,7 @@ from .groundset import (
     _slot_type,
     _slots,
     _square_sum,
+    _unit_dilations,
     mult_embed,
     rep_fn,
 )
@@ -266,6 +267,12 @@ def dim_alpha_k(
     a subset precedes its supersets in that order, so the witness is the
     first minimal qualifying subset whose dimension is the minimum.
 
+    Mod N a unit g with gA = A (``groundset._unit_dilations``) keeps T_k
+    and dim, so gB has B's energy and dimension.  Of the candidates that
+    are dilates of one another only the first in that order is taken: a
+    later one cannot beat it, and the first minimizer is the first of its
+    own orbit, so the value and the witness stay those of the full loop.
+
     The meter counts the energy search's states, one per k-multiset of A
     listed, one per ordered pair of multisets with equal sums and one per
     subset energy read, then the states of the greedy and exact dimension
@@ -290,6 +297,17 @@ def dim_alpha_k(
         best_witness: GroundSet | None = None
         candidates = _qualifying_subsets(a, k, alpha.numerator * total, alpha.denominator, meter)
         candidates.sort(key=lambda elems: (len(elems), elems))
+        dilations = _unit_dilations(a)
+        if len(dilations) > 1:
+            # One candidate per orbit of the dilations, its first in order.
+            modulus = a.ambient.modulus
+            seen: set = set()
+            firsts = []
+            for elems in candidates:
+                if frozenset(elems) not in seen:
+                    firsts.append(elems)
+                    seen.update(frozenset(g * x % modulus for x in elems) for g in dilations)
+            candidates = firsts
         # Dissociated subsets the searches below have found.  One of size
         # >= best inside B shows that B cannot beat the current optimum.
         known: list = []

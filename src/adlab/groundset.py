@@ -23,6 +23,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from math import gcd
 from operator import add, mul
 from typing import Iterable, Sequence, Union
 
@@ -244,6 +245,30 @@ def by_magnitude(ambient: Ambient, elems: Iterable[Element], descending: bool = 
     """Elements ordered by ambient magnitude, ties broken by value."""
     sign = -1 if descending else 1
     return sorted(elems, key=lambda e: (sign * ambient.magnitude(e), e))
+
+
+def _unit_dilations(a: GroundSet) -> tuple:
+    """The units g mod N with gA = A, ascending, when A mod N holds a unit.
+
+    x -> gx is then an automorphism of Z/N that maps A onto itself, so it
+    keeps relations, k-fold sums and the Dirichlet sum of A.  Such a g maps
+    A's first unit u to a unit y of A, so g = y/u: at most |A| candidates,
+    each checked against A with an early exit.  Off ``Residues``, and for a
+    set without a unit, the result is (1,): a set of non-units may have far
+    more dilations than elements (every unit fixes {N/2}), and the trivial
+    group is a subgroup of any stabilizer.
+    """
+    amb = a.ambient
+    if not isinstance(amb, Residues):
+        return (1,)
+    n = amb.modulus
+    units = [y for y in a.elements if gcd(y, n) == 1]
+    if not units:
+        return (1,)
+    inv = pow(units[0], -1, n)
+    index = a._index
+    candidates = sorted(y * inv % n for y in units)
+    return tuple(g for g in candidates if all(g * x % n in index for x in a.elements))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .budget import as_meter
 from .dissociation import dim_bounds
 from .energy import dim_alpha_k, t_k
 from .errors import PreconditionError, SizeCapExceededError, VerificationFailedError
-from .groundset import GroundSet, IntegerLattice, Residues, product_set
+from .groundset import GroundSet, IntegerLattice, Residues, _unit_dilations, product_set
 from .growth import growth_sequence
 from .records import ClaimRecord, ExperimentReport, canonical
 
@@ -104,12 +104,16 @@ def dirichlet_min(a: GroundSet, s: int = 2, modulus: Optional[int] = None) -> Di
     ||x|| is the distance from x to the nearest integer, and s must be a
     positive integer.  Each q is scanned against a table of
     (N ||r/N||)^s for the N residues r, so the value is an exact Fraction
-    and argmin_q is the first q that reaches it.  The sum at N - q equals
-    the sum at q, so the first minimizer is at most N/2 and the scan stops
-    there.  The totals of a block of q are formed together, at most
-    ``DIRICHLET_BLOCK_CELLS`` table reads a block, and a block's first
-    least total is kept only if it beats every earlier block.  It is
-    refused with SizeCapExceededError for N > 2^20
+    and argmin_q is the first q that reaches it.  The sum at q is the sum
+    at gq for every g in +-H, H the units with gA = A
+    (``groundset._unit_dilations``; H = {1} on integer sets), so the scan
+    takes one q per orbit of +-H on [1, N-1], its smallest member, which
+    is at most N/2.  The first minimizer is the smallest member of its
+    orbit, as an orbit-mate below it would reach the minimum first, so
+    argmin_q is that of the full scan.  The totals of a block of q are
+    formed together, at most ``DIRICHLET_BLOCK_CELLS`` table reads a
+    block, and a block's first least total is kept only if it beats every
+    earlier block.  It is refused with SizeCapExceededError for N > 2^20
     (``DIRICHLET_SCAN_CAP``).
     """
     if not isinstance(s, int) or s < 1:
@@ -124,17 +128,29 @@ def dirichlet_min(a: GroundSet, s: int = 2, modulus: Optional[int] = None) -> Di
             stage="dirichlet-scan",
         )
     table = [min(r, n - r) ** s for r in range(n)]
+    qs = range(1, n // 2 + 1)
+    dilations = _unit_dilations(a)
+    if len(dilations) > 1:
+        # Ascending, each q not yet in an orbit starts one and marks it.
+        moves = {*dilations, *(n - g for g in dilations)}
+        seen = bytearray(n)
+        qs = []
+        q = 1
+        while 0 < q <= n // 2:
+            qs.append(q)
+            for g in moves:
+                seen[g * q % n] = 1
+            q = seen.find(0, q + 1)
     best_num = best_q = None
-    top = n // 2 + 1
     step = max(1, DIRICHLET_BLOCK_CELLS // len(elems))
-    for lo in range(1, top, step):
-        hi = min(lo + step, top)
+    for lo in range(0, len(qs), step):
+        block = qs[lo : lo + step]
         # One column of table values over the block's q per element.
-        columns = [[table[q * x % n] for q in range(lo, hi)] for x in elems]
+        columns = [[table[q * x % n] for q in block] for x in elems]
         totals = list(map(sum, zip(*columns)))
         least = min(totals)
         if best_num is None or least < best_num:
-            best_num, best_q = least, lo + totals.index(least)
+            best_num, best_q = least, block[totals.index(least)]
     return DirichletValue(value=Fraction(best_num, n**s), argmin_q=best_q, s=s, modulus=n)
 
 

@@ -140,6 +140,11 @@ def reference_dim_bounds(xs, k, budget, modulus=None, spent=0):
     counting allowance of the root.  Sum sets are plain sets; a node is
     pruned when the (k+1)^t distinct sums cannot fit in the box its
     elements reach.
+
+    Both the pre-pass and the search run on the nonzero elements x whose
+    negative -x is not a smaller element of the set.  Mod N, when A's
+    first nonzero element a0 is a unit and for every nonzero x the
+    dilation by x/a0 maps A onto itself, the root tries a0 alone.
     """
     zero = (0,) * len(xs[0]) if xs and isinstance(xs[0], tuple) else 0
     rank = len(zero) if isinstance(zero, tuple) else 1
@@ -147,6 +152,19 @@ def reference_dim_bounds(xs, k, budget, modulus=None, spent=0):
     n = len(elems)
     if n == 0:
         return 0, 0, True, spent, (), ""
+    members = set(xs)
+    forced = False
+    if modulus is not None and gcd(elems[0], modulus) == 1:
+        inv = pow(elems[0], -1, modulus)
+        forced = all({x * inv * y % modulus for y in xs} == members for x in elems)
+
+    def neg(x):
+        if modulus is not None:
+            return -x % modulus
+        return tuple(-c for c in x) if rank > 1 else -x
+
+    elems = [x for x in elems if not (neg(x) < x and neg(x) in members)]
+    n_nonzero, n = n, len(elems)
 
     def magnitude(x):
         if modulus is not None:
@@ -186,7 +204,7 @@ def reference_dim_bounds(xs, k, budget, modulus=None, spent=0):
                 greedy.append(x)
                 sums = grown
     except _OutOfBudget:
-        return 0, n, False, states, (), "budget"
+        return 0, n_nonzero, False, states, (), "budget"
 
     mags = sorted((magnitude(x) for x in elems), reverse=True)
     prefix = [sum(mags[:m]) for m in range(n + 1)]
@@ -212,7 +230,7 @@ def reference_dim_bounds(xs, k, budget, modulus=None, spent=0):
         if depth + allowance(depth, chosen_mag, n - i) <= best:
             return
         for j in range(i, n):
-            if depth + n - j <= best:
+            if depth + n - j <= best or (forced and depth == 0 and j > 0):
                 break
             tick()
             grown = extended(sums, elems[j])
@@ -532,16 +550,17 @@ def naive_dft_peak(xs, n):
 
 
 def naive_dirichlet(xs, s, n):
-    """min over q in [1, n-1] of sum_a ||q*a/n||^s, exactly."""
-    best = None
+    """(min over q in [1, n-1] of sum_a ||q*a/n||^s, the first q reaching
+    it), exactly, by a full scan of q."""
+    best = best_q = None
     for q in range(1, n):
-        total = Fraction(0)
+        total = 0  # n^s times the sum
         for a in xs:
             rem = (q * a) % n
-            total += Fraction(min(rem, n - rem), n) ** s
+            total += min(rem, n - rem) ** s
         if best is None or total < best:
-            best = total
-    return best
+            best, best_q = total, q
+    return Fraction(best, n**s), best_q
 
 
 def naive_is_prime(n):

@@ -46,6 +46,7 @@ from adlab.harness import evaluate_claim
 for argv in (
     ["subgroup", "--p", "1009", "--t", "12"],
     ["dim", "1,2,3"],
+    ["dim", ",".join(map(str, subgroup(211, 42).members.elements)), "--mod", "211"],
     ["energy", "6,10,15,21", "--op", "mul"],
     ["energy", ",".join(map(str, range(1, 161, 4))), "--k", "4"],
     ["gen", "primes", "count=12"],
@@ -70,7 +71,8 @@ def test_runs_without_sympy():
     once called sympy (primality, primitive roots, totients, factoring, the
     next prime, the first primes) runs with sympy blocked.  The commands
     up to the Fourier claim, among them the start-ups ``subgroup --p 1009
-    --t 12`` and ``dim 1,2,3``, a small ``sumset`` and the energy of a
+    --t 12`` and ``dim 1,2,3``, the dimension of ``subgroup(211, 42)``
+    searched on its orbits, a small ``sumset`` and the energy of a
     dense line set at k = 4, load no numpy either.  The last and the
     subgroup's T_3 take the packed power of ``energy._tk_packed_power``."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -19,6 +19,7 @@ from adlab import (
     max_dissociated_greedy,
     residues,
     span_k,
+    subgroup,
     vectors,
 )
 from adlab import dissociation
@@ -273,6 +274,14 @@ def _search_sets():
 @example(integers([-12, -9, -6, 0, 1, 2, 3, 7, 8, 11]), 2, 12, 0)
 # No search on {0}: the states already on the meter.
 @example(integers([0]), 1, 50, 3)
+# One element of each class {x, -x}: the search runs on -7, -3, -2, 5.
+@example(integers([-7, -3, -2, 2, 3, 5, 7]), 1, None, 0)
+# Units mod 12 and a subgroup mod 13: their dilations are transitive, so
+# the root tries the least element alone.
+@example(residues([1, 5, 7, 11], 12), 1, None, 0)
+@example(subgroup(13, 4).members, 2, None, 0)
+# A coset of subgroup(31, 5), truncated after the greedy pre-pass.
+@example(residues([3, 6, 12, 17, 24], 31), 1, 6, 0)
 def test_search_matches_the_reference_loop(a, k, budget, spent):
     # Bounds, witness, note and states, tick for tick, also when a budget
     # truncates the search or a shared meter has already been charged.
@@ -299,6 +308,23 @@ def test_dim_frozen_values():
     assert dim_k_exact(integers(range(1, 9)), 1).value == 4
     assert dim_k_exact(integers(range(1, 5)), 2).value == 2
     assert dim_k_exact(integers(range(1, 10)), 2).value == 3
+
+
+@pytest.mark.parametrize(
+    "p, t, witness",
+    [
+        (211, 42, (1, 12, 14, 31, 38, 73)),
+        (401, 40, (1, 20, 22, 29, 35, 39, 98)),
+        (401, 50, (1, 5, 14, 16, 39, 72, 173)),
+    ],
+)
+def test_subgroup_dimensions_finish_on_their_orbits(p, t, witness):
+    # On all of Gamma these searches stop at 2 M states with [6, 7] and
+    # [7, 8]; on one element of each class {x, -x} with 1 at the root they
+    # finish, each with the witness the truncated search had found.
+    db = dim_bounds(subgroup(p, t).members, 1, budget=2_000_000)
+    assert (db.lower, db.upper, db.exact, db.note) == (len(witness), len(witness), True, "")
+    assert db.lower_witness.elements == witness
 
 
 def test_dim_witness_is_dissociated_subset():
@@ -588,6 +614,9 @@ OVERFLOW = "overflow"
             [(B62 // 2 - 1, 0, 1), (B62 // 2, 1, 0), (0, -1, 1)], 2,
             (3, (3, 3, 6), (3, 3, 218), "dissociated"),
         ),
+        # The sign-class test of dim_k_exact negates (1, -2^63), whose
+        # negative leaves int64, and raises nothing.
+        ([(-1, 0), (1, -2 * B62)], 1, (2, (2, 2, 4), OVERFLOW, OVERFLOW)),
     ],
 )
 def test_lattice_searches_raise_exactly_when_a_sum_leaves_int64(xs, k, expected):
