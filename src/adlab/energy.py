@@ -59,6 +59,7 @@ from .groundset import (
     SORTED_BLOCK_PAIRS,
     SORTED_MIN_PAIRS,
     GroundSet,
+    _COUNT_TYPES,
     _cap_error,
     _chain,
     _fold,
@@ -70,6 +71,7 @@ from .groundset import (
     _slots,
     _square_sum,
     _unit_dilations,
+    _widened,
     mult_embed,
     rep_fn,
 )
@@ -153,25 +155,34 @@ def _tk_packed_power(codes: list, k: int, modulus: int | None, size_cap: int | N
     """T_k as the sum of the squared slots of P^k, P the indicator of the codes.
 
     P is ``_packed`` with one slot per code (offset by the least code on
-    the line and on Z^r), in the narrowest slot that holds n^(k-1).  On
-    the line and on Z^r, P^k is one power.  Mod N it is square-and-multiply,
-    and ``_fold`` folds each product; every folded slot is a count of jA
-    mod N for some j <= k, at most n^(k-1), so no slot carries.
+    the line and on Z^r).  On the line and on Z^r, P^k is one power, in
+    the narrowest slot that holds n^(k-1).  Mod N it is square-and-multiply,
+    and ``_fold`` folds each product.  The folded slots of P^j are the
+    counts of jA mod N, at most n^(j-1), so each product runs in the
+    narrowest slot that holds its own bound and no slot carries; the
+    running power is ``_widened`` when the next product needs wider slots.
+    A square at 8-bit slots costs a fraction of one at 32-bit slots.
     """
-    slot = _slot_type(len(codes) ** (k - 1))
-    lo = 0 if modulus is not None else min(codes)
-    width = max(codes) - lo + 1
-    p = _packed(slot, width, ((c - lo, 1) for c in codes))
+    n = len(codes)
+    top = slot = _slot_type(n ** (k - 1))
     if modulus is None:
+        lo = min(codes)
+        width = max(codes) - lo + 1
+        q = _packed(slot, width, ((c - lo, 1) for c in codes)) ** k
         width = width * k - k + 1
-        q = p**k
     else:
         width = modulus
-        q = p
-        for bit in bin(k)[3:]:
-            q = _fold(q * q, slot, modulus)
-            if bit == "1":
-                q = _fold(q * p, slot, modulus)
+        p_slot = slot = _COUNT_TYPES[0]  # the narrowest, for P's 0/1 slots
+        p = q = _packed(slot, max(codes) + 1, ((c, 1) for c in codes))
+        power = 1
+        # "s" squares the running power, "p" multiplies it by P.
+        for step in bin(k)[3:].replace("0", "s").replace("1", "sp"):
+            power = 2 * power if step == "s" else power + 1
+            if slot != top and (wider := _slot_type(n ** (power - 1))) != slot:
+                q, slot = _widened(q, slot, wider, width), wider
+            if step == "p" and p_slot != slot:
+                p, p_slot = _widened(p, p_slot, slot, width), slot
+            q = _fold(q * (q if step == "s" else p), slot, modulus)
     counts = _slots(q, slot, width)
     if size_cap is not None and width - counts.count(0) > size_cap:
         raise _cap_error("rep_fn", size_cap)
@@ -272,6 +283,9 @@ def dim_alpha_k(
     are dilates of one another only the first in that order is taken: a
     later one cannot beat it, and the first minimizer is the first of its
     own orbit, so the value and the witness stay those of the full loop.
+    The energy search starts only at orbit-least elements, which is where
+    the first member of every orbit starts, and ``_qualifying_subsets``
+    returns the candidates already sorted with one per orbit.
 
     The meter counts the energy search's states, one per k-multiset of A
     listed, one per ordered pair of multisets with equal sums and one per
@@ -295,19 +309,9 @@ def dim_alpha_k(
     if n <= EXACT_ALPHA_THRESHOLD:
         best: int | None = None
         best_witness: GroundSet | None = None
-        candidates = _qualifying_subsets(a, k, alpha.numerator * total, alpha.denominator, meter)
-        candidates.sort(key=lambda elems: (len(elems), elems))
-        dilations = _unit_dilations(a)
-        if len(dilations) > 1:
-            # One candidate per orbit of the dilations, its first in order.
-            modulus = a.ambient.modulus
-            seen: set = set()
-            firsts = []
-            for elems in candidates:
-                if frozenset(elems) not in seen:
-                    firsts.append(elems)
-                    seen.update(frozenset(g * x % modulus for x in elems) for g in dilations)
-            candidates = firsts
+        candidates = _qualifying_subsets(
+            a, k, alpha.numerator * total, alpha.denominator, meter, _unit_dilations(a)
+        )
         # Dissociated subsets the searches below have found.  One of size
         # >= best inside B shows that B cannot beat the current optimum.
         known: list = []
@@ -373,9 +377,12 @@ def dim_alpha_k(
     )
 
 
-def _qualifying_subsets(a: GroundSet, k: int, need: int, den: int, meter) -> list:
+def _qualifying_subsets(
+    a: GroundSet, k: int, need: int, den: int, meter, dilations: tuple = (1,)
+) -> list:
     """Element tuples of the subsets B with T_k(B) * den >= need that a
-    depth-first search over index-increasing subsets reaches.
+    depth-first search over index-increasing subsets reaches, in (size,
+    elements) order, the first of each orbit of ``dilations`` only.
 
     A subset that qualifies is recorded and not extended.  T_k grows with
     B, so every proper prefix of a minimal qualifying subset fails and the
@@ -383,6 +390,17 @@ def _qualifying_subsets(a: GroundSet, k: int, need: int, den: int, meter) -> lis
     set any child from index idx on, or any of its descendants, can reach,
     and returns once T_k(U) * den < need.  A child's first U is its
     parent's U at the child's index, which passed, so it is not read again.
+
+    ``dilations`` are units g mod N with gA = A, so each maps a minimal
+    qualifying subset onto one.  The first member of an orbit, in (size,
+    elements) order, starts at an orbit-least element: were g x < x for
+    its least element x, its dilate by g would sort before it.  So the top
+    level of the search starts a subtree only at an index whose element is
+    the least of its orbit, and stops after the last one; for a subgroup
+    of F_p* or a coset that is A's first element alone.  The found masks
+    are sorted (at equal size the smaller index tuple has the larger
+    bit-reversed mask), and a mask that is the image of a kept one under
+    an index permutation of a dilation is dropped.
 
     Subsets are n-bit index masks, and T_k(B) is read from a relation
     table.  T_k(B) counts the ordered pairs (m, m') of k-multisets of B's
@@ -483,9 +501,30 @@ def _qualifying_subsets(a: GroundSet, k: int, need: int, den: int, meter) -> lis
             if idx + 1 < n and energy(mask | suffix[idx + 1]) * den < need:
                 return
 
-    if energy(suffix[0]) * den >= need:
-        walk(0, 0)
-    return [tuple(elems[i] for i in _set_bits(m, 0)) for m in found]
+    # perms[g][i] is the index of g * elems[i]; elems ascend, so i is
+    # orbit-least when no dilation sends it lower.
+    index = {x: i for i, x in enumerate(elems)}
+    perms = [[index[g * x % a.ambient.modulus] for x in elems] for g in dilations if g != 1]
+    roots = [i for i in range(n) if all(perm[i] >= i for perm in perms)]
+    # The top level of ``walk(0, 0)`` on the roots alone: with every index
+    # a root it reads the same energies.
+    for idx in roots:
+        if energy(suffix[idx]) * den < need:
+            break
+        child = 1 << idx
+        if energy(child) * den >= need:
+            found.append(child)
+        else:
+            walk(idx + 1, child)
+    found.sort(key=lambda m: (m.bit_count(), -int(f"{m:0{n}b}"[::-1], 2)))
+    out = []
+    seen: set = set()
+    for m in found:
+        if m not in seen:
+            bits = _set_bits(m, 0)
+            out.append(tuple(elems[i] for i in bits))
+            seen.update(sum(1 << perm[i] for i in bits) for perm in perms)
+    return out
 
 
 def _floor_log(n: int, base: int) -> int:

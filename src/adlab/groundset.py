@@ -647,6 +647,19 @@ def _slots(q: int, slot: tuple, width: int) -> array:
     return array(code, q.to_bytes(size * width, sys.byteorder))
 
 
+def _widened(q: int, slot: tuple, wider: tuple, width: int) -> int:
+    """The packed integer ``q`` of ``width`` slots of type ``slot``, each
+    slot moved into one of type ``wider``: its bytes are copied into every
+    ``wider``-sized stride of a zeroed row, at the low end of each."""
+    size, new = slot[1], wider[1]
+    low = 0 if sys.byteorder == "little" else new - size
+    src = q.to_bytes(size * width, sys.byteorder)
+    row = bytearray(new * width)
+    for byte in range(size):
+        row[low + byte :: new] = src[byte::size]
+    return int.from_bytes(row, sys.byteorder)
+
+
 # Below this many pairs, setting up the packed arrays costs more than
 # adding the pairs into a dict.
 PACKED_MIN_PAIRS = 256

@@ -98,13 +98,23 @@ def _dirichlet_elems(a: GroundSet, modulus: Optional[int]) -> tuple[list[int], i
     raise PreconditionError("Dirichlet minimum needs residues mod N or rank-1 integers")
 
 
+def _dirichlet_table(n: int, s: int) -> list:
+    """(N ||r/N||)^s = min(r, N - r)^s for r in [0, N): the powers of
+    0..N/2 and, mirrored, those of (N-1)/2 down to 1."""
+    table = [r**s for r in range(n // 2 + 1)]
+    table += table[(n - 1) // 2 : 0 : -1]
+    return table
+
+
 def dirichlet_min(a: GroundSet, s: int = 2, modulus: Optional[int] = None) -> DirichletValue:
     """Minimize sum_{a in A} ||q a / N||^s over q in [1, N-1], exactly.
 
     ||x|| is the distance from x to the nearest integer, and s must be a
     positive integer.  Each q is scanned against a table of
     (N ||r/N||)^s for the N residues r, so the value is an exact Fraction
-    and argmin_q is the first q that reaches it.  The sum at q is the sum
+    and argmin_q is the first q that reaches it.  The table is symmetric
+    in r and N - r, so ``_dirichlet_table`` computes half of it and
+    appends that half's mirror image.  The sum at q is the sum
     at gq for every g in +-H, H the units with gA = A
     (``groundset._unit_dilations``; H = {1} on integer sets), so the scan
     takes one q per orbit of +-H on [1, N-1], its smallest member, which
@@ -127,7 +137,7 @@ def dirichlet_min(a: GroundSet, s: int = 2, modulus: Optional[int] = None) -> Di
             cap=DIRICHLET_SCAN_CAP,
             stage="dirichlet-scan",
         )
-    table = [min(r, n - r) ** s for r in range(n)]
+    table = _dirichlet_table(n, s)
     qs = range(1, n // 2 + 1)
     dilations = _unit_dilations(a)
     if len(dilations) > 1:

@@ -339,13 +339,17 @@ def naive_minimal_qualifying(xs, alpha, k, modulus=None):
     return [(sub, dim) for sub, e, dim in rows if e >= need > energy[sub[:-1]]]
 
 
-def reference_qualifying_subsets(a, k, need, den):
-    """The list ``energy._qualifying_subsets(a, k, need, den, meter)``
-    returns, from a walk that carries representation functions.
+def reference_qualifying_subsets(a, k, need, den, dilations=(1,)):
+    """The list ``energy._qualifying_subsets(a, k, need, den, meter,
+    dilations)`` returns, from a walk that carries representation functions.
 
     The same index-increasing depth-first search and the same two tests: a
     node returns once T_k(U) * den < need for U = B + a.elements[idx:], and
     records B + y, without extending it, once T_k(B + y) * den >= need.
+    The top level tries only the elements x with x <= g * x mod N for
+    every g in ``dilations``.  The found subsets are sorted by (size,
+    elements), and one is dropped when it is g * B, as a set, for a B kept
+    before it.
     Each node carries r_j, the j-fold representation function of B, for j
     = 0..k, and T_k(B) = sum r_k(x)^2; adding y gives r_j(B + y) = sum_i
     C(j, i) * r_{j-i}(B) shifted by i*y, and removing y from U inverts
@@ -383,8 +387,8 @@ def reference_qualifying_subsets(a, k, need, den):
     found = []
     chosen = []
 
-    def walk(start, reps, energy, u_reps, u_energy):
-        for idx in range(start, n):
+    def walk(indices, reps, energy, u_reps, u_energy):
+        for idx in indices:
             if u_energy * den < need:
                 return
             y = part_codes[0][idx]
@@ -393,7 +397,7 @@ def reference_qualifying_subsets(a, k, need, den):
             if child_energy * den >= need:
                 found.append(tuple(chosen))
             else:
-                walk(idx + 1, child, child_energy, u_reps, u_energy)
+                walk(range(idx + 1, n), child, child_energy, u_reps, u_energy)
             chosen.pop()
             u_reps, u_energy = step(u_reps, u_energy, y, -1)
 
@@ -401,8 +405,18 @@ def reference_qualifying_subsets(a, k, need, den):
     whole, whole_energy = empty, 0
     for y in part_codes[0]:
         whole, whole_energy = step(whole, whole_energy, y, 1)
-    walk(0, empty, 0, whole, whole_energy)
-    return found
+    # At the top level U loses only the roots, so it is a superset of the
+    # U above: a weaker return test, which finds the same subsets.
+    moves = [g for g in dilations if g != 1]
+    roots = [idx for idx, x in enumerate(elems) if all(x <= g * x % a.ambient.modulus for g in moves)]
+    walk(roots, empty, 0, whole, whole_energy)
+    found.sort(key=lambda b: (len(b), b))
+    kept, seen = [], set()
+    for b in found:
+        if frozenset(b) not in seen:
+            kept.append(b)
+            seen.update(frozenset(g * x % a.ambient.modulus for x in b) for g in moves)
+    return kept
 
 
 def naive_energy(xs, ys):

@@ -26,6 +26,7 @@ from adlab import (
 from adlab import energy
 from adlab.budget import WorkMeter
 from adlab.energy import _qualifying_subsets
+from adlab.groundset import _unit_dilations
 from oracles import (
     naive_dim_alpha,
     naive_energy,
@@ -181,6 +182,31 @@ def test_tk_kernels_match_naive(monkeypatch, name):
         "_tk_chain" if kernel == "_tk_table" and cap is not None and cap < multisets else kernel
         for cap in (None, size, size - 1)
     ]
+
+
+def test_packed_power_widens_its_slots_between_products(monkeypatch):
+    # Mod N each product of the square-and-multiply takes the narrowest
+    # slot of its own counts, at most n^(j-1) in the j-th power.
+    widenings = []
+    widened = energy._widened
+
+    def recording(q, slot, wider, width):
+        widenings.append((slot[0], wider[0]))
+        return widened(q, slot, wider, width)
+
+    monkeypatch.setattr(energy, "_widened", recording)
+    rng = random.Random(31)
+    cases = [
+        (residues(rng.sample(range(61), 18), 61), 3, [("B", "H"), ("B", "H")]),  # and P
+        (residues(rng.sample(range(101), 41), 101), 4, [("B", "I")]),
+        (residues(rng.sample(range(101), 41), 101), 7, [("B", "H"), ("B", "H"), ("H", "I"), ("I", "Q"), ("H", "Q")]),
+        (residues(rng.sample(range(101), 12), 101), 3, []),
+    ]
+    for a, k, want in cases:
+        widenings.clear()
+        assert energy._tk_kernel(list(a.elements), k, a.ambient.modulus, None) is energy._tk_packed_power
+        assert t_k(a, k).value == rep_fn([(a, "+")] * k).square_sum()
+        assert widenings == want, (len(a), k)
 
 
 def test_table_stops_at_its_bound(monkeypatch):
@@ -384,12 +410,14 @@ def _walk_cases():
 @pytest.mark.parametrize("a, k", [c[1:] for c in _walk_cases()], ids=[c[0] for c in _walk_cases()])
 def test_qualifying_subsets_match_the_dict_walk(a, k):
     # Sets of 12 to 16 elements are past naive enumeration; the reference
-    # walks the same subsets carrying representation functions.
+    # walks the same subsets carrying representation functions, with every
+    # element at the top level and with the orbit-least ones alone.
     total = t_k(a, k).value
     for alpha in (Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(1)):
         need, den = alpha.numerator * total, alpha.denominator
-        walked = _qualifying_subsets(a, k, need, den, WorkMeter(None))
-        assert walked == reference_qualifying_subsets(a, k, need, den), alpha
+        for dilations in {(1,), _unit_dilations(a)}:
+            walked = _qualifying_subsets(a, k, need, den, WorkMeter(None), dilations)
+            assert walked == reference_qualifying_subsets(a, k, need, den, dilations), (alpha, dilations)
 
 
 @pytest.mark.parametrize(

@@ -589,6 +589,19 @@ def test_sigma_k_contains_zero():
     assert 0 in sigma_k(a, 2)
 
 
+def test_widened_keeps_every_slot():
+    rng = random.Random(30)
+    types = groundset._COUNT_TYPES
+    for i, narrow in enumerate(types):
+        for wide in types[i + 1 :]:
+            for width in (1, 7, 1009):
+                counts = [rng.randrange(1 << (8 * narrow[1])) for _ in range(width)]
+                q = groundset._packed(narrow, width, enumerate(counts))
+                wider = groundset._widened(q, narrow, wide, width)
+                assert groundset._slots(wider, wide, width).tolist() == counts, (narrow, wide, width)
+                assert wider == groundset._packed(wide, width, enumerate(counts))
+
+
 def test_rep_fn_counts():
     a = integers([0, 1])
     r = rep_fn([(a, "+"), (a, "+")])

@@ -20,7 +20,7 @@ from adlab import (
     verify_dirichlet_dim,
 )
 from adlab import modular
-from adlab.modular import DIRICHLET_SCAN_CAP
+from adlab.modular import DIRICHLET_SCAN_CAP, _dirichlet_table
 
 from oracles import naive_dft_peak, naive_dirichlet
 
@@ -132,6 +132,21 @@ def test_dirichlet_ties_on_subgroup_cosets_keep_the_first_q(monkeypatch, cells):
             ties = [q for q in range(1, p) if _dirichlet_at(elems, q, s, p) == got.value]
             assert got.argmin_q == ties[0]
             assert len(ties) % t == 0 and spec.generator * ties[0] % p in ties
+
+
+def test_dirichlet_table_is_its_own_mirror():
+    # Half the table and its mirror image; an off-by-one at the middle
+    # would show at even N, where N/2 is its own mirror.
+    for n in range(2, 71):
+        for s in range(1, 5):
+            assert _dirichlet_table(n, s) == [min(r, n - r) ** s for r in range(n)], (n, s)
+
+
+@pytest.mark.parametrize("p", [1009, 1093])
+def test_dirichlet_on_ops_subgroups_matches_the_full_scan(p):
+    gamma = subgroup(p, 12).members
+    got = dirichlet_min(gamma, s=2)
+    assert (got.value, got.argmin_q) == naive_dirichlet(gamma.elements, 2, p)
 
 
 @pytest.mark.parametrize("s", [0, 1.5])

@@ -15,12 +15,16 @@ from adlab import (
     dim_k_exact,
     dirichlet_min,
     dissociation,
+    energy,
     integers,
     residues,
     subgroup,
+    t_k,
     vectors,
 )
 from adlab._ntheory import is_prime
+from adlab.budget import WorkMeter
+from adlab.energy import _qualifying_subsets
 from adlab.groundset import Residues, _unit_dilations
 
 from oracles import naive_dirichlet, naive_tk, reference_qualifying_subsets
@@ -122,3 +126,37 @@ def test_dim_alpha_keeps_the_value_and_the_witness(alpha):
         assert (got.lower, got.lower_witness.elements) == best, a
         checked += len(_unit_dilations(a)) > 1
     assert checked > 50
+
+
+@pytest.mark.parametrize("alpha, k", [(Fraction(1, 2), 2), (Fraction(1, 4), 2), (Fraction(1, 2), 3)])
+def test_energy_walk_rooted_at_orbit_least_elements(monkeypatch, alpha, k):
+    sets = [a for a in _subgroups_and_cosets() if len(a) <= 14]
+    reduced = []
+    saved = 0
+    for a in sets:
+        modulus, dilations = a.ambient.modulus, _unit_dilations(a)
+        need, den = alpha.numerator * t_k(a, k).value, alpha.denominator
+        full_meter, rooted_meter = WorkMeter(None), WorkMeter(None)
+        full = _qualifying_subsets(a, k, need, den, full_meter)
+        rooted = _qualifying_subsets(a, k, need, den, rooted_meter, dilations)
+        assert set(rooted) <= set(full), a
+        assert rooted == sorted(rooted, key=lambda b: (len(b), b)), a
+        orbits = [{tuple(sorted(g * x % modulus for x in b)) for g in dilations} for b in rooted]
+        assert all(b not in orbit for i, b in enumerate(rooted) for orbit in orbits[:i]), a
+
+        # The first member of each orbit the full walk meets is kept unless
+        # it is not minimal: some element can leave it and it still qualifies.
+        firsts = {min(tuple(sorted(g * x % modulus for x in b)) for g in dilations) for b in full}
+        for b in firsts.difference(rooted):
+            assert any(
+                t_k(residues(b[:i] + b[i + 1 :], modulus), k).value * den >= need for i in range(len(b))
+            ), (a, b)
+        assert rooted_meter.states <= full_meter.states, a
+        saved += rooted_meter.states < full_meter.states
+        reduced.append(dim_alpha_k(a, alpha, k))
+    assert saved > len(sets) // 2
+    # The full walk, and every candidate it finds.
+    monkeypatch.setattr(energy, "_unit_dilations", lambda a: (1,))
+    for a, got in zip(sets, reduced):
+        want = dim_alpha_k(a, alpha, k)
+        assert (got.value, got.lower_witness) == (want.value, want.lower_witness), a
