@@ -5,7 +5,9 @@ representation functions into dyadic level sets, extracting a
 structured core with an explicit Balog-Szemeredi-Gowers-style pipeline,
 splitting a set into an additively tame part and a multiplicatively tame
 part, pulling out B_h[1] (Sidon-type) subsets, and measuring how much of
-the ratio box [n]/[n] the difference set covers.
+the ratio box [n]/[n] the difference set covers.  An exact B_h[1] subset
+is the largest that holds no two h-multisets with equal sums, found by
+``dissociation._avoiding``, the lab's one search for such subsets.
 
 Everything is deterministic: randomized-looking steps are derandomized
 (popularity arguments use exact counts).  Reported statistics are exact
@@ -20,8 +22,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .budget import WorkMeter, as_meter
-from .dissociation import DimensionBounds, dim_bounds, is_k_dissociated, max_dissociated_greedy
-from .energy import additive_energy, t_k
+from .dissociation import DimensionBounds, _avoiding, dim_bounds, is_k_dissociated, max_dissociated_greedy
+from .energy import _sum_groups, additive_energy, t_k
 from .errors import (
     PreconditionError,
     SizeCapExceededError,
@@ -43,8 +45,8 @@ from .growth import beta_hat
 
 REP_SUPPORT_CAP = 1 << 18
 SIDON_EXACT_LIMIT = 20
-# A Sidon search keeps its sums in bitsets while their index range has at
-# most this many slots per h-multiset of A (see _sidon_levels).
+# The greedy Sidon pass keeps its sums in bitsets while their index range
+# has at most this many slots per h-multiset of A (see _sidon_levels).
 SIDON_SLOTS_PER_SUM = 64
 RATIO_SET_CAP = 4000
 
@@ -575,7 +577,7 @@ def dec_tk(
 
 
 def _sidon_levels(codes: list, h: int, modulus: Optional[int]):
-    """Root state, child step and per-code steps of the B_h[1] search.
+    """Root state, child step and per-code steps of the greedy B_h[1] pass.
 
     A state holds levels[1..h]; levels[j] is the set of j-fold sums of the
     chosen codes (levels[0] is {0}).  ``extend(state, step)`` returns the
@@ -591,8 +593,7 @@ def _sidon_levels(codes: list, h: int, modulus: Optional[int]):
     codes, plus one; N mod N) holds at most ``SIDON_SLOTS_PER_SUM`` slots
     per h-multiset of the codes and at most ``DENSE_RANGE_LIMIT`` in all;
     mod N a shift wraps around.  Otherwise they are sets of ints.  A step
-    lists the moves m*c for m = 1..h.  Returns (root, extend, steps,
-    bitset).
+    lists the moves m*c for m = 1..h.  Returns (root, extend, steps).
     """
     multisets = math.comb(len(codes) + h - 1, h)
     if modulus is None:
@@ -630,7 +631,7 @@ def _sidon_levels(codes: list, h: int, modulus: Optional[int]):
             grown.append(top)
             return tuple(grown)
 
-        return (0,) * h, extend, steps, True
+        return (0,) * h, extend, steps
 
     if modulus is None:
 
@@ -658,7 +659,7 @@ def _sidon_levels(codes: list, h: int, modulus: Optional[int]):
         grown.append(top)
         return tuple(grown)
 
-    return (frozenset(),) * h, extend, steps, False
+    return (frozenset(),) * h, extend, steps
 
 
 def sidon_extract(
@@ -672,25 +673,21 @@ def sidon_extract(
 
     A B_h[1] set has all h-fold sums distinct; with op="*" the h-fold
     products are made distinct instead, computed exactly through the
-    prime-exponent embedding.  Up to the limit an exact depth-first search
-    runs over the (downward-closed) family of B_h[1] subsets; past it a
-    greedy pass inserts elements in ascending order and keeps an element
-    whenever it does not break the property.  The sums are
-    formed on ``_int_view`` codes, so int64 is checked once, on the h-fold
-    extremes, before the search starts.
+    prime-exponent embedding.  The sums are formed on ``_int_view`` codes,
+    so int64 is checked once, on the h-fold extremes, before either search
+    starts, and elements are taken in ``by_magnitude`` order.
 
-    Each search node holds the j-fold sums of its elements for j <= h
-    (``_sidon_levels``) and tests a candidate against them, in one of two
-    state kinds chosen from the input: int bitsets when the h-fold sums'
-    index range is at most ``SIDON_SLOTS_PER_SUM`` slots per h-multiset of
-    A and at most ``DENSE_RANGE_LIMIT``, sets of ints otherwise.  At h = 2
-    the test of a bitset that does not wrap around (on the line and Z^r)
-    is written out in the search loop.  The
-    visit order, the pruning and the ticks are those of the plain search
-    that rebuilds every h-fold sum of each candidate subset: a candidate
-    costs len(subset)**h // h + 1 ticks in the exact search and
-    len(kept)**(h - 1) + 1 in the greedy pass, charged before its test, so
-    results and budget errors do not depend on the state kind.
+    Up to the limit, every two h-multisets with equal sums
+    (``energy._sum_groups``) give a support, the mask of their elements;
+    ``dissociation._avoiding`` returns the lexicographically first largest
+    subset holding none.  The meter is charged as for the energy table,
+    one state per multiset and per ordered pair of multisets with equal
+    sums, then one per candidate the search tries.
+
+    Past the limit a greedy pass keeps each element, in that order, that
+    does not break the property, holding the j-fold sums of the kept
+    elements for j <= h (``_sidon_levels``).  A candidate costs
+    len(kept)**(h - 1) + 1 ticks before its test, whatever the state kind.
     """
     if h < 2:
         raise PreconditionError("h must be at least 2")
@@ -708,61 +705,21 @@ def sidon_extract(
     if not elems:
         return a
     part_codes, n, _decode = _int_view(amb, [(elems, "+")] * h)
-    # the h parts are identical, and so are their codes
-    root, extend, steps, bitset = _sidon_levels(part_codes[0], h, n)
-    tick = meter.tick
-
-    if len(elems) > SIDON_EXACT_LIMIT:
-        kept: list = []
-        state = root
+    codes = part_codes[0]  # the h parts are identical, and so are their codes
+    if len(elems) <= SIDON_EXACT_LIMIT:
+        groups = _sum_groups(codes, h, n, meter)
+        supports = {s | s2 for g in groups for x, (s, _) in enumerate(g) for s2, _ in g[x + 1 :]}
+        kept = _avoiding(len(elems), supports, meter)
+    else:
+        state, extend, steps = _sidon_levels(codes, h, n)
+        kept = []
         for i, step in enumerate(steps):
-            tick(len(kept) ** (h - 1) + 1)
+            meter.tick(len(kept) ** (h - 1) + 1)
             child = extend(state, step)
             if child is not None:
                 kept.append(i)
                 state = child
-        return GroundSet.of(amb, [elems[i] for i in kept])
-
-    size = len(elems)
-    costs = [(t + 1) ** h // h + 1 for t in range(size)]  # ticks per candidate at depth t
-    path = [0] * size
-    best: list = []
-    # At h = 2 a bitset test without wrap-around is written out in the loop:
-    # c is accepted iff c + levels[1] misses levels[2] and 2c is not in
-    # levels[2] (c + levels[1] never holds 2c, as c is not yet chosen).
-    inline = bitset and n is None and h == 2
-    if inline:
-        shifts = [c for c, _ in steps]
-        ones = [1 << c for c in shifts]
-        twos = [1 << c2 for _, c2 in steps]
-
-    def dfs(start: int, depth: int, state: tuple):
-        nonlocal best
-        if depth > len(best):
-            best = path[:depth]
-        # even taking everything that is left cannot beat the best
-        if depth + (size - start) <= len(best):
-            return
-        cost = costs[depth]
-        if inline:
-            l1, l2 = state
-            for i in range(start, size):
-                tick(cost)
-                moved = l1 << shifts[i]
-                if moved & l2 or l2 & twos[i]:
-                    continue
-                path[depth] = i
-                dfs(i + 1, depth + 1, (l1 | ones[i], l2 | moved | twos[i]))
-        else:
-            for i in range(start, size):
-                tick(cost)
-                child = extend(state, steps[i])
-                if child is not None:
-                    path[depth] = i
-                    dfs(i + 1, depth + 1, child)
-
-    dfs(0, 0, root)
-    return GroundSet.of(amb, [elems[i] for i in best])
+    return GroundSet.of(amb, [elems[i] for i in kept])
 
 
 # ---------------------------------------------------------------------------

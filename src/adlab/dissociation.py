@@ -654,6 +654,49 @@ def dim_bounds(lam: GroundSet, k: int = 1, budget: int | None = None) -> Dimensi
         )
 
 
+def _avoiding(n: int, supports, meter) -> list:
+    """Indices of the lexicographically first largest subset of range(n)
+    that holds no mask of ``supports`` (n-bit index masks).
+
+    The ascending depth-first search of ``dim_k_exact``, so the first
+    largest subset found is the lexicographically first.  ``free`` holds
+    the candidates above the last one chosen that may still join.  A
+    support kills its largest element once the others are chosen, the
+    second largest, j, last: ``kills[j]`` maps each rest (the elements
+    below j) to the largest elements it kills.  A node stops once its size
+    plus its free candidates cannot beat the best, and charges one
+    ``meter`` tick per candidate it tries.
+    """
+    kills: list = [{} for _ in range(n)]
+    free = (1 << n) - 1
+    for s in supports:
+        top = 1 << s.bit_length() - 1
+        if s == top:
+            free &= ~top
+        else:
+            j = (s ^ top).bit_length() - 1
+            rest = s ^ top ^ 1 << j
+            kills[j][rest] = kills[j].get(rest, 0) | top
+    best = 0
+
+    def dfs(free: int, chosen: int) -> None:
+        nonlocal best
+        if chosen.bit_count() > best.bit_count():
+            best = chosen
+        while chosen.bit_count() + free.bit_count() > best.bit_count():
+            low = free & -free
+            free ^= low
+            meter.tick()
+            child = free
+            for rest, tops in kills[low.bit_length() - 1].items():
+                if not rest & ~chosen:
+                    child &= ~tops
+            dfs(child, chosen | low)
+
+    dfs(free, 0)
+    return _set_bits(best, 0)
+
+
 # ---------------------------------------------------------------------------
 # Spans and covering numbers
 

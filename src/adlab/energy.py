@@ -29,10 +29,8 @@ and returns from a node once B together with every later element falls
 short of the threshold.  ``dim_k_exact`` then searches the minimal
 qualifying subsets in (size, elements) order, skipping a subset that
 holds a dissociated set already found of the best size or more.  The
-energy search charges one meter state per k-multiset listed, one per
-ordered pair of multisets with equal sums and one per subset energy read,
-after ``check_feasible`` has refused a table of more multisets than the
-budget leaves.
+energy search charges its table as ``_sum_groups`` says, and one meter
+state per subset energy read.
 """
 
 from __future__ import annotations
@@ -377,6 +375,38 @@ def dim_alpha_k(
     )
 
 
+def _sum_groups(codes: list, k: int, modulus: int | None, meter) -> list:
+    """The k-multisets of indices of ``codes`` as lists of (index mask,
+    k! / prod(mult!) ordered arrangements), one list per code sum (mod
+    ``modulus``), in ``combinations_with_replacement`` order.
+
+    ``check_feasible`` refuses more multisets than the meter has states
+    left; then one state is charged per multiset and, a group at a time,
+    one per ordered pair of multisets with equal sums.
+    """
+    multisets = math.comb(len(codes) + k - 1, k)
+    meter.check_feasible(multisets, "relation table")
+    meter.tick(multisets)
+    fact_k = math.factorial(k)
+    by_sum: dict = {}
+    for m in combinations_with_replacement(range(len(codes)), k):
+        mask = total = run = 0
+        arrangements, prev = fact_k, -1
+        for i in m:
+            run = run + 1 if i == prev else 1
+            arrangements //= run
+            mask |= 1 << i
+            total += codes[i]
+            prev = i
+        if modulus is not None:
+            total %= modulus
+        by_sum.setdefault(total, []).append((mask, arrangements))
+    groups = list(by_sum.values())
+    for group in groups:
+        meter.tick(len(group) ** 2)
+    return groups
+
+
 def _qualifying_subsets(
     a: GroundSet, k: int, need: int, den: int, meter, dilations: tuple = (1,)
 ) -> list:
@@ -416,35 +446,16 @@ def _qualifying_subsets(
     the digits that no weight sets are left out.
 
     The multisets add ``_int_view`` codes, so int64 is checked once, on the
-    k-fold extremes; on Z^r the codes are Kronecker codes.  The meter
-    refuses, by ``check_feasible``, a table of more multisets than it has
-    states left, and then counts one state per multiset listed, one per
-    ordered equal-sum pair of multisets and one per subset energy read.
+    k-fold extremes; on Z^r the codes are Kronecker codes.  The table is
+    charged as ``_sum_groups`` charges it, and then one state per subset
+    energy read.
     """
     elems = a.elements
     n = len(elems)
     part_codes, modulus, _decode = _int_view(a.ambient, [(elems, "+")] * k)
     codes = part_codes[0]  # the k parts are identical, and so are their codes
-    multisets = math.comb(n + k - 1, k)
-    meter.check_feasible(multisets, "relation table")
-    meter.tick(multisets)
-    fact_k = math.factorial(k)
-    by_sum: dict = {}
-    for m in combinations_with_replacement(range(n), k):
-        mask = total = run = 0
-        arrangements, prev = fact_k, -1
-        for i in m:
-            run = run + 1 if i == prev else 1
-            arrangements //= run
-            mask |= 1 << i
-            total += codes[i]
-            prev = i
-        if modulus is not None:
-            total %= modulus
-        by_sum.setdefault(total, []).append((mask, arrangements))
     weight: dict = {}
-    for group in by_sum.values():
-        meter.tick(len(group) ** 2)
+    for group in _sum_groups(codes, k, modulus, meter):
         for x, (s, c) in enumerate(group):
             weight[s] = weight.get(s, 0) + c * c
             for s2, c2 in group[x + 1 :]:

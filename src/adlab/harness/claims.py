@@ -33,9 +33,11 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .._ntheory import is_prime, totient
+from ..budget import as_meter
 from ..decompose import _difference_ratios, _ratio_box_scan, dec_tk, sidon_extract
 from ..dissociation import (
     DimensionBounds,
+    _avoiding,
     cube,
     d_k_exact,
     d_star_lower,
@@ -822,46 +824,32 @@ def _ev_subgroup_coverage(claim, a, inst, budget):
     return [_rec(claim, inst, measured, fitted=fitted, note=note)]
 
 
-def _max_clique_size(candidates: list, adjacent) -> int:
-    """Exact maximum clique by branch and bound over a small vertex list."""
-    best = 0
-
-    def dfs(pool: list, size: int):
-        nonlocal best
-        if size > best:
-            best = size
-        if size + len(pool) <= best:
-            return
-        for i, v in enumerate(pool):
-            dfs([u for u in pool[i + 1 :] if adjacent(u, v)], size + 1)
-
-    dfs(candidates, 0)
-    return best
-
-
 def _ev_difference_in_subgroup(claim, a, inst, budget):
     p, t = _subgroup_params(inst)
     gamma = set(a.elements)
     sym = sorted(x for x in gamma if (p - x) % p in gamma)
-    # Translation-invariance lets us pin 0 in A; the rest of A lies in the
-    # symmetric part of Gamma, and the clique condition keeps all pairwise
-    # differences inside Gamma.
-    adjacent = lambda u, v: (u - v) % p in gamma and (v - u) % p in gamma
-    best = 1 + _max_clique_size(sym, adjacent)
+    # Translation-invariance lets us pin 0 in A; the rest of A is a subset
+    # of sym with all pairwise differences inside Gamma, a clique: the
+    # largest subset of sym that holds no non-adjacent pair.
+    apart = [
+        1 << i | 1 << j
+        for j, v in enumerate(sym) for i, u in enumerate(sym[:j])
+        if (u - v) % p not in gamma or (v - u) % p not in gamma
+    ]
+    best = 1 + len(_avoiding(len(sym), apart, as_meter(budget)))
     delta = 1.0 - math.log(t) / math.log(p)
     measured = {"max_size": best, "symmetric_part": len(sym), "delta": delta}
     if best < 3 or delta <= 0:
         return [_rec(claim, inst, measured, note="degenerate clique or exponent")]
-    witness_size = best
     # Doubling of the densest found A is not tracked by the clique search;
     # the trivial bound |A+A| <= |A|(|A|+1)/2 gives the worst-case K.
-    k_worst = (witness_size + 1) / 2
+    k_worst = (best + 1) / 2
     denom = math.log(k_worst) * math.sqrt(
         (1.0 / delta) * math.log(1.0 / delta) * math.log(p)
     ) if 0 < delta < 1 and k_worst > 1 else None
     if not denom:
         return [_rec(claim, inst, measured, note="degenerate window")]
-    return [_rec(claim, inst, measured, fitted=math.log(witness_size) / denom)]
+    return [_rec(claim, inst, measured, fitted=math.log(best) / denom)]
 
 
 # ---------------------------------------------------------------------------

@@ -502,11 +502,18 @@ def reference_sidon(a, h, mode, meter):
     ``mode`` ("exact_tiny" or "greedy") naming the search that the size of A
     selects there.
 
-    A copy of the search that rebuilds every h-multiset sum of the candidate
-    subset for each test: the same ``_int_view`` codes and int64 check, the
-    same order (``by_magnitude``), and the same ticks, charged to ``meter``
-    before each test: len(cand)**h // h + 1 per candidate in exact mode,
-    len(kept)**(h - 1) + 1 in greedy mode.  Errors propagate as they are.
+    A copy of the searches that rebuilds every h-multiset sum of the
+    candidate subset for each test: the same ``_int_view`` codes and int64
+    check, the same order (``by_magnitude``), and the same ticks charged to
+    ``meter``.  Greedy mode charges len(kept)**(h - 1) + 1 before each
+    test.  Exact mode charges the table as ``energy._sum_groups`` does
+    (``check_feasible`` on the h-multisets, one tick per multiset, then
+    c**2 for each sum that c multisets reach, in the order of first
+    reach), and then runs ``dissociation._avoiding``'s search as a plain
+    branch and bound: a node lists the candidates above its last element
+    that keep the subset B_h[1], and tries them in order, one tick each,
+    while its depth plus the candidates not yet tried beats the best size.
+    Errors propagate as they are.
     """
     from adlab.groundset import _int_view, by_magnitude
 
@@ -534,22 +541,48 @@ def reference_sidon(a, h, mode, meter):
                 kept.append(i)
         return tuple(sorted(elems[i] for i in kept))
 
+    multisets = list(combinations_with_replacement(codes, h))
+    meter.check_feasible(len(multisets), "relation table")
+    meter.tick(len(multisets))
+    for c in Counter(sum(m) if n is None else sum(m) % n for m in multisets).values():
+        meter.tick(c * c)
     best = []
 
     def dfs(start, chosen):
         nonlocal best
         if len(chosen) > len(best):
             best = list(chosen)
-        if len(chosen) + (len(elems) - start) <= len(best):
-            return
-        for i in range(start, len(elems)):
-            cand = chosen + [i]
-            meter.tick(len(cand) ** h // h + 1)
-            if h_fold_ok([codes[j] for j in cand], n):
-                dfs(i + 1, cand)
+        pool = [
+            i for i in range(start, len(elems)) if h_fold_ok([codes[j] for j in chosen + [i]], n)
+        ]
+        for x, i in enumerate(pool):
+            if len(chosen) + len(pool) - x <= len(best):
+                return
+            meter.tick()
+            dfs(i + 1, chosen + [i])
 
     dfs(0, [])
     return tuple(sorted(elems[i] for i in best))
+
+
+def naive_max_clique(vertices, adjacent):
+    """Size of the largest set of pairwise adjacent vertices, by branch and
+    bound: a node extends its clique by each vertex of its pool (the later
+    vertices adjacent to every member) and gives up once the clique and
+    the rest of the pool cannot beat the best size."""
+    nbrs = {v: {u for u in vertices if u != v and adjacent(u, v)} for v in vertices}
+    best = 0
+
+    def grow(size, pool):
+        nonlocal best
+        best = max(best, size)
+        for i, v in enumerate(pool):
+            if size + len(pool) - i <= best:
+                return
+            grow(size + 1, [u for u in pool[i + 1 :] if u in nbrs[v]])
+
+    grow(0, list(vertices))
+    return best
 
 
 def naive_dft_peak(xs, n):
@@ -616,3 +649,33 @@ def naive_primes_below(limit):
             for m in range(d * d, limit, d):
                 flags[m] = False
     return [n for n, prime in enumerate(flags) if prime]
+
+
+def relation_supports(xs, modulus=None):
+    """Index masks (bit i for xs[i]) of the supports of every nonzero eps in
+    {-1, 0, 1}^n with sum eps_i * xs[i] = 0, by meet in the middle.
+
+    The signed sums of the first n // 2 elements are grouped by value with
+    the masks that reach them; each signed sum s of the rest meets the
+    group of -s.  Elements are ints, residues mod ``modulus``, or
+    equal-length int tuples.
+    """
+    xs = list(xs)
+    zero = (0,) * len(xs[0]) if xs and isinstance(xs[0], tuple) else 0
+
+    def signed(base, part):
+        out = {}
+        negs = naive_neg(part, modulus)
+        for eps in product((-1, 0, 1), repeat=len(part)):
+            terms = [x if e == 1 else y for e, x, y in zip(eps, part, negs) if e]
+            mask = sum(1 << base + i for i, e in enumerate(eps) if e)
+            out.setdefault(_total(terms, modulus) if terms else zero, set()).add(mask)
+        return out
+
+    half = len(xs) // 2
+    left = signed(0, xs[:half])
+    found = set()
+    for total, masks in signed(half, xs[half:]).items():
+        for lo in left.get(naive_neg([total], modulus)[0], ()):
+            found.update(lo | hi for hi in masks if lo | hi)
+    return found

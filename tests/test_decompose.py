@@ -417,9 +417,11 @@ def test_sidon_matches_the_reference_loop(a, h, mode, budget, spent):
 
 def test_sidon_state_kind_follows_the_density_of_the_sums():
     def bitset(a, h):
+        # the root state holds int bitsets or sets of ints
         elems = by_magnitude(a.ambient, a.elements)
         (codes, *_), n, _ = _int_view(a.ambient, [(elems, "+")] * h)
-        return _sidon_levels(codes, h, n)[3]
+        root, _extend, _steps = _sidon_levels(codes, h, n)
+        return isinstance(root[0], int)
 
     assert not any(bitset(a, 2) for a in _SPARSE_SIDON_SETS)
     # 2 * 117 + 1 = 235 slots for 14 elements, against 64 * C(15, 2) = 6720

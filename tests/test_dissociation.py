@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +26,7 @@ from adlab import (
 from adlab import dissociation
 from adlab.dissociation import _extender, _span_codes
 from adlab.groundset import Residues
+from adlab.harness import CORE_INSTANCES, generate
 
 from oracles import (
     naive_cube,
@@ -34,6 +36,7 @@ from oracles import (
     naive_relation,
     naive_span,
     reference_dim_bounds,
+    relation_supports,
     subsets,
 )
 
@@ -325,6 +328,101 @@ def test_subgroup_dimensions_finish_on_their_orbits(p, t, witness):
     db = dim_bounds(subgroup(p, t).members, 1, budget=2_000_000)
     assert (db.lower, db.upper, db.exact, db.note) == (len(witness), len(witness), True, "")
     assert db.lower_witness.elements == witness
+
+
+# ---------------------------------------------------------------------------
+# The largest subset holding no listed support
+
+
+def _first_avoiding(n, supports):
+    """The first subset of range(n), largest first and then in lexicographic
+    order, that holds no support."""
+    for size in range(n, -1, -1):
+        for sub in combinations(range(n), size):
+            mask = sum(1 << i for i in sub)
+            if not any(s & mask == s for s in supports):
+                return list(sub)
+
+
+def test_avoiding_matches_brute_force():
+    rng = random.Random(31)
+    for _ in range(1500):
+        n = rng.randint(0, 10)
+        width = rng.randint(1, 4)
+        supports = [
+            sum(1 << i for i in rng.sample(range(n), min(n, rng.randint(1, width))))
+            for _ in range(rng.randint(0, 3 * n))
+        ]
+        supports = [s for s in supports if s]
+        got = dissociation._avoiding(n, supports, WorkMeter(None))
+        assert got == _first_avoiding(n, supports), (n, supports)
+
+
+@pytest.mark.parametrize("spent", [0, 5])
+def test_avoiding_raises_at_the_tick_of_the_meter(spent):
+    # One tick per tried candidate, through WorkMeter.tick: a short budget
+    # raises at the first tick past it, with those states, also on a meter
+    # charged before the call.
+    supports = relation_supports(range(1, 13))
+    full = WorkMeter(None)
+    full.tick(spent)
+    witness = dissociation._avoiding(12, supports, full)
+    total = full.states
+    assert witness == [0, 1, 3, 7] and total > spent + 1
+    for budget in range(spent + 1, total):
+        meter = WorkMeter(budget)
+        meter.tick(spent)
+        with pytest.raises(BudgetExceededError) as exc:
+            dissociation._avoiding(12, supports, meter)
+        assert meter.states == exc.value.states == budget + 1
+        assert str(exc.value) == f"state budget exhausted ({budget + 1} > {budget})"
+    meter = WorkMeter(total)
+    meter.tick(spent)
+    assert dissociation._avoiding(12, supports, meter) == witness
+    assert meter.states == total
+
+
+def _criterion_4_sets(max_size):
+    """Criterion 4's random draws below 10^6 of at most max_size elements."""
+    out = []
+    for i in range(200):
+        rng = random.Random(1000 + i)
+        xs = rng.sample(range(1, 10**6), rng.randint(4, 24))
+        if len(xs) <= max_size:
+            out.append(integers(xs))
+    return out
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        pytest.param(
+            lambda: [integers(sub) for sub in subsets(range(1, 11)) if sub], id="subsets_of_10"
+        ),
+        pytest.param(lambda: [generate(s) for s in CORE_INSTANCES], id="core"),
+        pytest.param(
+            lambda: [
+                subgroup(p, t).members
+                for p in (7, 13, 31, 61) for t in range(1, 17) if (p - 1) % t == 0
+            ],
+            id="subgroups",
+        ),
+        pytest.param(lambda: _criterion_4_sets(16), id="random"),
+    ],
+)
+def test_dimensions_from_relation_supports(sets):
+    # A second path to dim_1: list every relation's support by meet in the
+    # middle and take the largest subset of the nonzero elements that holds
+    # none.  Value and witness must be dim_bounds'.
+    for a in sets():
+        amb = a.ambient
+        elems = [x for x in a.elements if x != amb.zero]
+        modulus = amb.modulus if isinstance(amb, Residues) else None
+        supports = relation_supports(elems, modulus)
+        kept = dissociation._avoiding(len(elems), supports, WorkMeter(None))
+        db = dim_bounds(a, 1)
+        assert db.exact, a
+        assert tuple(elems[i] for i in kept) == db.lower_witness.elements, a
 
 
 def test_dim_witness_is_dissociated_subset():

@@ -33,6 +33,8 @@ from adlab.harness import (
 from adlab.harness.runner import CORE_BUDGET
 from adlab.modular import subgroup
 
+from oracles import naive_is_prime, naive_max_clique
+
 
 # ---------------------------------------------------------------------------
 # Generators
@@ -104,6 +106,25 @@ def test_dirichlet_claim_on_subgroup_holds():
         "dirichlet_dim_lower", g, {"generator": "subgroup", "params": {"p": 31, "t": 5}}
     )
     assert recs and not any(r.violated for r in recs)
+
+
+def test_subgroup_clique_matches_a_plain_search():
+    # max_size is 1 + the largest clique of the symmetric part of Gamma, on
+    # every subgroup inside the claim's p <= 300 envelope.
+    try:
+        for p in filter(naive_is_prime, range(3, 301)):
+            for t in (t for t in range(1, p) if (p - 1) % t == 0):
+                g = subgroup(p, t).members
+                gamma = set(g.elements)
+                sym = sorted(x for x in gamma if (p - x) % p in gamma)
+                clique = naive_max_clique(
+                    sym, lambda u, v: (u - v) % p in gamma and (v - u) % p in gamma
+                )
+                inst = {"generator": "subgroup", "params": {"p": p, "t": t}}
+                (rec,) = evaluate_claim("difference_in_subgroup", g, inst)
+                assert rec.measured["max_size"] == 1 + clique, (p, t)
+    finally:
+        clear_caches()
 
 
 def test_hard_claims_on_interval_all_hold():
@@ -484,7 +505,6 @@ SKIP_NOTE_CASES = {
             **_OFF_RESIDUES, **_OFF_SUBGROUP,
             "model search is kept to |A| <= 10": ("freiman_isomorphism",),
             "exact relative dimension is kept to |A| <= 10": ("dim_alpha_bound",),
-            "budget exhausted (state budget exhausted (20011 > 20000))": ("sidon_property", "sidon_extremal"),
         },
     ),
     "singleton": (
